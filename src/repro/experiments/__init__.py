@@ -16,7 +16,7 @@
 from .cache import RunCache, compile_key, prepare_cached
 from .checkpoint import SuiteCheckpoint, suite_key
 from .interrupt import GracefulInterrupt
-from .ledger import RunLedger, ledger_path, locked_append, new_run_id
+from .ledger import RunLedger, ledger_path, new_run_id
 from .figure8 import Figure8, figure8
 from .figure9 import Figure9, figure9
 from .figure10 import FIGURE10_BENCHMARKS, Figure10, figure10
@@ -58,7 +58,6 @@ __all__ = [
     "figure8",
     "figure9",
     "ledger_path",
-    "locked_append",
     "model_pieces",
     "new_run_id",
     "prepare",

@@ -26,14 +26,12 @@ Design:
   lists; loading one costs milliseconds, not a rebuild of per-instruction
   objects.  The digest covers the classes that define the format, so an
   entry written in an older layout is never unpickled by newer code.
-* **Atomic writes.**  Entries are pickled to a temporary file in the cache
-  directory and ``os.replace``-d into place, so concurrent workers (the
-  parallel grid runs one ``prepare`` per process) and interrupted runs can
-  never publish a half-written entry.
-* **Corruption tolerance.**  A load that fails to read, unpickle, or match
-  its fingerprint is treated as a miss: the bad file is deleted and the
-  caller recomputes.  The cache is an accelerator, never a correctness
-  dependency.
+* **Atomic writes, tolerant loads** (:mod:`repro.store`).  Concurrent
+  workers (the parallel grid runs one ``prepare`` per process) and
+  interrupted runs can never publish a half-written entry, and a load
+  that fails to read, unpickle, or match its fingerprint is a miss: the
+  bad file is deleted and the caller recomputes.  The cache is an
+  accelerator, never a correctness dependency.
 
 The CLI exposes the store as ``hidisc cache stats`` / ``hidisc cache
 clear`` and every experiment command honours ``--no-cache`` and
@@ -45,11 +43,10 @@ from __future__ import annotations
 
 import hashlib
 import os
-import pickle
-import tempfile
 from pathlib import Path
 
 from ..config import MachineConfig
+from ..store import CORRUPT, MISSING, dump_pickle, load_pickle
 from ..telemetry import metrics, spans
 from ..workloads import Workload
 
@@ -174,63 +171,38 @@ class RunCache:
         deleted and reported as misses — the caller recomputes.
         """
         path = self.path_for(key)
-        try:
-            blob = path.read_bytes()
-        except OSError:
+        obj = MISSING
+        if path.is_file():  # a miss is an instant, not a load span
+            with spans.span("cache_load", cat="cache", key=key[:12]) as span:
+                obj = load_pickle(
+                    path, lambda o: getattr(o, "fingerprint", None) == key)
+                if obj is CORRUPT:
+                    self.corrupt += 1
+                    metrics.inc("cache_corrupt")
+                    span.set(hit=False, corrupt=True)
+                elif obj is not MISSING:
+                    span.set(hit=True)
+        if obj is MISSING or obj is CORRUPT:
             self.misses += 1
             metrics.inc("cache_misses")
-            spans.instant("cache_miss", cat="cache", key=key[:12])
+            if obj is MISSING:
+                spans.instant("cache_miss", cat="cache", key=key[:12])
             return None
-        with spans.span("cache_load", cat="cache", key=key[:12]) as span:
-            try:
-                obj = pickle.loads(blob)
-            except Exception:
-                obj = None
-            if obj is None or getattr(obj, "fingerprint", None) != key:
-                self.corrupt += 1
-                self.misses += 1
-                metrics.inc("cache_corrupt")
-                metrics.inc("cache_misses")
-                span.set(hit=False, corrupt=True)
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-                return None
-            self.hits += 1
-            metrics.inc("cache_hits")
-            span.set(hit=True)
+        self.hits += 1
+        metrics.inc("cache_hits")
         return obj
 
     def store(self, key: str, obj) -> None:
-        """Atomically persist *obj* under *key* (write temp + rename).
+        """Atomically persist *obj* under *key*.
 
         Best-effort: an unwritable cache directory degrades to a no-op
         rather than failing the experiment.
         """
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root,
-                                       suffix=ENTRY_SUFFIX + ".tmp")
-        except OSError:
-            return
-        try:
             with spans.span("cache_store", cat="cache", key=key[:12]):
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self.path_for(key))
+                dump_pickle(self.path_for(key), obj)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.stores += 1
         metrics.inc("cache_stores")
 

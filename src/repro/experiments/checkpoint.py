@@ -13,12 +13,13 @@ Design mirrors :mod:`repro.experiments.cache`:
   workload fingerprint — any change in scale, seed, configuration or code
   version lands in a different checkpoint directory, so ``--resume`` can
   never mix cells from incompatible runs.
-* **Atomic per-cell stores.**  Each completed :class:`RunResult` is
-  pickled to ``<cache>/suites/<key>/<benchmark>__<mode>.pkl`` via
-  write-temp-then-rename; a crash mid-store never publishes a torn cell.
-* **Corruption tolerance.**  An unreadable or unpicklable cell is deleted
-  and reported as missing — the resume recomputes it.  Like the run cache,
-  checkpoints accelerate; they are never a correctness dependency.
+* **Atomic per-cell stores, tolerant loads** (:mod:`repro.store`).  Each
+  completed :class:`RunResult` is pickled to
+  ``<cache>/suites/<key>/<benchmark>__<mode>.pkl``; a crash mid-store
+  never publishes a torn cell, and an unreadable or unpicklable cell is
+  deleted and reported as missing — the resume recomputes it.  Like the
+  run cache, checkpoints accelerate; they are never a correctness
+  dependency.
 
 The simulators are deterministic, so a recomputed cell is bit-identical to
 the crashed run's would-have-been result — resuming cannot change any
@@ -28,13 +29,11 @@ number in the payload.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
 from ..config import MachineConfig, SamplingPlan
+from ..store import CORRUPT, MISSING, dump_pickle, load_pickle
 from ..telemetry import metrics, spans
 from ..workloads import Workload
 from .cache import (
@@ -98,30 +97,11 @@ class SuiteCheckpoint:
         """Atomically persist one completed cell (best-effort, like the
         run cache: an unwritable directory degrades to a no-op)."""
         try:
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.root,
-                                       suffix=ENTRY_SUFFIX + ".tmp")
-        except OSError:
-            return
-        try:
             with spans.span("checkpoint_store", cat="checkpoint",
                             cell=f"{benchmark}/{mode}"):
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, self.cell_path(benchmark, mode))
+                dump_pickle(self.cell_path(benchmark, mode), result)
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
             return
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
         self.stores += 1
         metrics.inc("checkpoint_stores")
 
@@ -131,24 +111,16 @@ class SuiteCheckpoint:
         Unreadable or unpicklable cells are deleted and reported missing
         (the resume recomputes them).
         """
-        path = self.cell_path(benchmark, mode)
-        try:
-            blob = path.read_bytes()
-        except OSError:
+        result = load_pickle(
+            self.cell_path(benchmark, mode),
+            lambda r: getattr(r, "benchmark", None) == benchmark)
+        if result is MISSING:
             return None
-        try:
-            result = pickle.loads(blob)
-        except Exception:
-            result = None
-        if result is None or getattr(result, "benchmark", None) != benchmark:
+        if result is CORRUPT:
             self.corrupt += 1
             metrics.inc("checkpoint_corrupt")
             spans.instant("checkpoint_corrupt_cell", cat="checkpoint",
                           cell=f"{benchmark}/{mode}")
-            try:
-                path.unlink()
-            except OSError:
-                pass
             return None
         self.loads += 1
         metrics.inc("checkpoint_replayed")

@@ -9,13 +9,12 @@ the span summary (:mod:`repro.telemetry.spans`).  ``hidisc runs
 list|show|report`` renders the ledger; a future ``hidisc serve`` streams
 the same records as its wire format.
 
-Durability model mirrors the run cache's pragmatism: appends take an
-exclusive ``fcntl.flock`` on the ledger file and write one
-``\\n``-terminated line (see :func:`locked_append` — the simulation
-service makes concurrent writers the norm, and O_APPEND alone does not
-guarantee untorn lines across every filesystem), an unwritable ledger
-degrades to a no-op, and unparsable lines are skipped on read — the
-ledger observes runs, it is never a correctness dependency.
+Durability model mirrors the run cache's pragmatism: each record is one
+locked append (:func:`repro.store.locked_append` — the simulation
+service makes concurrent writers the norm), an unwritable ledger
+degrades to a no-op, and unparsable lines are skipped on read
+(:func:`repro.store.read_jsonl`) — the ledger observes runs, it is
+never a correctness dependency.
 """
 
 from __future__ import annotations
@@ -28,11 +27,7 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
-try:  # pragma: no cover - absent only on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None
-
+from .. import store
 from ..config import MachineConfig
 from .cache import config_fingerprint
 
@@ -42,33 +37,6 @@ LEDGER_FILENAME = "ledger.jsonl"
 
 def ledger_path(cache_root: str | Path) -> Path:
     return Path(cache_root) / LEDGER_FILENAME
-
-
-def locked_append(path: str | Path, line: str) -> bool:
-    """Append one ``\\n``-terminated *line* under an exclusive flock.
-
-    The write itself happens in append mode, so even on the (non-POSIX)
-    platforms where ``fcntl`` is unavailable lines still land at the end;
-    the lock additionally serializes concurrent writers so a reader can
-    never observe an interleaved or torn line.  Returns False (no-op)
-    when the path is unwritable — shared with the service's per-job event
-    streams, which have the same many-writers/one-file shape.
-    """
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a") as fh:
-            if fcntl is not None:
-                fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-            try:
-                fh.write(line.rstrip("\n") + "\n")
-                fh.flush()
-            finally:
-                if fcntl is not None:
-                    fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
-    except OSError:
-        return False
-    return True
 
 
 def new_run_id() -> str:
@@ -136,10 +104,14 @@ class RunLedger:
         """Persist one record; best-effort (False when unwritable).
 
         Serialized against concurrent appenders (service workers, parallel
-        CLI invocations sharing a cache dir) via :func:`locked_append`.
+        CLI invocations sharing a cache dir) via a locked append.
         """
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        return locked_append(self.path, line)
+        try:
+            store.locked_append(self.path, line)
+        except OSError:
+            return False
+        return True
 
     def entries(self, limit: int | None = None) -> list[dict]:
         """Records in append (chronological) order, newest last.
@@ -147,21 +119,7 @@ class RunLedger:
         Unparsable lines (torn writes, manual edits) are skipped; *limit*
         keeps only the newest N.
         """
-        try:
-            lines = self.path.read_text().splitlines()
-        except OSError:
-            return []
-        records = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if isinstance(record, dict) and "run_id" in record:
-                records.append(record)
+        records = [r for r in store.read_jsonl(self.path) if "run_id" in r]
         if limit is not None and limit >= 0:
             records = records[-limit:]
         return records

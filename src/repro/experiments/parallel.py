@@ -239,8 +239,14 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
         for index in pending:
             if submitted is not None:
                 submitted[index] = time.time_ns()
-            futures[index] = pool.submit(tasks[index].fn,
-                                         *tasks[index].args)
+            try:
+                futures[index] = pool.submit(tasks[index].fn,
+                                             *tasks[index].args)
+            except BrokenProcessPool:
+                # A worker died before every task was submitted: collect
+                # what was, and let the next round resubmit the rest.
+                broken = True
+                break
         for index, future in futures.items():
             # A graceful interrupt stops between results: everything
             # delivered so far is checkpointed by on_result; undelivered

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
+from .. import store
 from ..errors import ServiceError
 from ..telemetry import metrics
 from ..telemetry.metrics import MetricsRegistry
@@ -75,13 +75,10 @@ def publish_worker_status(queue: JobQueue, worker: str, state: str,
         "jobs_run": jobs_run,
         "metrics": metrics.combined_snapshot(),
     }
-    directory = queue.workers_dir()
+    text = json.dumps(payload, sort_keys=True)
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-        os.replace(tmp, queue.status_path(worker))
+        store.atomic_write(queue.status_path(worker),
+                           lambda fh: fh.write(text.encode()))
     except OSError:
         pass
 

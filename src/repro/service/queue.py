@@ -11,8 +11,8 @@ One JSON record per job, moved through per-state spool directories::
 Crash-consistency rules (the short proof lives in DESIGN §9):
 
 * **Publishing** a record (submit, or rewriting it in place) is always
-  write-temp-then-``os.replace`` in the destination directory — a crash
-  never leaves a torn JSON file where a reader looks.
+  :func:`repro.store.atomic_write` into the destination directory — a
+  crash never leaves a torn JSON file where a reader looks.
 * **Claiming** is a bare ``os.rename(pending/x, leased/x)``.  POSIX
   rename is atomic and fails with ENOENT for every claimant but one, so
   exactly one worker wins without any locking.
@@ -30,29 +30,24 @@ Crash-consistency rules (the short proof lives in DESIGN §9):
   in-flight cells of one job, and the job completes elsewhere.
 
 Multi-writer transitions (worker renew vs. reaper expiry, concurrent
-submits racing the depth check) serialize on one ``flock``-ed lock file;
-claims stay lock-free via rename atomicity.  Per-job event streams are
-append-only JSONL through :func:`repro.experiments.ledger.locked_append`
-— the same discipline as the run ledger.
+submits racing the depth check) serialize on one lock file
+(:func:`repro.store.locked`); claims stay lock-free via rename
+atomicity.  Per-job event and span streams are append-only JSONL through
+:func:`repro.store.locked_append` and :func:`repro.store.read_jsonl` —
+the same discipline as the run ledger.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
 
-try:  # pragma: no cover - absent only on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None
-
+from .. import store
 from ..config import MachineConfig
 from ..errors import BackpressureError, ConfigError, ServiceError
 from ..experiments.cache import SERVICE_DIR
-from ..experiments.ledger import locked_append
 from ..telemetry import metrics
 from .records import (
     STATES,
@@ -130,28 +125,8 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Locking (multi-writer transitions only; claims are rename-atomic).
 
-    class _Lock:
-        def __init__(self, path: Path) -> None:
-            self.path = path
-            self._fh = None
-
-        def __enter__(self):
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a")
-            if fcntl is not None:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
-            return self
-
-        def __exit__(self, *exc):
-            try:
-                if fcntl is not None:
-                    fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
-            finally:
-                self._fh.close()
-                self._fh = None
-
-    def _lock(self) -> "_Lock":
-        return self._Lock(self.root / ".lock")
+    def _lock(self):
+        return store.locked(self.root / ".lock")
 
     # ------------------------------------------------------------------
     # Record I/O.
@@ -160,19 +135,9 @@ class JobQueue:
         """Atomically (re)write *record* into *state*'s spool directory."""
         record.state = state
         record.touch()
-        directory = self.state_dir(state)
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(record.to_json())
-            os.replace(tmp, self.record_path(record.job_id, state))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        text = record.to_json()
+        store.atomic_write(self.record_path(record.job_id, state),
+                           lambda fh: fh.write(text.encode()))
 
     def _read(self, path: Path) -> JobRecord | None:
         try:
@@ -195,62 +160,38 @@ class JobQueue:
 
     def append_event(self, job_id: str, kind: str, **fields) -> None:
         event = {"t": round(time.time(), 3), "kind": kind, **fields}
-        locked_append(self.events_path(job_id),
-                      json.dumps(event, sort_keys=True,
-                                 separators=(",", ":")))
+        try:
+            store.locked_append(self.events_path(job_id),
+                                json.dumps(event, sort_keys=True,
+                                           separators=(",", ":")))
+        except OSError:
+            pass
 
     def read_events(self, job_id: str) -> list[dict]:
-        """Parse the job's event stream, tolerating a torn final line.
-
-        A crash mid-append can leave the last line truncated — possibly
-        inside a multi-byte UTF-8 sequence — so each line is decoded and
-        parsed independently and bad lines are skipped, mirroring the run
-        ledger's tolerant parse.
-        """
-        try:
-            raw = self.events_path(job_id).read_bytes()
-        except OSError:
-            return []
-        events = []
-        for chunk in raw.splitlines():
-            try:
-                event = json.loads(chunk.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            if isinstance(event, dict):
-                events.append(event)
-        return events
+        """Parse the job's event stream, tolerating a torn final line
+        (see :func:`repro.store.read_jsonl`)."""
+        return store.read_jsonl(self.events_path(job_id))
 
     # ------------------------------------------------------------------
     # Worker spans (the job-trace stitcher's raw material).
 
     def append_spans(self, job_id: str, records) -> int:
         """Persist span records (``SpanRecord.as_dict`` dicts or objects)
-        for *job_id*; append-only JSONL, one span per line."""
-        count = 0
-        for record in records:
-            data = record if isinstance(record, dict) else record.as_dict()
-            locked_append(self.spans_path(job_id),
-                          json.dumps(data, sort_keys=True,
-                                     separators=(",", ":")))
-            count += 1
-        return count
+        for *job_id*; append-only JSONL, one span per line, written in
+        one locked append."""
+        lines = [json.dumps(r if isinstance(r, dict) else r.as_dict(),
+                            sort_keys=True, separators=(",", ":"))
+                 for r in records]
+        try:
+            store.locked_append(self.spans_path(job_id), *lines)
+        except OSError:
+            pass
+        return len(lines)
 
     def read_spans(self, job_id: str) -> list[dict]:
         """All persisted span dicts for *job_id* (torn lines skipped)."""
-        try:
-            raw = self.spans_path(job_id).read_bytes()
-        except OSError:
-            return []
-        out = []
-        for chunk in raw.splitlines():
-            try:
-                data = json.loads(chunk.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                continue
-            if isinstance(data, dict) and "t0_ns" in data:
-                out.append(data)
-        return out
+        return [data for data in store.read_jsonl(self.spans_path(job_id))
+                if "t0_ns" in data]
 
     # ------------------------------------------------------------------
     # Submission (dedup + admission control).

@@ -14,6 +14,15 @@ def config() -> MachineConfig:
     return MachineConfig()
 
 
+@pytest.fixture(scope="session")
+def quick_suite():
+    """One shared, uncached quick-suite run (the expensive fixture: the
+    experiment shape tests and the kill-and-resume test both read it)."""
+    from repro.experiments import run_suite
+
+    return run_suite(MachineConfig(), quick=True)
+
+
 @pytest.fixture(autouse=True)
 def _isolated_run_cache(tmp_path_factory, monkeypatch):
     """Point the persistent run cache at a per-test directory so tests

@@ -18,17 +18,10 @@ from repro.experiments import (
     prepare,
     run_benchmark,
     run_model,
-    run_suite,
     table1,
     table2,
 )
 from repro.workloads import FieldWorkload, get_workload
-
-
-@pytest.fixture(scope="module")
-def quick_suite():
-    """One shared quick-suite run (the expensive fixture of this module)."""
-    return run_suite(MachineConfig(), quick=True)
 
 
 class TestRunner:

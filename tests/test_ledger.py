@@ -18,12 +18,12 @@ from repro.experiments.ledger import (
     RunLedger,
     build_record,
     ledger_path,
-    locked_append,
     new_run_id,
     render_regressions,
     render_run_report,
     render_runs_list,
 )
+from repro.store import locked_append
 from repro.telemetry import metrics, spans
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -75,6 +75,16 @@ class TestRunLedger:
         ledger.append(_record())
         assert len(ledger.entries()) == 2
 
+    def test_undecodable_line_is_skipped(self, tmp_path):
+        """A torn line cut inside a multi-byte UTF-8 sequence must not
+        crash ``hidisc runs``: the valid records before it still load."""
+        ledger = RunLedger(ledger_path(tmp_path))
+        ledger.append(_record(run_id="first"))
+        ledger.append(_record(run_id="second"))
+        with ledger.path.open("ab") as fh:  # crash mid-append
+            fh.write(b'{"run_id": "x\xe2\x82')
+        assert [e["run_id"] for e in ledger.entries()] == ["first", "second"]
+
     def test_unwritable_path_degrades(self):
         ledger = RunLedger("/proc/definitely/not/writable/ledger.jsonl")
         assert ledger.append(_record()) is False
@@ -115,9 +125,11 @@ class TestLockedAppend:
         assert locked_append(path, "two\n")  # trailing newline normalized
         assert path.read_text() == "one\ntwo\n"
 
-    def test_unwritable_path_is_a_noop(self):
-        assert locked_append(
-            "/proc/definitely/not/writable/x.jsonl", "line") is False
+    def test_unwritable_path_raises(self):
+        """The append raises; best-effort callers (the ledger, event and
+        span streams) decide to swallow it."""
+        with pytest.raises(OSError):
+            locked_append("/proc/definitely/not/writable/x.jsonl", "line")
 
     def test_concurrent_multiprocess_appends_stay_untorn(self, tmp_path):
         """N processes x M appends under flock: every line must land
@@ -127,7 +139,7 @@ class TestLockedAppend:
         writers, per_writer = 4, 50
         script = (
             "import json, sys\n"
-            "from repro.experiments.ledger import locked_append\n"
+            "from repro.store import locked_append\n"
             "path, tag = sys.argv[1], sys.argv[2]\n"
             "for i in range(int(sys.argv[3])):\n"
             "    line = json.dumps({'tag': tag, 'i': i, 'pad': 'x' * 256})\n"

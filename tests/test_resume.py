@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import MachineConfig
 from repro.errors import ConfigError, SimulationError
 from repro.experiments import (
@@ -26,6 +31,7 @@ from repro.experiments import (
     run_tasks,
     suite_key,
 )
+from repro.experiments.ledger import RunLedger, ledger_path
 from repro.workloads import FieldWorkload, get_workload
 
 
@@ -279,6 +285,42 @@ class TestSuiteResume:
         assert SuiteCheckpoint.for_suite(
             RunCache(tmp_path), config, small_workloads(), MODEL_ORDER
         ).cells() == []
+
+
+@pytest.mark.slow
+def test_sigkilled_cli_suite_resumes_to_identical_payload(tmp_path,
+                                                          quick_suite):
+    """SIGKILL ``hidisc suite`` right after its first checkpointed cell;
+    ``--resume`` must finish with the uninterrupted payload."""
+    cache = tmp_path / "cache"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (str(Path(repro.__file__).resolve().parents[1])
+                         + os.pathsep + env.get("PYTHONPATH", ""))
+    cmd = [sys.executable, "-m", "repro.experiments.cli", "suite",
+           "--quick", "--no-progress", "--cache-dir", str(cache)]
+    killed_json = tmp_path / "a.json"
+    proc = subprocess.Popen(cmd + ["--json", str(killed_json)], env=env,
+                            stdout=subprocess.DEVNULL)
+    deadline = time.time() + 120
+    try:
+        while not any((cache / "suites").rglob("*.pkl")):
+            assert proc.poll() is None, "suite exited before its first cell"
+            assert time.time() < deadline, "no cell checkpointed in 120 s"
+            time.sleep(0.01)
+    finally:
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=30)
+    assert not killed_json.exists(), "the killed run must not finish"
+
+    resumed_json = tmp_path / "b.json"
+    subprocess.run(cmd + ["--resume", "--json", str(resumed_json)], env=env,
+                   check=True, timeout=300, stdout=subprocess.DEVNULL)
+    resumed = json.loads(resumed_json.read_text())["suite"]
+    resumed.pop("elapsed_seconds")
+    assert json.dumps(resumed, sort_keys=True) == payload_json(quick_suite)
+    records = RunLedger(ledger_path(cache)).entries()
+    assert len(records) == 1, "a SIGKILLed run appends no ledger record"
+    assert records[0]["metrics"]["counters"]["cells_resumed"] >= 1
 
 
 # ----------------------------------------------------------------------

@@ -304,6 +304,20 @@ class TestWorkerStatus:
         publish_worker_status(queue, "ok", "idle")
         assert [s["worker"] for s in read_worker_statuses(queue)] == ["ok"]
 
+    def test_failed_publish_leaves_no_temp_file(self, tmp_path,
+                                                monkeypatch):
+        """A failed rename is swallowed (status is best-effort) and must
+        not strand a ``*.json.tmp`` that ``hidisc cache stats`` would
+        count as a service file forever."""
+        queue = make_queue(tmp_path)
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        publish_worker_status(queue, "w0", "idle")
+        assert list(queue.workers_dir().iterdir()) == []
+
     def test_fleet_metrics_merges_and_overlays_gauges(self, tmp_path):
         queue = make_queue(tmp_path)
         queue.submit(dict(POINTER_SPEC))
