@@ -294,8 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write each (shrunk) failing program as a "
                               "replayable JSON repro into this directory")
     fuzzing.add_argument("--inject-fault", metavar="NAME", default=None,
-                         help="self-test: deliberately perturb one "
-                              "fast-path dispatch entry (see repro.fuzz."
+                         help="self-test: deliberately perturb one step "
+                              "of the compiled interpreter table, an ALU "
+                              "op or an annotation step (see repro.fuzz."
                               "harness.FAULTS); the campaign must then "
                               "FIND divergences — exit 0 iff it does")
     service = parser.add_argument_group(

@@ -1,7 +1,7 @@
 """Differential program fuzzing for the HiDISC toolchain.
 
 Every piece of this reproduction claims the same thing in a different
-accent: the fast and legacy functional interpreters, the four timing
+accent: the compiled and reference interpreter tables, the four timing
 models, and the timing-vs-functional co-simulation oracle must all agree
 on what a program *means*.  The fuzzer turns that claim into a search:
 

@@ -29,7 +29,7 @@ def run_fuzz_campaign(seed: int = 2003, runs: int = 50, *,
                       progress=None) -> dict:
     """Run *runs* seeded programs through the differential harness.
 
-    *fault* names a deliberate fast-path perturbation from
+    *fault* names a deliberate compiled-table perturbation from
     :data:`repro.fuzz.harness.FAULTS` — the self-test mode: a healthy
     toolchain must then *produce* divergences.
     """

@@ -78,10 +78,9 @@ class WindowEntry:
         #: number of producers whose completion has not yet landed; the
         #: entry enters the ready pool when this reaches zero.
         self.pending = 0
-        #: lazily cached dependence-stall classification ('ldq_empty',
-        #: 'queue_full', 'sdq_empty' or 'data_dep') — computed from static
-        #: flags on first use, so repeated stall cycles pay one attribute
-        #: read instead of re-deriving it.
+        #: dependence-stall classification ('ldq_empty', 'queue_full',
+        #: 'sdq_empty' or 'data_dep'), copied at dispatch from the static
+        #: ``DecodedOp.block_class``.
         self.block_class: str | None = None
         #: owning TimingCore (set at dispatch; the machine's completion
         #: landing uses it to route woken entries into the right pool).
@@ -420,32 +419,17 @@ class TimingCore:
             self._attribute_stall(window[0], now)
         return committed
 
-    @staticmethod
-    def _block_reason(head: WindowEntry) -> str:
-        """Why a dependence-blocked head is blocked (from static flags)."""
-        info = head.instr.op.info
-        ann = head.instr.ann
-        if info.reads_ldq or ann.ldq_rs1 or ann.ldq_rs2:
-            return "ldq_empty"
-        if info.writes_ldq or info.writes_sdq or ann.to_ldq or ann.to_sdq:
-            return "queue_full"
-        if head.instr.is_store and ann.sdq_data:
-            return "sdq_empty"
-        return "data_dep"
-
     def _attribute_stall(self, head: WindowEntry, now: int) -> None:
         """Classify why the window head has not retired (LoD accounting).
 
         The head's ``pending`` counter already says whether a producer's
-        completion is outstanding, and the blocked-reason is a static
-        property of the instruction, cached on first use — no dependence
-        re-polling.
+        completion is outstanding, and the blocked-reason is the static
+        ``block_class`` dispatch copied from the decode table — no
+        dependence re-polling.
         """
         if head.issued or not head.pending:
             return
         reason = head.block_class
-        if reason is None:
-            reason = head.block_class = self._block_reason(head)
         if reason == "ldq_empty":
             self.stats.ldq_empty_stalls += 1
         elif reason == "queue_full":
@@ -492,7 +476,5 @@ class TimingCore:
                 bucket = "fu_contention"
             else:
                 bucket = head.block_class
-                if bucket is None:
-                    bucket = head.block_class = self._block_reason(head)
         self.cpi[bucket] += 1
         self._last_bucket = bucket

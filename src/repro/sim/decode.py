@@ -88,8 +88,8 @@ class DecodedOp:
         #: queue-dependence block for plain ALU/branch instructions.
         self.has_queue = (self.reads_ldq_any or self.ldq_push
                           or self.sdq_push or self.sdq_pop)
-        # Dependence-stall classification, same precedence as
-        # ``TimingCore._block_reason``.
+        # Dependence-stall classification, read by the core's stall and
+        # CPI-stack attribution (first matching class wins).
         if self.reads_ldq_any:
             self.block_class = "ldq_empty"
         elif info.writes_ldq or info.writes_sdq or ann.to_ldq or ann.to_sdq:

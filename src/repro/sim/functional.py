@@ -13,16 +13,25 @@ Two executors live here:
   communication instructions.  Running this and comparing final memory with
   the golden model is the soundness check for the stream separation
   (DESIGN.md "Separation soundness").
+
+Both share one interpreter: the program text becomes a per-pc table of
+``(state, step)`` entries and :func:`_run` is the one run loop over it (the
+sequential executor is the one-state case).  A step is a zero-argument
+closure returning ``(addr, next_pc)``.  By default each step is compiled
+for its static instruction by :func:`_compile_step`; ``fast=False`` builds
+the reference table instead, whose every entry calls :func:`_execute`, the
+if/elif interpreter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from ..asm.program import DATA_BASE, MEMORY_BYTES, STACK_TOP, Program
 from ..errors import SimulationError
 from ..isa.instruction import Instruction, Stream
-from ..isa.opcodes import Op
+from ..isa.opcodes import COMM_OPS, Op
 from ..isa.registers import NAME_TO_REG, ZERO
 from ..utils import sign_extend, to_signed64, to_unsigned64
 from .memory import MainMemory
@@ -97,6 +106,43 @@ class _Halt(Exception):
     """Internal signal: the program executed HALT."""
 
 
+def _run(table: list, pc: int, max_steps: int, trace, limit: str,
+         resume: ArchState | None = None) -> int:
+    """The run loop: execute *table* from *pc* until HALT.
+
+    Each entry is ``(state, step)``: the loop sets ``state.pc`` and calls
+    ``step()``, which returns ``(addr, next_pc)`` or raises ``_Halt``.
+    Returns the instructions executed, HALT included; raises
+    ``SimulationError(limit)`` once *max_steps* have run.  *trace* is as
+    for :meth:`FunctionalSimulator.run`.  However the run stops, *resume*
+    (if given) is left at the loop's pc: the HALT, the faulting
+    instruction, or the next one to execute.
+    """
+    n = len(table)
+    record, pc_append, addr_append, finish = _recorder(trace)
+    try:
+        for steps in range(max_steps):
+            if not 0 <= pc < n:
+                raise SimulationError(f"pc {pc} outside text segment")
+            state, step = table[pc]
+            state.pc = pc
+            addr, next_pc = step()
+            if record:
+                pc_append(pc)
+                addr_append(addr)
+            pc = next_pc
+        raise SimulationError(limit)
+    except _Halt:
+        if record:
+            pc_append(pc)
+            addr_append(-1)
+        return steps + 1
+    finally:
+        finish()
+        if resume is not None:
+            resume.pc = pc
+
+
 class FunctionalSimulator:
     """Sequential golden-model executor."""
 
@@ -111,72 +157,25 @@ class FunctionalSimulator:
         """Run to HALT (or *max_steps*); optionally record the trace.
 
         *trace* is a :class:`~repro.sim.trace.Trace` to fill, or a list
-        to fill with ``DynInstr`` records.  *fast* selects the
-        dispatch-table interpreter (pre-bound per-opcode step closures);
-        ``fast=False`` forces the legacy if/elif loop.  The two are
-        architecturally equivalent (pinned by
-        ``tests/test_functional_fast.py``).
+        to fill with ``DynInstr`` records.  *fast* selects the compiled
+        step table; ``fast=False`` runs the reference table, every entry
+        of which is the if/elif interpreter :func:`_execute`.  The two are
+        architecturally identical (pinned by
+        ``tests/test_functional_fast.py`` and fuzz stage 1).  A run
+        stopped by *max_steps* leaves ``state.pc`` at the next
+        instruction to execute.
         """
         state = self.state
-        text = self.program.text
-        n = len(text)
-        steps = 0
-        record, pc_append, addr_append, finish = _recorder(trace)
-        if fast:
-            table = [_compile_step(pc, instr, state, None)
-                     for pc, instr in enumerate(text)]
-            pc = state.pc
-            try:
-                while not state.halted:
-                    if steps >= max_steps:
-                        raise SimulationError(
-                            f"{self.program.name}: exceeded {max_steps} "
-                            f"steps (infinite loop?)"
-                        )
-                    if not 0 <= pc < n:
-                        raise SimulationError(f"pc {pc} outside text segment")
-                    addr, next_pc = table[pc]()
-                    if record:
-                        pc_append(pc)
-                        addr_append(addr)
-                    state.pc = pc = next_pc
-                    steps += 1
-            except _Halt:
-                state.halted = True
-                if record:
-                    pc_append(state.pc)
-                    addr_append(-1)
-                steps += 1
-            finally:
-                finish()
-            self.instructions_executed += steps
+        if state.halted:
             return state
-        try:
-            while not state.halted:
-                if steps >= max_steps:
-                    raise SimulationError(
-                        f"{self.program.name}: exceeded {max_steps} steps "
-                        f"(infinite loop?)"
-                    )
-                pc = state.pc
-                if not (0 <= pc < n):
-                    raise SimulationError(f"pc {pc} outside text segment")
-                instr = text[pc]
-                addr, next_pc = _execute(instr, state, None)
-                if record:
-                    pc_append(pc)
-                    addr_append(addr)
-                state.pc = next_pc
-                steps += 1
-        except _Halt:
-            state.halted = True
-            if record:
-                pc_append(state.pc)
-                addr_append(-1)
-            steps += 1
-        finally:
-            finish()
-        self.instructions_executed += steps
+        compile_step = _compile_step if fast else _reference_step
+        table = [(state, compile_step(pc, instr, state, None))
+                 for pc, instr in enumerate(self.program.text)]
+        self.instructions_executed += _run(
+            table, state.pc, max_steps, trace,
+            f"{self.program.name}: exceeded {max_steps} steps "
+            f"(infinite loop?)", resume=state)
+        state.halted = True
         return state
 
 
@@ -204,101 +203,37 @@ class DecoupledFunctionalSimulator:
             fast: bool = True) -> ArchState:
         """Run to HALT; returns the AP state (owner of memory).
 
-        With *trace* (as for :meth:`FunctionalSimulator.run`), records the
-        interleaved dynamic stream — this is the trace the decoupled
-        timing models replay.  *fast* selects the
-        dispatch-table interpreter; each static instruction's step closure
-        is pre-bound to its stream's register file (an unannotated
-        instruction still raises at execution time, not at build time).
+        *trace* and *fast* are as for :meth:`FunctionalSimulator.run`; the
+        trace is the interleaved dynamic stream the decoupled timing
+        models replay.  Each step is bound to its stream's register file,
+        and each state's ``pc`` is the last instruction it executed.  An
+        unannotated instruction raises when it executes, not when the
+        table is built.
         """
         program = self.program
-        text = program.text
-        n = len(text)
-        ap, cp = self.ap_state, self.cp_state
-        queues = self.queues
-        pc = program.entry
-        steps = 0
-        record, pc_append, addr_append, finish = _recorder(trace)
-        if fast:
-            table: list = []
-            pc_states: list[ArchState | None] = []
-            for spc, instr in enumerate(text):
-                stream = instr.ann.stream
-                st = (cp if stream is Stream.CS
-                      else ap if stream is Stream.AS else None)
-                pc_states.append(st)
-                if st is None:
-                    table.append(_missing_stream_step(spc))
-                else:
-                    table.append(_compile_step(spc, instr, st, queues))
-            try:
-                while True:
-                    if steps >= max_steps:
-                        raise SimulationError(
-                            f"{program.name}: exceeded {max_steps} steps in "
-                            f"decoupled functional run"
-                        )
-                    if not 0 <= pc < n:
-                        raise SimulationError(f"pc {pc} outside text segment")
-                    st = pc_states[pc]
-                    if st is not None:
-                        st.pc = pc
-                    addr, next_pc = table[pc]()
-                    if record:
-                        pc_append(pc)
-                        addr_append(addr)
-                    pc = next_pc
-                    steps += 1
-            except _Halt:
-                ap.halted = True
-                if record:
-                    pc_append(pc)
-                    addr_append(-1)
-                steps += 1
-            finally:
-                finish()
-            self.instructions_executed += steps
-            return ap
-        try:
-            while True:
-                if steps >= max_steps:
-                    raise SimulationError(
-                        f"{program.name}: exceeded {max_steps} steps in "
-                        f"decoupled functional run"
-                    )
-                if not (0 <= pc < n):
-                    raise SimulationError(f"pc {pc} outside text segment")
-                instr = text[pc]
-                if instr.ann.stream is Stream.CS:
-                    state = cp
-                elif instr.ann.stream is Stream.AS:
-                    state = ap
-                else:
-                    raise SimulationError(
-                        f"instruction {pc} has no stream annotation; "
-                        f"run the slicer first"
-                    )
-                state.pc = pc
-                addr, next_pc = _execute(instr, state, queues)
-                if record:
-                    pc_append(pc)
-                    addr_append(addr)
-                pc = next_pc
-                steps += 1
-        except _Halt:
-            ap.halted = True
-            if record:
-                pc_append(pc)
-                addr_append(-1)
-            steps += 1
-        finally:
-            finish()
-        self.instructions_executed += steps
-        return ap
+        compile_step = _compile_step if fast else _reference_step
+        files = {Stream.CS: self.cp_state, Stream.AS: self.ap_state}
+        table = []
+        for pc, instr in enumerate(program.text):
+            state = files.get(instr.ann.stream)
+            if state is None:
+                # Belongs to no register file: the step raises first.
+                table.append((SimpleNamespace(), _raising(
+                    f"instruction {pc} has no stream annotation; "
+                    f"run the slicer first")))
+            else:
+                table.append(
+                    (state, compile_step(pc, instr, state, self.queues)))
+        self.instructions_executed += _run(
+            table, program.entry, max_steps, trace,
+            f"{program.name}: exceeded {max_steps} steps in decoupled "
+            f"functional run")
+        self.ap_state.halted = True
+        return self.ap_state
 
 
 # ----------------------------------------------------------------------
-# The interpreter core, shared by both executors.
+# The reference interpreter.
 #
 # Returns (effective_address_or_-1, next_pc).  Raises _Halt on HALT.
 # `queues` is None for the sequential golden model; communication opcodes
@@ -414,39 +349,20 @@ def _execute_op(instr: Instruction, state: ArchState,
         _wr(regs, instr.rd, regs[instr.rs1])
 
     # --- memory --------------------------------------------------------
-    elif op is Op.LD:
+    elif op is Op.LD or op is Op.LW or op is Op.LBU or op is Op.FLD:
         addr = to_unsigned64(regs[instr.rs1] + instr.imm)
-        value = state.memory.load(addr, 8)
-        _wr(regs, instr.rd, value)
+        if op is Op.FLD:
+            value = regs[instr.rd] = state.memory.load_f64(addr)
+        else:
+            value = state.memory.load(addr, op.info.mem_bytes)
+            if op is Op.LW:
+                value = sign_extend(value, 32)
+            _wr(regs, instr.rd, value)
         if instr.ann.to_ldq:
             if queues is None:
                 raise SimulationError(f"$LDQ load outside decoupled run (pc {pc})")
             queues.ldq.push(value)
-    elif op is Op.LW:
-        addr = to_unsigned64(regs[instr.rs1] + instr.imm)
-        value = sign_extend(state.memory.load(addr, 4), 32)
-        _wr(regs, instr.rd, value)
-        if instr.ann.to_ldq:
-            if queues is None:
-                raise SimulationError(f"$LDQ load outside decoupled run (pc {pc})")
-            queues.ldq.push(value)
-    elif op is Op.LBU:
-        addr = to_unsigned64(regs[instr.rs1] + instr.imm)
-        value = state.memory.load(addr, 1)
-        _wr(regs, instr.rd, value)
-        if instr.ann.to_ldq:
-            if queues is None:
-                raise SimulationError(f"$LDQ load outside decoupled run (pc {pc})")
-            queues.ldq.push(value)
-    elif op is Op.FLD:
-        addr = to_unsigned64(regs[instr.rs1] + instr.imm)
-        value = state.memory.load_f64(addr)
-        regs[instr.rd] = value
-        if instr.ann.to_ldq:
-            if queues is None:
-                raise SimulationError(f"$LDQ load outside decoupled run (pc {pc})")
-            queues.ldq.push(value)
-    elif op is Op.SD or op is Op.SW or op is Op.SB:
+    elif op is Op.SD or op is Op.SW or op is Op.SB or op is Op.FSD:
         addr = to_unsigned64(regs[instr.rs1] + instr.imm)
         if instr.ann.sdq_data:
             if queues is None:
@@ -454,17 +370,11 @@ def _execute_op(instr: Instruction, state: ArchState,
             value = queues.sdq.pop()
         else:
             value = regs[instr.rs2]
-        nbytes = instr.op.info.mem_bytes
-        state.memory.store(addr, to_unsigned64(int(value)), nbytes)
-    elif op is Op.FSD:
-        addr = to_unsigned64(regs[instr.rs1] + instr.imm)
-        if instr.ann.sdq_data:
-            if queues is None:
-                raise SimulationError(f"SDQ store outside decoupled run (pc {pc})")
-            value = queues.sdq.pop()
+        if op is Op.FSD:
+            state.memory.store_f64(addr, float(value))
         else:
-            value = regs[instr.rs2]
-        state.memory.store_f64(addr, float(value))
+            state.memory.store(addr, to_unsigned64(int(value)),
+                               op.info.mem_bytes)
 
     # --- control ---------------------------------------------------------
     elif op is Op.BEQ:
@@ -536,22 +446,17 @@ def _execute_op(instr: Instruction, state: ArchState,
         _wr(regs, instr.rd, to_signed64(int(regs[instr.rs1])))
 
     # --- HiDISC communication ---------------------------------------------
-    elif op is Op.PUSH_LDQ or op is Op.PUSH_LDQF:
+    elif op in COMM_OPS:
         if queues is None:
             raise SimulationError(f"queue op outside decoupled run (pc {pc})")
-        queues.ldq.push(regs[instr.rs1])
-    elif op is Op.POP_LDQ:
-        if queues is None:
-            raise SimulationError(f"queue op outside decoupled run (pc {pc})")
-        _wr(regs, instr.rd, int(queues.ldq.pop()))
-    elif op is Op.POP_LDQF:
-        if queues is None:
-            raise SimulationError(f"queue op outside decoupled run (pc {pc})")
-        regs[instr.rd] = float(queues.ldq.pop())
-    elif op is Op.PUSH_SDQ or op is Op.PUSH_SDQF:
-        if queues is None:
-            raise SimulationError(f"queue op outside decoupled run (pc {pc})")
-        queues.sdq.push(regs[instr.rs1])
+        if op is Op.POP_LDQ:
+            _wr(regs, instr.rd, int(queues.ldq.pop()))
+        elif op is Op.POP_LDQF:
+            regs[instr.rd] = float(queues.ldq.pop())
+        elif op is Op.PUSH_LDQ or op is Op.PUSH_LDQF:
+            queues.ldq.push(regs[instr.rs1])
+        else:  # PUSH_SDQ / PUSH_SDQF
+            queues.sdq.push(regs[instr.rs1])
     else:  # pragma: no cover - exhaustive over Op
         raise SimulationError(f"unimplemented opcode {op}")
 
@@ -564,22 +469,24 @@ def _wr(regs: list, rd: int, value: int) -> None:
         regs[rd] = value
 
 
+def _reference_step(pc: int, instr: Instruction, state: ArchState,
+                    queues: QueueSet | None):
+    """A reference-table entry: ``_execute`` on this instruction, looked
+    up by name each time the entry runs."""
+    return lambda: _execute(instr, state, queues)
+
+
 # ----------------------------------------------------------------------
-# Dispatch-table fast path.
+# The compiled step table.
 #
 # `_compile_step` turns one *static* instruction into a zero-argument step
-# closure with the register file, memory, operand indices, immediate and
-# fall-through pc pre-bound, so the dynamic loop pays one indexed call per
-# instruction instead of walking the if/elif chain and re-reading
-# ``instr`` attributes.  Each closure returns the same ``(addr, next_pc)``
-# pair as `_execute` and raises the same exceptions (pc is baked into the
-# error messages at compile time).
-#
-# Instructions whose execution depends on annotations ("$LDQ" operand
-# shadowing, ``to_ldq``/``to_sdq`` routing, SDQ-fed stores) and int-dest
-# writers of ``r0`` keep the generic interpreter — rare cases where the
-# legacy path's exact shadowing/restore and hardwired-zero semantics are
-# not worth re-proving in closure form.
+# closure with the register file, memory, queues, operand indices,
+# immediate and fall-through pc pre-bound, so the run loop pays one
+# indexed call per instruction instead of walking the if/elif chain and
+# re-reading ``instr`` attributes.  `_base_step` specialises the opcode;
+# the annotations then wrap it in `_execute`'s own order.  Every step
+# returns the same ``(addr, next_pc)`` pair as `_execute` and raises the
+# same exceptions (pc is baked into the error messages at compile time).
 # ----------------------------------------------------------------------
 _s64 = to_signed64
 _u64 = to_unsigned64
@@ -643,44 +550,139 @@ _BRANCHES = {
     Op.BNEZ: lambda a, b: a != 0,
 }
 
+#: ops whose integer ``rd`` `_execute` writes through `_wr` (r0 stays 0).
+_INT_RD = frozenset(_ALU_RR) | frozenset(_ALU_RI) | {
+    Op.LI, Op.MOV, Op.LD, Op.LW, Op.LBU, Op.FTOI, Op.DIV, Op.REM, Op.POP_LDQ}
+
 _RA = NAME_TO_REG["ra"]
 
 
-def _missing_stream_step(pc: int):
-    """Step for an instruction with no stream annotation: always raises."""
+def _raising(message: str, inner=None):
+    """A step that runs *inner* (if any), then raises
+    ``SimulationError(message)``."""
     def step():
-        raise SimulationError(
-            f"instruction {pc} has no stream annotation; "
-            f"run the slicer first"
-        )
+        if inner is not None:
+            inner()
+        raise SimulationError(message)
+    return step
+
+
+def _keep_r0(inner, regs):
+    """``rd == r0``: *inner*'s write to r0 is undone (r0 is hardwired)."""
+    def step():
+        result = inner()
+        regs[ZERO] = 0
+        return result
+    return step
+
+
+def _push_after(inner, regs, reg: int, push):
+    """``to_ldq``/``to_sdq``: after *inner*, push register *reg*."""
+    def step():
+        result = inner()
+        push(regs[reg])
+        return result
+    return step
+
+
+def _shadow_ldq(inner, regs, instr: Instruction, pop):
+    """``$LDQ`` source operands: each flagged register (rs1, then rs2)
+    holds a popped value while *inner* runs, and is restored afterwards
+    unless it is the destination."""
+    ann = instr.ann
+    dest = instr.dest_reg()
+    if ann.ldq_rs1 and ann.ldq_rs2:
+        r1, r2 = instr.rs1, instr.rs2
+        def step():
+            old1 = regs[r1]
+            regs[r1] = pop()
+            old2 = regs[r2]
+            regs[r2] = pop()
+            try:
+                return inner()
+            finally:
+                if r1 != dest:
+                    regs[r1] = old1
+                if r2 != dest:
+                    regs[r2] = old2
+        return step
+    reg = instr.rs1 if ann.ldq_rs1 else instr.rs2
+    restore = reg != dest
+    def step():
+        old = regs[reg]
+        regs[reg] = pop()
+        try:
+            return inner()
+        finally:
+            if restore:
+                regs[reg] = old
+    return step
+
+
+def _sdq_store(regs, rs1: int, imm: int, npc: int, write, pop):
+    """SDQ-fed store: the data is popped from the Store Data Queue (after
+    the address is formed) and handed to ``write(addr, value)``."""
+    def step():
+        a = _u64(regs[rs1] + imm)
+        write(a, pop())
+        return a, npc
     return step
 
 
 def _compile_step(pc: int, instr: Instruction, state: ArchState,
                   queues: QueueSet | None):
-    """Compile one static instruction into a zero-arg ``() -> (addr, next_pc)``."""
+    """Compile one static instruction into a zero-arg ``() -> (addr, next_pc)``.
+
+    *queues* is None in a sequential run, where queue ops, SDQ-fed stores
+    and ``to_ldq`` loads raise the reference interpreter's message and the
+    other queue annotations are ignored.
+    """
     op = instr.op
+    info = op.info
     ann = instr.ann
     regs = state.regs
-    memory = state.memory
+    if queues is None:
+        if op in COMM_OPS:
+            return _raising(f"queue op outside decoupled run (pc {pc})")
+        if info.is_store and ann.sdq_data:
+            return _raising(f"SDQ store outside decoupled run (pc {pc})")
+    # Wrapped innermost first, in _execute's order: the to_ldq push reads
+    # rd before _keep_r0 undoes an r0 write, and the $LDQ restore and the
+    # to_sdq push follow the op.
+    step = _base_step(pc, instr, regs, state.memory, queues)
+    to_ldq = info.is_load and ann.to_ldq
+    if to_ldq and queues is not None:
+        step = _push_after(step, regs, instr.rd, queues.ldq.push)
+    if instr.rd == ZERO and op in _INT_RD:
+        step = _keep_r0(step, regs)
+    if queues is None:
+        if to_ldq:
+            step = _raising(f"$LDQ load outside decoupled run (pc {pc})",
+                            step)
+        return step
+    if ann.ldq_rs1 or ann.ldq_rs2:
+        step = _shadow_ldq(step, regs, instr, queues.ldq.pop)
+    if ann.to_sdq:
+        dest = instr.dest_reg()
+        if dest is None:
+            step = _raising(f"to_sdq on an instruction without a "
+                            f"destination (pc {pc})", step)
+        else:
+            step = _push_after(step, regs, dest, queues.sdq.push)
+    return step
+
+
+def _base_step(pc: int, instr: Instruction, regs: list, memory: MainMemory,
+               queues: QueueSet | None):
+    """The opcode's own semantics, specialised on the instruction's fields
+    (an SDQ-fed store pops its data here)."""
+    op = instr.op
     rd, rs1, rs2 = instr.rd, instr.rs1, instr.rs2
     imm, target = instr.imm, instr.target
     npc = pc + 1
 
-    def generic():
-        state.pc = pc
-        return _execute(instr, state, queues)
-
-    # Annotation-dependent execution: keep the generic interpreter (exact
-    # "$LDQ" operand shadowing and restore, SDQ routing).
-    if (ann.ldq_rs1 or ann.ldq_rs2 or ann.to_ldq or ann.to_sdq
-            or ann.sdq_data):
-        return generic
-
     fn = _ALU_RR.get(op)
     if fn is not None:
-        if rd == ZERO:
-            return generic
         def step():
             regs[rd] = fn(regs[rs1], regs[rs2])
             return -1, npc
@@ -688,8 +690,6 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
 
     fn = _ALU_RI.get(op)
     if fn is not None:
-        if rd == ZERO:
-            return generic
         def step():
             regs[rd] = fn(regs[rs1], imm)
             return -1, npc
@@ -702,8 +702,6 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
         return step
 
     if op is Op.LI:
-        if rd == ZERO:
-            return generic
         value = _s64(imm)
         def step():
             regs[rd] = value
@@ -711,32 +709,26 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
         return step
 
     if op is Op.MOV:
-        if rd == ZERO:
-            return generic
         def step():
             regs[rd] = regs[rs1]
             return -1, npc
         return step
 
-    if op in (Op.LD, Op.LW, Op.LBU):
-        if rd == ZERO:
-            return generic
+    if op in (Op.LD, Op.LBU):
         load = memory.load
-        if op is Op.LD:
-            def step():
-                a = _u64(regs[rs1] + imm)
-                regs[rd] = load(a, 8)
-                return a, npc
-        elif op is Op.LW:
-            def step():
-                a = _u64(regs[rs1] + imm)
-                regs[rd] = sign_extend(load(a, 4), 32)
-                return a, npc
-        else:
-            def step():
-                a = _u64(regs[rs1] + imm)
-                regs[rd] = load(a, 1)
-                return a, npc
+        nbytes = op.info.mem_bytes
+        def step():
+            a = _u64(regs[rs1] + imm)
+            regs[rd] = load(a, nbytes)
+            return a, npc
+        return step
+
+    if op is Op.LW:
+        load = memory.load
+        def step():
+            a = _u64(regs[rs1] + imm)
+            regs[rd] = sign_extend(load(a, 4), 32)
+            return a, npc
         return step
 
     if op is Op.FLD:
@@ -750,6 +742,10 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
     if op in (Op.SD, Op.SW, Op.SB):
         store = memory.store
         nbytes = op.info.mem_bytes
+        if instr.ann.sdq_data:
+            return _sdq_store(regs, rs1, imm, npc,
+                              lambda a, v: store(a, _u64(int(v)), nbytes),
+                              queues.sdq.pop)
         def step():
             a = _u64(regs[rs1] + imm)
             store(a, _u64(int(regs[rs2])), nbytes)
@@ -758,6 +754,10 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
 
     if op is Op.FSD:
         store_f64 = memory.store_f64
+        if instr.ann.sdq_data:
+            return _sdq_store(regs, rs1, imm, npc,
+                              lambda a, v: store_f64(a, float(v)),
+                              queues.sdq.pop)
         def step():
             a = _u64(regs[rs1] + imm)
             store_f64(a, float(regs[rs2]))
@@ -806,16 +806,12 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
         return step
 
     if op is Op.FTOI:
-        if rd == ZERO:
-            return generic
         def step():
             regs[rd] = _s64(int(regs[rs1]))
             return -1, npc
         return step
 
     if op in (Op.DIV, Op.REM):
-        if rd == ZERO:
-            return generic
         want_rem = op is Op.REM
         def step():
             a, b = regs[rs1], regs[rs2]
@@ -848,34 +844,21 @@ def _compile_step(pc: int, instr: Instruction, state: ArchState,
             return -1, npc
         return step
 
-    if queues is not None:
-        if op in (Op.PUSH_LDQ, Op.PUSH_LDQF):
-            push = queues.ldq.push
-            def step():
-                push(regs[rs1])
-                return -1, npc
-            return step
-        if op is Op.POP_LDQ:
-            if rd == ZERO:
-                return generic
-            popq = queues.ldq.pop
-            def step():
-                regs[rd] = int(popq())
-                return -1, npc
-            return step
-        if op is Op.POP_LDQF:
-            popq = queues.ldq.pop
-            def step():
-                regs[rd] = float(popq())
-                return -1, npc
-            return step
-        if op in (Op.PUSH_SDQ, Op.PUSH_SDQF):
-            push = queues.sdq.push
-            def step():
-                push(regs[rs1])
-                return -1, npc
-            return step
+    # Communication ops (only reached with queues: see _compile_step).
+    if op in (Op.PUSH_LDQ, Op.PUSH_LDQF, Op.PUSH_SDQ, Op.PUSH_SDQF):
+        push = (queues.ldq if op in (Op.PUSH_LDQ, Op.PUSH_LDQF)
+                else queues.sdq).push
+        def step():
+            push(regs[rs1])
+            return -1, npc
+        return step
 
-    # Queue ops without queues (illegal in a sequential run) and anything
-    # not specialised above fall back to the generic interpreter.
-    return generic
+    if op in (Op.POP_LDQ, Op.POP_LDQF):
+        popq = queues.ldq.pop
+        convert = int if op is Op.POP_LDQ else float
+        def step():
+            regs[rd] = convert(popq())
+            return -1, npc
+        return step
+
+    return _raising(f"unimplemented opcode {op}")  # pragma: no cover

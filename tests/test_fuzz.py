@@ -19,12 +19,14 @@ from repro.fuzz import (
     save_repro,
     shrink_program,
 )
+from repro.experiments.runner import prepare
 from repro.fuzz.generator import (
     ARRAY_LEN,
     CLEAN_REGS,
     TAINT_REGS,
     generate_program as _gen,
 )
+from repro.fuzz.harness import FuzzWorkload
 from repro.isa import Op
 from repro.isa.registers import parse_reg
 from repro.sim.functional import FunctionalSimulator
@@ -32,6 +34,16 @@ from repro.slicer import compile_hidisc
 from repro.workloads import check_ap_executable
 
 SEEDS = list(range(5000, 5012))
+
+
+def _runs_step(fp: FuzzProgram, runs) -> bool:
+    """Does the sequential or compiled decoupled run of *fp* execute an
+    instruction for which ``runs(instr)`` holds?"""
+    cw = prepare(FuzzWorkload(fp.to_program()), MachineConfig())
+    comp = cw.compilation
+    return (any(runs(comp.original.text[pc]) for pc in set(cw.trace.pc))
+            or any(runs(comp.decoupled.text[pc])
+                   for pc in set(cw.decoupled_trace.pc)))
 
 
 class TestGenerator:
@@ -114,20 +126,17 @@ class TestHarness:
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     def test_injected_faults_are_detected(self, fault):
         """Every registered fault must be caught by stage 1 on at least
-        one of a handful of seeds (the CI detection self-test)."""
-        op = FAULTS[fault][0]
-        with injected_fault(fault):
-            for seed in range(6000, 6040):
-                fp = generate_program(seed)
-                program = fp.to_program()
-                uses_op = any(i.op is op for i in program.text)
-                if not uses_op:
-                    continue
+        one of a handful of seeds whose compiled program runs the
+        perturbed step (the detection self-test)."""
+        for seed in range(6000, 6040):
+            fp = generate_program(seed)
+            if not _runs_step(fp, FAULTS[fault].runs):
+                continue
+            with injected_fault(fault):
                 found = check_program(fp)
-                if found is not None:
-                    assert found.kind in ("fast_vs_legacy", "separation",
-                                          "cosim")
-                    return
+            if found is not None:
+                assert found.kind == "fast_vs_legacy", found.summary()
+                return
         pytest.fail(f"fault {fault!r} never produced a divergence")
 
     def test_fault_restores_dispatch_entry(self):
@@ -137,6 +146,10 @@ class TestHarness:
         with injected_fault("xor-as-or"):
             assert functional._ALU_RR[Op.XOR] is not before
         assert functional._ALU_RR[Op.XOR] is before
+        factory = functional._sdq_store
+        with injected_fault("sdq-store-drops-data"):
+            assert functional._sdq_store is not factory
+        assert functional._sdq_store is factory
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(KeyError):

@@ -25,6 +25,7 @@ from repro.sim import (
     generate_trace,
 )
 from repro.sim.core import TimingCore, WindowEntry
+from repro.sim.decode import DecodedOp
 from repro.sim.queues import ArchQueue
 from repro.slicer import compile_hidisc
 from repro.telemetry import (
@@ -211,9 +212,11 @@ def _entry(instr, deps=(0,), issued=False, pending=None):
     ``pending`` mirrors what dispatch-time wakeup registration would have
     computed: by default every dep is an outstanding producer (the blocked
     case); pass ``pending=0`` to model all producers having completed.
+    The stall class comes from the decode table, as dispatch copies it.
     """
     entry = WindowEntry(gid=1, pos=1, instr=instr, addr=0,
                         deps=list(deps), min_ready=0, is_prefetch=False)
+    entry.block_class = DecodedOp(instr).block_class
     entry.issued = issued
     entry.pending = len(deps) if pending is None else pending
     return entry
