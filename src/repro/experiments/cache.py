@@ -27,11 +27,11 @@ Design:
   objects.  The digest covers the classes that define the format, so an
   entry written in an older layout is never unpickled by newer code.
 * **Atomic writes, tolerant loads** (:mod:`repro.store`).  Concurrent
-  workers (the parallel grid runs one ``prepare`` per process) and
-  interrupted runs can never publish a half-written entry, and a load
-  that fails to read, unpickle, or match its fingerprint is a miss: the
-  bad file is deleted and the caller recomputes.  The cache is an
-  accelerator, never a correctness dependency.
+  runs sharing one cache directory and interrupted runs can never
+  publish a half-written entry, and a load that fails to read, unpickle,
+  or match its fingerprint is a miss: the bad file is deleted and the
+  caller recomputes.  The cache is an accelerator, never a correctness
+  dependency.
 
 The CLI exposes the store as ``hidisc cache stats`` / ``hidisc cache
 clear`` and every experiment command honours ``--no-cache`` and

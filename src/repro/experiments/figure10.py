@@ -8,7 +8,10 @@ shortest to the longest latency) while the baseline and CP+AP degrade
 steeply (20.3% / 13.9%).
 
 Compilation and traces are latency-independent, so each benchmark is
-prepared once and replayed at every latency point.
+prepared once and replayed at every latency point.  Every benchmark is
+prepared before the first cell runs, and every (benchmark, latency, model)
+cell runs through :func:`repro.experiments.parallel.run_cells`, inline at
+``jobs == 1`` and on a worker pool otherwise.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from ..config import FIGURE10_LATENCIES, MachineConfig, SamplingPlan
 from ..errors import SimulationError
 from .cache import RunCache, compile_key
 from .models import MODEL_LABELS, MODEL_ORDER, PAPER
+from .parallel import prepare_many, run_cells
 from .reporting import render_table
-from .runner import CompiledWorkload, run_model
+from .runner import CompiledWorkload
 from .suite import ProgressFn
 
 #: Benchmarks the paper sweeps.
@@ -79,7 +83,6 @@ def figure10(
     compiled: dict[str, CompiledWorkload] | None = None,
     jobs: int = 1,
     cache: RunCache | None = None,
-    task_timeout: float | None = None,
     sampling: SamplingPlan | None = None,
 ) -> Figure10:
     """Run the latency sweep.
@@ -120,53 +123,21 @@ def figure10(
         else:
             missing.append(workload)
 
-    if missing:
-        from .parallel import prepare_many
+    for cw in prepare_many(missing, base_config, jobs=jobs, cache=cache,
+                           progress=progress):
+        by_name[cw.name] = cw
 
-        if progress and jobs == 1:
-            for workload in missing:
-                progress(f"preparing {workload.name} ...")
-        for cw in prepare_many(missing, base_config, jobs=jobs, cache=cache,
-                               timeout=task_timeout, progress=progress):
-            by_name[cw.name] = cw
-
-    out = Figure10(latencies=latencies)
     cells = [
-        (name, l2_latency, memory_latency, mode)
+        (by_name[name], mode, base_config.with_latency(l2, mem))
         for name in benchmarks
-        for l2_latency, memory_latency in latencies
+        for l2, mem in latencies
         for mode in modes
     ]
+    results = run_cells(cells, base_config, jobs=jobs, sampling=sampling,
+                        progress=progress)
+    out = Figure10(latencies=latencies)
     for name in benchmarks:
         out.ipc[name] = {mode: [] for mode in modes}
-
-    if jobs != 1:
-        from .parallel import Task, clear_shared, run_model_task, run_tasks
-        from .parallel import share_compiled
-
-        refs = {name: share_compiled(cw) for name, cw in by_name.items()}
-        tasks = [
-            Task(label=f"{name}@{l2}/{mem}/{mode}", fn=run_model_task,
-                 args=(refs[name], base_config.with_latency(l2, mem),
-                       mode, False, False, sampling))
-            for name, l2, mem, mode in cells
-        ]
-        try:
-            results = run_tasks(tasks, jobs=jobs, timeout=task_timeout,
-                                progress=progress)
-        finally:
-            clear_shared()
-        for (name, _l2, _mem, mode), result in zip(cells, results):
-            out.ipc[name][mode].append(result.ipc)
-        return out
-
-    for name in benchmarks:
-        cw = by_name[name]
-        for l2_latency, memory_latency in latencies:
-            point = base_config.with_latency(l2_latency, memory_latency)
-            if progress:
-                progress(f"  {name} @ L2={l2_latency}, mem={memory_latency}")
-            for mode in modes:
-                result = run_model(cw, point, mode, sampling=sampling)
-                out.ipc[name][mode].append(result.ipc)
+    for (cw, mode, _point), result in zip(cells, results):
+        out.ipc[cw.name][mode].append(result.ipc)
     return out

@@ -1,38 +1,38 @@
-"""Process-pool execution of the experiment grid.
+"""Grid execution: the one way a preparation or a grid cell runs.
 
 Every cell of the paper's evaluation is independent once ``prepare()`` has
 run: the 7-benchmark x 4-model suite grid and the Figure-10
 (2 benchmark x 4 latency x 4 model) sweep are embarrassingly parallel.
-This module provides the fan-out machinery the suite and Figure 10 build
-on:
+``run_suite`` and ``figure10`` run every preparation and every cell
+through this module, at any ``--jobs``:
 
-* :func:`run_tasks` — submit a list of picklable :class:`Task`\\ s to a
-  ``ProcessPoolExecutor`` and return their results **in task order**
-  (deterministic grid assembly regardless of completion order), with an
-  optional per-task timeout, **bounded retry with exponential backoff**
-  for pool-infrastructure failures (a worker killed by the OS, a task
-  timeout: the pool is rebuilt and only the unfinished cells resubmitted,
-  up to *retries* times), and automatic **serial in-process fallback**
-  once retries are exhausted — so a flaky pool can slow a run down but
-  never fail or corrupt it.  Genuine simulation errors raised by a task
-  are *not* swallowed — they propagate immediately, exactly as in serial
-  execution (deterministic failures fail fast; only infrastructure
-  failures retry).  An *on_result* callback sees each ``(index, result)``
-  the moment it lands, which is how the suite checkpoints every completed
-  grid cell before the next one runs.
-* :func:`prepare_task` / :func:`run_model_task` — the module-level worker
-  entry points.  Each worker constructs its own
-  :class:`~repro.telemetry.Telemetry` (CPI stacks travel back inside the
-  returned :class:`~repro.sim.RunResult`), and cache stores are atomic,
-  so concurrent workers preparing the same benchmark race benignly.
-
-Telemetry objects carrying sinks or samplers are process-local and not
-shared with workers; callers that pass a custom telemetry instance run
-serially (see :func:`repro.experiments.suite.run_suite`).
+* :func:`run_tasks` — run picklable :class:`Task`\\ s and return their
+  results **in task order** (deterministic grid assembly regardless of
+  completion order).  ``jobs <= 1`` runs them inline; otherwise they fan
+  out on a ``ProcessPoolExecutor`` with **bounded retry with exponential
+  backoff** for pool-infrastructure failures (a worker killed by the OS,
+  a task past its *timeout*: the pool is rebuilt and only the unfinished
+  tasks resubmitted, up to *retries* times), after which the remaining
+  tasks run in the same inline loop — so a flaky pool can slow a run
+  down but never fail or corrupt it.  Genuine simulation errors raised by
+  a task are *not* swallowed — they propagate immediately (deterministic
+  failures fail fast; only infrastructure failures retry).  An
+  *on_result* callback sees each ``(index, result)`` the moment it lands,
+  which is how the suite checkpoints every completed grid cell before the
+  next one runs.
+* :func:`prepare_many` — compile benchmarks through :func:`run_tasks`.
+  The parent owns the run cache: it probes every entry before any task
+  runs and stores each fresh compilation as it lands, so workers never
+  touch the cache and each hit, miss and store is counted once.
+* :func:`run_cells` — turn ``(compiled, mode[, config])`` grid cells into
+  :func:`run_model_task` tasks and run them.  Each task builds its own
+  :class:`~repro.telemetry.Telemetry` when CPI stacks are asked for; the
+  stacks travel back inside the returned :class:`~repro.sim.RunResult`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import multiprocessing
 import os
@@ -43,7 +43,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
-from ..config import MachineConfig
+from ..config import MachineConfig, SamplingPlan
 from ..errors import ConfigError
 from ..telemetry import metrics, spans
 from ..workloads import Workload
@@ -180,13 +180,11 @@ def _absorb_observations(result, submitted_ns: int | None = None) -> None:
 
 
 @_observed
-def prepare_task(workload: Workload, config: MachineConfig,
-                 cache_dir: str | None):
-    """Worker: compile one benchmark, reading/writing the cache if given."""
-    from .cache import RunCache, prepare_cached
+def prepare_task(workload: Workload, config: MachineConfig):
+    """Worker: compile one benchmark (the parent owns the run cache)."""
+    from .runner import prepare
 
-    cache = RunCache(cache_dir) if cache_dir is not None else None
-    return prepare_cached(workload, config, cache)
+    return prepare(workload, config)
 
 
 @_observed
@@ -210,13 +208,6 @@ def run_model_task(compiled, config: MachineConfig, mode: str, cpi: bool,
 
 
 # ----------------------------------------------------------------------
-
-def _run_inline(task: Task, progress: ProgressFn | None) -> object:
-    result = task.fn(*task.args)
-    if progress:
-        progress(f"  {task.label}: done")
-    return result
-
 
 def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
                     jobs: int, timeout: float | None,
@@ -298,17 +289,19 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
 
     Pool-infrastructure failures (worker crash, timeout) are **transient**:
     already-finished results are salvaged, the pool is rebuilt and only
-    the unfinished cells are resubmitted, up to *retries* times with
+    the unfinished tasks are resubmitted, up to *retries* times with
     exponential backoff (``backoff * 2**attempt`` seconds); when retries
-    are exhausted the remaining cells run serially in-process.  Exceptions
-    raised *by a task itself* are **deterministic** and propagate
-    immediately — a failing simulation is never retried.
+    are exhausted the remaining tasks run inline.  Exceptions raised *by
+    a task itself* are **deterministic** and propagate immediately — a
+    failing simulation is never retried.
 
     *on_result* (if given) is called with ``(task_index, result)`` as each
     result lands — delivery order is completion order, exactly once per
     task — so callers can checkpoint incrementally.
     """
     tasks = list(tasks)
+    if not tasks:
+        return []
     jobs = min(resolve_jobs(jobs), len(tasks))
     results: list = [_UNSET] * len(tasks)
     #: per-index submission wall-stamp, for queue_to_pool_seconds.
@@ -322,25 +315,17 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
         results[index] = value
 
     with spans.span("run_tasks", cat="pool", tasks=len(tasks), jobs=jobs):
-        if jobs <= 1:
-            for index, task in enumerate(tasks):
-                interrupt.poll()
-                deliver(index, _run_inline(task, progress))
-            return results
-
         attempt = 0
-        while True:
+        while jobs > 1:
             pending = [i for i in range(len(tasks))
                        if results[i] is _UNSET]
             if not pending:
-                return results
+                break
             with spans.span("pool_round", cat="pool",
                             pending=len(pending), attempt=attempt):
                 broken = _run_pool_round(tasks, pending, jobs, timeout,
                                          progress, deliver, submitted)
-            if not broken:
-                return results
-            if attempt >= retries:
+            if not broken or attempt >= retries:
                 break
             delay = backoff * (2 ** attempt)
             attempt += 1
@@ -357,16 +342,22 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
                     time.sleep(delay)
 
         remaining = sum(1 for r in results if r is _UNSET)
-        if remaining:
+        fallback = contextlib.nullcontext()
+        if jobs > 1 and remaining:
             metrics.inc("pool_fallback_tasks", remaining)
-        if progress and remaining:
-            progress(f"  retries exhausted; computing {remaining} remaining "
-                     f"tasks serially in-process")
-        with spans.span("serial_fallback", cat="pool", tasks=remaining):
+            if progress:
+                progress(f"  retries exhausted; computing {remaining} "
+                         f"remaining tasks serially in-process")
+            fallback = spans.span("serial_fallback", cat="pool",
+                                  tasks=remaining)
+        with fallback:
             for index, task in enumerate(tasks):
                 if results[index] is _UNSET:
                     interrupt.poll()
-                    deliver(index, _run_inline(task, progress))
+                    result = task.fn(*task.args)
+                    if progress:
+                        progress(f"  {task.label}: done")
+                    deliver(index, result)
         return results
 
 
@@ -374,38 +365,64 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
 
 def prepare_many(workloads: Sequence[Workload], config: MachineConfig,
                  jobs: int = 1, cache=None,
-                 timeout: float | None = None,
                  progress: ProgressFn | None = None) -> list:
     """Compile *workloads* (in order), fanning misses out over *jobs*.
 
-    The cache is probed in the parent first, so warm entries never touch
-    the pool (and a fully warm run performs zero ``prepare()`` calls);
-    only the misses are submitted as worker tasks, which store their
-    results back into the cache as they finish.
+    The cache is probed here first, so warm entries never become tasks
+    (a fully warm run performs zero ``prepare()`` calls), and each fresh
+    compilation is stored here as it lands.
     """
     from .cache import compile_key
 
     compiled: list = [None] * len(workloads)
-    miss_indices: list[int] = []
+    misses: list[tuple[int, str]] = []
     for index, workload in enumerate(workloads):
-        entry = cache.load(compile_key(workload, config)) \
-            if cache is not None else None
+        key = compile_key(workload, config)
+        entry = cache.load(key) if cache is not None else None
         if entry is not None:
             if progress:
                 progress(f"  prepare {workload.name}: cached")
             compiled[index] = entry
         else:
-            miss_indices.append(index)
+            misses.append((index, key))
 
-    if miss_indices:
-        cache_dir = str(cache.root) if cache is not None else None
-        tasks = [
-            Task(label=f"prepare {workloads[i].name}", fn=prepare_task,
-                 args=(workloads[i], config, cache_dir))
-            for i in miss_indices
-        ]
-        fresh = run_tasks(tasks, jobs=jobs, timeout=timeout,
-                          progress=progress)
-        for index, cw in zip(miss_indices, fresh):
-            compiled[index] = cw
+    def land(task_index: int, cw) -> None:
+        index, key = misses[task_index]
+        compiled[index] = cw
+        if cache is not None:
+            cache.store(key, cw)
+
+    run_tasks([Task(label=f"prepare {workloads[i].name}", fn=prepare_task,
+                    args=(workloads[i], config)) for i, _ in misses],
+              jobs=jobs, progress=progress, on_result=land)
     return compiled
+
+
+def run_cells(cells: Sequence[tuple], config: MachineConfig,
+              jobs: int = 1, cpi: bool = False, verify: bool = False,
+              sampling: SamplingPlan | None = None,
+              progress: ProgressFn | None = None,
+              on_result: Callable[[int, object], None] | None = None
+              ) -> list:
+    """Run grid cells through :func:`run_tasks`; results in cell order.
+
+    A cell is ``(compiled, mode)``, replayed under *config*, or
+    ``(compiled, mode, point)`` with a cell-specific configuration (the
+    Figure-10 latency points).  Compilations reach the tasks through
+    :func:`share_compiled`, and the registry is cleared when the cells
+    are done, also when one raises.
+    """
+    tasks = []
+    for cw, mode, *point in cells:
+        cell_config = point[0] if point else config
+        label = (f"{cw.name}@{cell_config.l2.latency}/"
+                 f"{cell_config.memory_latency}/{mode}"
+                 if point else f"{cw.name}/{mode}")
+        tasks.append(Task(label=label, fn=run_model_task,
+                          args=(share_compiled(cw), cell_config, mode, cpi,
+                                verify, sampling)))
+    try:
+        return run_tasks(tasks, jobs=jobs, progress=progress,
+                         on_result=on_result)
+    finally:
+        clear_shared()

@@ -274,42 +274,14 @@ class BenchmarkResults:
 
 def run_benchmark(cw: CompiledWorkload, config: MachineConfig,
                   modes: tuple[str, ...] = ("superscalar", "cp_ap",
-                                            "cp_cmp", "hidisc"),
-                  telemetry: Telemetry | None = None,
-                  jobs: int = 1,
-                  task_timeout: float | None = None,
-                  verify: bool = False) -> BenchmarkResults:
-    """Run *modes* on one compiled benchmark.
+                                            "cp_cmp", "hidisc")
+                  ) -> BenchmarkResults:
+    """Run *modes* on one compiled benchmark, in order, in this process.
 
-    ``jobs > 1`` fans the models out over worker processes; results
-    assemble in *modes* order.  A caller-supplied *telemetry* object is
-    process-local, so it forces serial execution (matching the serial
-    path, the parallel path collects no CPI stacks unless the caller asks
-    for telemetry — use :func:`repro.experiments.suite.run_suite` for
-    parallel runs with stacks).
+    No CPI stacks are collected; :func:`repro.experiments.suite.run_suite`
+    runs a grid of benchmarks, with stacks, checkpoints and ``--jobs``.
     """
     out = BenchmarkResults(compiled=cw)
-    if jobs > 1 and telemetry is None and len(modes) > 1:
-        from .parallel import (
-            Task,
-            clear_shared,
-            run_model_task,
-            run_tasks,
-            share_compiled,
-        )
-
-        ref = share_compiled(cw)
-        tasks = [Task(label=f"{cw.name}/{mode}", fn=run_model_task,
-                      args=(ref, config, mode, False, verify))
-                 for mode in modes]
-        try:
-            results = run_tasks(tasks, jobs=jobs, timeout=task_timeout)
-        finally:
-            clear_shared()
-        for mode, result in zip(modes, results):
-            out.results[mode] = result
-        return out
     for mode in modes:
-        out.results[mode] = run_model(cw, config, mode, telemetry=telemetry,
-                                      verify=verify)
+        out.results[mode] = run_model(cw, config, mode)
     return out

@@ -5,6 +5,13 @@ simulations, so the suite runs the grid once and the figure modules format
 it.  Figure 10 needs its own latency sweep (see
 :mod:`repro.experiments.figure10`), reusing the suite's compiled
 workloads.
+
+The grid runs in batches, each prepared with
+:func:`~repro.experiments.parallel.prepare_many` and simulated with
+:func:`~repro.experiments.parallel.run_cells`: one benchmark per batch
+at ``jobs == 1``, the whole grid in one batch otherwise.  The same code
+resumes checkpointed cells, checkpoints fresh ones and counts both at
+every *jobs*.
 """
 
 from __future__ import annotations
@@ -15,13 +22,13 @@ from dataclasses import dataclass, field
 
 from ..config import MachineConfig, SamplingPlan
 from ..errors import ConfigError, SimulationError
-from ..telemetry import Telemetry, metrics, spans
+from ..telemetry import metrics, spans
 from ..workloads import Workload, all_workloads, quick_workloads
-from .cache import RunCache, prepare_cached
+from .cache import RunCache
 from .checkpoint import SuiteCheckpoint
 from .models import MODEL_ORDER
-from .runner import BenchmarkResults, CompiledWorkload, run_model
-from . import interrupt
+from .parallel import prepare_many, run_cells
+from .runner import BenchmarkResults
 
 ProgressFn = Callable[[str], None]
 
@@ -96,11 +103,8 @@ def run_suite(
     modes: tuple[str, ...] = MODEL_ORDER,
     workloads: Iterable[Workload] | None = None,
     progress: ProgressFn | None = None,
-    telemetry: Telemetry | None = None,
-    cpi_stacks: bool = True,
     jobs: int = 1,
     cache: RunCache | None = None,
-    task_timeout: float | None = None,
     verify: bool = False,
     resume: bool = False,
     on_cell: CellFn | None = None,
@@ -108,19 +112,14 @@ def run_suite(
 ) -> SuiteResult:
     """Prepare and simulate every benchmark on every model.
 
-    CPI stacks are collected by default (``cpi_stacks=True``) so the suite
-    JSON payload carries the cycle attribution of every run; pass an
-    explicit *telemetry* object instead for event tracing or sampling.
-
-    ``jobs > 1`` fans ``prepare()`` out per benchmark and ``run_model()``
-    out per (benchmark, model) cell over worker processes; results are
-    assembled deterministically in grid order, so the payload is identical
-    to a serial run modulo ``elapsed_seconds``.  Each worker constructs
-    its own CPI-stack telemetry; an explicit *telemetry* object (sinks,
-    samplers) is process-local, so it forces serial execution.
-    ``cache`` memoizes compilations on disk (see
-    :mod:`repro.experiments.cache`); *task_timeout* bounds each parallel
-    task in seconds, after which it is recomputed in-process.
+    Every preparation and cell runs through
+    :mod:`repro.experiments.parallel`: ``jobs > 1`` fans them out over
+    worker processes, ``jobs == 1`` runs them inline one benchmark at a
+    time.  Results are assembled in grid order, so the payload is the
+    same at every *jobs* modulo ``elapsed_seconds``.  Every cell collects
+    its CPI stacks, so the suite JSON payload carries the cycle
+    attribution of every run.  ``cache`` memoizes compilations on disk
+    (see :mod:`repro.experiments.cache`).
 
     When a *cache* is given, every completed grid cell is checkpointed
     into ``<cache>/suites/<suite-key>/`` the moment it finishes;
@@ -132,10 +131,10 @@ def run_suite(
     (:func:`repro.resilience.verified_run`).
 
     *on_cell* fires after every cell lands (computed-and-checkpointed or
-    resumed), and the loops poll :func:`repro.experiments.interrupt.poll`
-    at the same boundaries — under a
-    :class:`~repro.experiments.interrupt.GracefulInterrupt` a SIGINT/
-    SIGTERM therefore stops the suite *between* cells with every
+    resumed; within a benchmark, resumed cells land first), and
+    :func:`repro.experiments.interrupt.poll` runs before every task —
+    under a :class:`~repro.experiments.interrupt.GracefulInterrupt` a
+    SIGINT/SIGTERM therefore stops the suite *between* cells with every
     completed cell safely on disk.
 
     *sampling* runs every grid cell through the sampled-interval driver
@@ -169,107 +168,45 @@ def run_suite(
         found = len(checkpoint.cells())
         progress(f"resuming: {found} checkpointed cells under "
                  f"{checkpoint.root}")
-    if jobs != 1 and telemetry is not None:
-        if progress:
-            progress("explicit telemetry object is process-local; "
-                     "running serially")
-        jobs = 1
-    if telemetry is None and cpi_stacks:
-        telemetry = Telemetry(cpi=True)
     start = time.perf_counter()
     suite = SuiteResult(config=config, quick=quick)
+    # Serial runs take one benchmark per batch: preparing the whole paper
+    # grid before its first cell raised peak RSS from 191.7 to 208.3 MB
+    # (+8.7%, 2-vCPU VM); per-benchmark batches read 191.1-191.9 MB.  A
+    # pool takes the whole grid in one batch.
+    batches = [[w] for w in workloads] if jobs == 1 else [workloads]
     with spans.span("run_suite", cat="suite", benchmarks=len(workloads),
                     modes=len(modes), jobs=jobs, resume=resume):
-        if jobs != 1:
-            _run_suite_parallel(suite, workloads, config, modes, progress,
-                                cpi=cpi_stacks, jobs=jobs, cache=cache,
-                                task_timeout=task_timeout, verify=verify,
-                                checkpoint=checkpoint, resume=resume,
-                                on_cell=on_cell, sampling=sampling)
-            suite.elapsed_seconds = time.perf_counter() - start
-            return suite
-        for workload in workloads:
-            interrupt.poll()
-            if progress:
-                progress(f"preparing {workload.name} ...")
-            compiled = prepare_cached(workload, config, cache)
-            if progress:
-                progress(
-                    f"  compiled in {compiled.prepare_seconds:.1f}s "
-                    f"({compiled.work} dynamic instructions); simulating ..."
-                )
-            bench = BenchmarkResults(compiled=compiled)
-            for mode in modes:
-                interrupt.poll()
-                result = (
-                    checkpoint.load(workload.name, mode)
-                    if resume and checkpoint is not None else None
-                )
-                resumed = result is not None
-                if result is None:
-                    result = run_model(compiled, config, mode,
-                                       telemetry=telemetry, verify=verify,
-                                       sampling=sampling)
-                    metrics.inc("cells_completed")
-                    if checkpoint is not None:
-                        checkpoint.store(workload.name, mode, result)
-                else:
-                    metrics.inc("cells_resumed")
-                    if progress:
-                        progress(f"  {workload.name}/{mode}: resumed from "
-                                 f"checkpoint")
-                if on_cell is not None:
-                    on_cell(workload.name, mode, resumed)
-                bench.results[mode] = result
-            suite.benchmarks[workload.name] = bench
-            if progress:
-                base = bench.baseline
-                progress(
-                    f"  {workload.name}: baseline {base.cycles} cycles "
-                    f"(IPC {base.ipc:.2f}), hidisc speedup "
-                    f"{bench.speedup('hidisc'):.3f}"
-                    if "hidisc" in bench.results
-                    else f"  {workload.name}: done"
-                )
-        suite.elapsed_seconds = time.perf_counter() - start
-        return suite
+        for batch in batches:
+            _run_batch(suite, batch, config, modes, progress, jobs=jobs,
+                       cache=cache, verify=verify, checkpoint=checkpoint,
+                       resume=resume, on_cell=on_cell, sampling=sampling)
+    suite.elapsed_seconds = time.perf_counter() - start
+    return suite
 
 
-def _run_suite_parallel(suite: SuiteResult, workloads: list[Workload],
-                        config: MachineConfig, modes: tuple[str, ...],
-                        progress: ProgressFn | None, cpi: bool, jobs: int,
-                        cache: RunCache | None,
-                        task_timeout: float | None,
-                        verify: bool = False,
-                        checkpoint: SuiteCheckpoint | None = None,
-                        resume: bool = False,
-                        on_cell: CellFn | None = None,
-                        sampling: SamplingPlan | None = None) -> None:
-    """Fan the suite grid out over worker processes (deterministic order).
+def _run_batch(suite: SuiteResult, workloads: list[Workload],
+               config: MachineConfig, modes: tuple[str, ...],
+               progress: ProgressFn | None, jobs: int,
+               cache: RunCache | None, verify: bool,
+               checkpoint: SuiteCheckpoint | None, resume: bool,
+               on_cell: CellFn | None,
+               sampling: SamplingPlan | None) -> None:
+    """Prepare *workloads* and simulate their cells into *suite*.
 
-    Each completed cell is checkpointed from the parent the moment its
-    result lands (via ``run_tasks``'s *on_result* hook), so an
-    interruption at any point loses at most the in-flight cells; with
-    *resume*, checkpointed cells are loaded up front and never submitted.
+    Each completed cell is checkpointed the moment its result lands (via
+    ``run_tasks``'s *on_result* hook), so an interruption at any point
+    loses at most the in-flight cells; with *resume*, checkpointed cells
+    are loaded up front and never run.
     """
-    from .parallel import (
-        Task,
-        clear_shared,
-        prepare_many,
-        run_model_task,
-        run_tasks,
-        share_compiled,
-    )
-
     if progress:
-        progress(f"preparing {len(workloads)} benchmarks "
-                 f"(jobs={jobs}) ...")
+        progress(f"preparing {', '.join(w.name for w in workloads)} ...")
     compiled = prepare_many(workloads, config, jobs=jobs, cache=cache,
-                            timeout=task_timeout, progress=progress)
+                            progress=progress)
 
     grid = [(cw, mode) for cw in compiled for mode in modes]
     cells: dict[int, object] = {}
-    if resume and checkpoint is not None:
+    if resume:
         for index, (cw, mode) in enumerate(grid):
             result = checkpoint.load(cw.name, mode)
             if result is not None:
@@ -278,50 +215,37 @@ def _run_suite_parallel(suite: SuiteResult, workloads: list[Workload],
                     on_cell(cw.name, mode, True)
         if cells:
             metrics.inc("cells_resumed", len(cells))
-        if progress and cells:
-            progress(f"  resumed {len(cells)}/{len(grid)} cells from "
-                     f"checkpoint")
+            if progress:
+                progress(f"  resumed {len(cells)}/{len(grid)} cells from "
+                         f"checkpoint")
     missing = [index for index in range(len(grid)) if index not in cells]
     if progress:
         progress(f"simulating {len(missing)} grid cells (jobs={jobs}) ...")
-    if missing:
-        tasks = [
-            Task(label=f"{grid[index][0].name}/{grid[index][1]}",
-                 fn=run_model_task,
-                 args=(share_compiled(grid[index][0]), config,
-                       grid[index][1], cpi, verify, sampling))
-            for index in missing
-        ]
 
-        def on_result(task_index: int, result) -> None:
-            grid_index = missing[task_index]
-            cells[grid_index] = result
-            metrics.inc("cells_completed")
-            cw, mode = grid[grid_index]
-            if checkpoint is not None:
-                checkpoint.store(cw.name, mode, result)
-            if on_cell is not None:
-                on_cell(cw.name, mode, False)
+    def land(task_index: int, result) -> None:
+        index = missing[task_index]
+        cells[index] = result
+        metrics.inc("cells_completed")
+        cw, mode = grid[index]
+        if checkpoint is not None:
+            checkpoint.store(cw.name, mode, result)
+        if on_cell is not None:
+            on_cell(cw.name, mode, False)
 
-        try:
-            run_tasks(tasks, jobs=jobs, timeout=task_timeout,
-                      progress=progress, on_result=on_result)
-        finally:
-            clear_shared()
+    run_cells([grid[index] for index in missing], config, jobs=jobs,
+              cpi=True, verify=verify, sampling=sampling,
+              progress=progress, on_result=land)
+    for cw in compiled:
+        suite.benchmarks[cw.name] = BenchmarkResults(compiled=cw)
     for index, (cw, mode) in enumerate(grid):
-        bench = suite.benchmarks.get(cw.name)
-        if bench is None:
-            bench = BenchmarkResults(compiled=cw)
-            suite.benchmarks[cw.name] = bench
-        bench.results[mode] = cells[index]
-
-
-def prepare_suite_workload(name: str, config: MachineConfig,
-                           quick: bool = False,
-                           seed: int = 2003,
-                           cache: RunCache | None = None) -> CompiledWorkload:
-    """Prepare a single benchmark by name (used by Figure 10 and tests)."""
-    from ..workloads import get_workload
-
-    return prepare_cached(get_workload(name, quick=quick, seed=seed),
-                          config, cache)
+        suite.benchmarks[cw.name].results[mode] = cells[index]
+    if progress:
+        for cw in compiled:
+            bench = suite.benchmarks[cw.name]
+            if {"superscalar", "hidisc"} <= set(bench.results):
+                base = bench.baseline
+                progress(f"  {cw.name}: baseline {base.cycles} cycles "
+                         f"(IPC {base.ipc:.2f}), hidisc speedup "
+                         f"{bench.speedup('hidisc'):.3f}")
+            else:
+                progress(f"  {cw.name}: done")

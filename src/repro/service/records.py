@@ -56,11 +56,13 @@ def normalize_spec(spec: dict) -> dict:
 
     Canonical form — stable key set, typed values, sorted ``modes``
     subsequence of ``MODEL_ORDER`` — so byte equality of the canonical
-    JSON is semantic equality of the request.  ``benchmarks`` order is
-    preserved (it is the grid order and changes the payload layout) but
-    names are only checked for *type* here, not existence: an unknown
-    benchmark is a deterministic execution failure, which is exactly how
-    poison jobs reach quarantine instead of being rejected at the door.
+    JSON is semantic equality of the request.  ``modes`` must include the
+    ``superscalar`` baseline, since the result payload reports every
+    speedup over it.  ``benchmarks`` order is preserved (it is the grid
+    order and changes the payload layout) but names are only checked for
+    *type* here, not existence: an unknown benchmark is a deterministic
+    execution failure, which is exactly how poison jobs reach quarantine
+    instead of being rejected at the door.
     """
     if not isinstance(spec, dict):
         raise ConfigError(f"job spec must be an object, got {type(spec).__name__}")
@@ -91,6 +93,10 @@ def normalize_spec(spec: dict) -> dict:
             raise ConfigError(
                 f"unknown model(s) {', '.join(bad)} "
                 f"(have: {', '.join(MODEL_ORDER)})")
+        if "superscalar" not in modes:
+            raise ConfigError(
+                "modes must include the 'superscalar' baseline: the "
+                "result payload reports every speedup over it")
         # Canonical order = MODEL_ORDER subsequence; de-duplicated.
         modes = [m for m in MODEL_ORDER if m in modes]
     seed = spec.get("seed", 2003)

@@ -55,7 +55,6 @@ from .sinks import (
     MemorySink,
     NullSink,
     Sink,
-    TeeSink,
 )
 
 __all__ = [
@@ -75,7 +74,6 @@ __all__ = [
     "Sampler",
     "Sink",
     "StatusLine",
-    "TeeSink",
     "Telemetry",
     "breakdown_row",
     "check_stack",

@@ -11,7 +11,7 @@ A :class:`Telemetry` instance bundles the orthogonal collectors:
   (:mod:`repro.telemetry.lifecycle`);
 * a live **heartbeat** (:mod:`repro.telemetry.heartbeat`) for long runs.
 
-Pass one to :class:`repro.sim.Machine` (or ``run_model``/``run_suite``).
+Pass one to :class:`repro.sim.Machine` (or ``run_model``).
 ``Machine`` reads the flags once at construction, so a ``None`` telemetry
 (or one with everything off) leaves the timing hot path untouched.  One
 ``Telemetry`` may be reused across runs when only CPI stacks are collected;

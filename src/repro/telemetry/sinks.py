@@ -116,40 +116,6 @@ class MemorySink(Sink):
         return {e[1] for e in self.events}
 
 
-class TeeSink(Sink):
-    """Fan one event stream out to several sinks."""
-
-    def __init__(self, *sinks: Sink) -> None:
-        self.sinks = [s for s in sinks if s.enabled]
-        self.enabled = bool(self.sinks)
-
-    def duration(self, track, name, ts, dur, args=None) -> None:
-        for s in self.sinks:
-            s.duration(track, name, ts, dur, args)
-
-    def instant(self, track, name, ts, args=None) -> None:
-        for s in self.sinks:
-            s.instant(track, name, ts, args)
-
-    def counter(self, track, name, ts, value) -> None:
-        for s in self.sinks:
-            s.counter(track, name, ts, value)
-
-    def close(self) -> None:
-        # Every child must get its flush even when an earlier one fails
-        # (a full disk on one file must not lose the other's trace); the
-        # first error is re-raised once all have been attempted.
-        first_error: Exception | None = None
-        for s in self.sinks:
-            try:
-                s.close()
-            except Exception as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-
-
 class JsonlSink(Sink):
     """One JSON object per line; trivially greppable / loadable with pandas."""
 

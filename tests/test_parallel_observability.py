@@ -11,8 +11,14 @@ import time
 
 import pytest
 
-from repro.experiments import RunCache, Task, run_suite, run_tasks
-from repro.experiments.parallel import prepare_task
+from repro.experiments import (
+    RunCache,
+    Task,
+    compile_key,
+    run_suite,
+    run_tasks,
+)
+from repro.experiments.parallel import prepare_many, prepare_task
 from repro.telemetry import metrics, spans
 from repro.workloads import FieldWorkload
 
@@ -125,12 +131,12 @@ class TestRetryAndFallbackCounters:
 
 
 class TestWorkerObservations:
-    def test_worker_spans_and_metrics_travel_back(self, config, tmp_path):
+    def test_worker_spans_and_metrics_travel_back(self, config):
         tracer = spans.enable()
         workloads = [FieldWorkload(n=500, seed=1),
                      FieldWorkload(n=500, seed=2)]
-        tasks = [Task(label=w.name, fn=prepare_task,
-                      args=(w, config, str(tmp_path))) for w in workloads]
+        tasks = [Task(label=w.name, fn=prepare_task, args=(w, config))
+                 for w in workloads]
         results = run_tasks(tasks, jobs=2)
         spans.disable()
 
@@ -142,26 +148,48 @@ class TestWorkerObservations:
         worker_pids = {r.pid for r in tracer.records} - {os.getpid()}
         assert worker_pids, "no worker-lane spans were adopted"
         names = {r.name for r in tracer.records}
-        assert {"prepare_task", "prepare", "cache_store"} <= names
+        assert {"prepare_task", "prepare"} <= names
 
         snap = metrics.snapshot()
-        assert snap["counters"]["cache_misses"] == 2
-        assert snap["counters"]["cache_stores"] == 2
         assert snap["gauges"]["peak_rss_bytes"] > 0
         queue_wait = snap["histograms"]["queue_to_pool_seconds"]
         assert queue_wait["count"] == 2 and queue_wait["min"] >= 0
 
-    def test_untraced_workers_ship_nothing(self, config, tmp_path):
+    def test_untraced_workers_ship_nothing(self, config):
         workload = FieldWorkload(n=500)
-        tasks = [Task(label="a", fn=prepare_task,
-                      args=(workload, config, str(tmp_path))),
-                 Task(label="b", fn=prepare_task,
-                      args=(workload, config, str(tmp_path)))]
+        tasks = [Task(label="a", fn=prepare_task, args=(workload, config)),
+                 Task(label="b", fn=prepare_task, args=(workload, config))]
         results = run_tasks(tasks, jobs=2)
-        assert all(not hasattr(cw, "host_spans") for cw in results)
-        counters = metrics.snapshot()["counters"]
-        assert "cache_misses" not in counters, \
+        assert all(not hasattr(cw, "host_spans")
+                   and not hasattr(cw, "host_metrics") for cw in results)
+        assert "peak_rss_bytes" not in metrics.snapshot()["gauges"], \
             "worker-side metrics only travel when tracing is on"
+
+
+class TestCacheTraffic:
+    @pytest.mark.parametrize("traced", [False, True],
+                             ids=["untraced", "traced"])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_prepare_many_counts_each_miss_and_store_once(
+            self, config, tmp_path, jobs, traced):
+        """The parent owns the run cache: one probe and one store per
+        fresh compilation, counted on the caller's cache and the metrics
+        registry alike, at any jobs and with or without tracing."""
+        if traced:
+            spans.enable()
+        workloads = [FieldWorkload(n=500, seed=1),
+                     FieldWorkload(n=500, seed=2)]
+        cache = RunCache(tmp_path)
+        compiled = prepare_many(workloads, config, jobs=jobs, cache=cache)
+        spans.disable()
+
+        n = len(workloads)
+        assert [cw.fingerprint for cw in compiled] == \
+            [compile_key(w, config) for w in workloads]
+        counters = metrics.snapshot()["counters"]
+        assert counters["cache_misses"] == counters["cache_stores"] == n
+        assert cache.misses == cache.stores == n and cache.hits == 0
+        assert len(cache.entries()) == n
 
 
 class TestSuiteCounters:
@@ -176,8 +204,8 @@ class TestSuiteCounters:
         counters = metrics.snapshot()["counters"]
         assert counters["cells_completed"] == 4
         assert counters["checkpoint_stores"] == 4
-        assert counters["cache_misses"] >= 1
-        assert counters["cache_stores"] >= 1
+        assert counters["cache_misses"] == 1
+        assert counters["cache_stores"] == 1
 
         out = tmp_path / "orch.json"
         count = spans.write_orchestration_trace(tracer.records, out,

@@ -15,16 +15,22 @@ import pytest
 from repro.config import MachineConfig
 from repro.errors import ConfigError, SimulationError
 from repro.experiments import (
+    MODEL_ORDER,
+    BenchmarkResults,
     RunCache,
+    SuiteCheckpoint,
+    SuiteResult,
     Task,
     compile_key,
+    figure10,
     prepare,
     prepare_cached,
-    run_benchmark,
+    run_model,
     run_suite,
     run_tasks,
 )
 from repro.experiments.cache import workload_fingerprint
+from repro.telemetry import Telemetry
 from repro.workloads import FieldWorkload, get_workload
 
 
@@ -230,18 +236,96 @@ class TestRunTasks:
             run_tasks(tasks, jobs=1)
 
 
-class TestParallelSuite:
-    def test_parallel_payload_matches_serial(self, config):
-        serial = run_suite(config, quick=True,
-                           workloads=small_workloads(), jobs=1)
-        fanned = run_suite(config, quick=True,
-                           workloads=small_workloads(), jobs=2)
-        p_serial, p_fanned = serial.to_payload(), fanned.to_payload()
-        p_serial.pop("elapsed_seconds")
-        p_fanned.pop("elapsed_seconds")
-        assert json.dumps(p_serial, sort_keys=True) == \
-            json.dumps(p_fanned, sort_keys=True)
+def payload_json(suite) -> str:
+    payload = suite.to_payload()
+    payload.pop("elapsed_seconds")
+    return json.dumps(payload, sort_keys=True)
 
+
+def grid_workloads(seed: int = 2003):
+    """Two tiny benchmarks — enough to check cross-benchmark assembly."""
+    return small_workloads(seed)[:2]
+
+
+SWEEP_LATENCIES = ((4, 40), (16, 160))
+SWEEP_MODES = ("superscalar", "hidisc")
+
+
+@pytest.fixture(scope="module")
+def reference_grid():
+    """The grid computed cell by cell, outside ``run_suite``."""
+    config = MachineConfig()
+    suite = SuiteResult(config=config, quick=True)
+    for workload in grid_workloads():
+        cw = prepare(workload, config)
+        bench = suite.benchmarks[cw.name] = BenchmarkResults(compiled=cw)
+        for mode in MODEL_ORDER:
+            bench.results[mode] = run_model(cw, config, mode,
+                                            telemetry=Telemetry(cpi=True))
+    return suite
+
+
+@pytest.fixture(scope="module")
+def reference_sweep():
+    """The Figure-10 sweep of quick field computed cell by cell."""
+    config = MachineConfig()
+    cw = prepare(get_workload("field", quick=True), config)
+    return {"field": {
+        mode: [run_model(cw, config.with_latency(l2, mem), mode).ipc
+               for l2, mem in SWEEP_LATENCIES]
+        for mode in SWEEP_MODES}}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+class TestOnePathParity:
+    """``run_suite`` and ``figure10`` reproduce the cell-by-cell results
+    at every ``jobs``."""
+
+    def test_fresh_payload(self, config, jobs, reference_grid):
+        suite = run_suite(config, quick=True, workloads=grid_workloads(),
+                          jobs=jobs)
+        assert payload_json(suite) == payload_json(reference_grid)
+
+    def test_resume_from_partial_checkpoint(self, config, tmp_path, jobs,
+                                            reference_grid):
+        cache = RunCache(tmp_path)
+        checkpoint = SuiteCheckpoint.for_suite(cache, config,
+                                               grid_workloads(), MODEL_ORDER)
+        stored = {("field", "superscalar"), ("field", "hidisc"),
+                  ("pointer", "cp_ap")}
+        for name, mode in stored:
+            checkpoint.store(name, mode,
+                             reference_grid.benchmarks[name].results[mode])
+        landed = []
+        suite = run_suite(config, quick=True, workloads=grid_workloads(),
+                          jobs=jobs, cache=cache, resume=True,
+                          on_cell=lambda *cell: landed.append(cell))
+        assert payload_json(suite) == payload_json(reference_grid)
+        assert sorted(landed) == sorted(
+            (name, mode, (name, mode) in stored)
+            for name in reference_grid.names for mode in MODEL_ORDER)
+
+    def test_hidisc_only_with_progress(self, config, jobs, reference_grid):
+        """No baseline among the modes: the per-benchmark progress line
+        reports the benchmark done instead of reading a speedup."""
+        messages = []
+        suite = run_suite(config, quick=True, workloads=grid_workloads(),
+                          modes=("hidisc",), jobs=jobs,
+                          progress=messages.append)
+        assert suite.names == reference_grid.names
+        for name, bench in suite.benchmarks.items():
+            assert bench.results == {
+                "hidisc": reference_grid.benchmarks[name].results["hidisc"]}
+            assert f"  {name}: done" in messages
+
+    def test_figure10_sweep(self, config, jobs, reference_sweep):
+        fig = figure10(config, quick=True, benchmarks=("field",),
+                       latencies=SWEEP_LATENCIES, modes=SWEEP_MODES,
+                       jobs=jobs)
+        assert fig.ipc == reference_sweep
+
+
+class TestParallelSuite:
     def test_warm_cache_skips_all_prepares(self, config, tmp_path,
                                            monkeypatch):
         cache = RunCache(tmp_path)
@@ -261,23 +345,3 @@ class TestParallelSuite:
                          jobs=2, cache=warm_cache)
         assert warm_cache.hits == len(small_workloads())
         assert set(warm.names) == {w.name for w in small_workloads()}
-
-    def test_run_benchmark_parallel_modes(self, config):
-        cw = prepare(FieldWorkload(n=500), config)
-        serial = run_benchmark(cw, config)
-        fanned = run_benchmark(cw, config, jobs=2)
-        assert set(fanned.results) == set(serial.results)
-        for mode, result in fanned.results.items():
-            assert result.cycles == serial.results[mode].cycles
-
-    def test_custom_telemetry_forces_serial(self, config):
-        """A caller-supplied telemetry object is process-local, so the
-        suite must fall back to serial execution (and still collect)."""
-        from repro.telemetry import MemorySink, Telemetry
-
-        telemetry = Telemetry(sink=MemorySink(), cpi=True)
-        suite = run_suite(config, quick=True,
-                          workloads=[FieldWorkload(n=500)],
-                          jobs=4, telemetry=telemetry)
-        assert suite.benchmarks["field"].baseline.cycles > 0
-        assert telemetry.sink.events

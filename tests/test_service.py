@@ -96,6 +96,14 @@ class TestSpecs:
         with pytest.raises(ConfigError, match="cell_delay"):
             normalize_spec({"cell_delay": -1})
 
+    def test_modes_without_the_baseline_rejected(self):
+        """Every payload speedup is over the superscalar cell, so a spec
+        without it could only fail at the payload, on every attempt."""
+        with pytest.raises(ConfigError, match="'superscalar' baseline"):
+            normalize_spec({"modes": ["hidisc"]})
+        with pytest.raises(ConfigError, match="'superscalar' baseline"):
+            normalize_spec({"modes": ["cp_ap", "cp_cmp", "hidisc"]})
+
     def test_unknown_benchmark_is_not_gated_at_submission(self):
         # Deliberate: unknown names fail at execution time, which is the
         # poison-job path to quarantine.
@@ -475,6 +483,12 @@ class TestHttpApi:
             client.job("nope")
         with pytest.raises(ServiceError, match="HTTP 404"):
             client.cancel("nope")
+
+    def test_spec_without_baseline_is_400(self, http_service):
+        _, client = http_service
+        with pytest.raises(ServiceError, match="HTTP 400.*baseline"):
+            client.submit({**POINTER_SPEC, "modes": ["hidisc"]})
+        assert client.jobs() == [], "a rejected spec must not be queued"
 
     def test_admission_control_is_429(self, http_service):
         _, client = http_service

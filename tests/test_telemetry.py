@@ -35,7 +35,6 @@ from repro.telemetry import (
     MemorySink,
     NullSink,
     Sampler,
-    TeeSink,
     Telemetry,
     check_stack,
     new_stack,
@@ -66,14 +65,6 @@ class TestSinks:
         assert sink.tracks() == {"CP", "CMP", "queues"}
         assert sink.of_kind("counter") == [("counter", "queues", "LDQ", 5, 2)]
 
-    def test_tee_sink_fans_out_and_drops_disabled(self):
-        a, b = MemorySink(), MemorySink()
-        tee = TeeSink(a, NullSink(), b)
-        assert len(tee.sinks) == 2
-        tee.instant("t", "x", 1)
-        assert len(a.events) == len(b.events) == 1
-        assert TeeSink(NullSink()).enabled is False
-
     def test_memory_sink_cap_keeps_oldest_and_counts_drops(self):
         sink = MemorySink(max_events=2)
         sink.instant("t", "first", 0)
@@ -99,24 +90,6 @@ class TestSinks:
     def test_memory_sink_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             MemorySink(max_events=0)
-
-    def test_tee_sink_close_reaches_all_children_on_error(self):
-        class BoomSink(MemorySink):
-            def close(self):
-                raise OSError("disk full")
-
-        closed = []
-
-        class TrackingSink(MemorySink):
-            def close(self):
-                closed.append(self)
-                return super().close()
-
-        survivor = TrackingSink()
-        tee = TeeSink(BoomSink(), survivor, TrackingSink())
-        with pytest.raises(OSError, match="disk full"):
-            tee.close()
-        assert len(closed) == 2 and closed[0] is survivor
 
     def test_jsonl_sink_writes_parseable_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
