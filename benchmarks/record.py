@@ -12,7 +12,6 @@ numbers.
 Usage::
 
     PYTHONPATH=src python benchmarks/record.py [-k EXPR] [--out-dir DIR]
-    hidisc bench                       # same thing via the CLI
 
 The snapshot file is a JSON array; re-running on the same day appends
 another entry to the same file.

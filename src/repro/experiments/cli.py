@@ -18,13 +18,18 @@ Installed as the ``hidisc`` console script::
     hidisc cache clear
     hidisc runs list                       # recent runs from the ledger
     hidisc runs report                     # latest run + regression check
-    hidisc bench                           # perf snapshot -> BENCH_<date>.json
     hidisc serve --workers 2               # durable simulation service
     hidisc submit --quick --wait           # queue a suite job, await it
     hidisc jobs                            # list jobs; 'jobs <id>' inspects
     hidisc jobs top                        # live fleet status (Ctrl-C quits)
     hidisc jobs trace <id>                 # stitch one job's Perfetto trace
     hidisc cancel <job_id>                 # request cancellation
+
+Each command owns its flags, positionals and handler: it is an argparse
+subparser (``hidisc <command> --help`` lists its flags; any other flag is
+a usage error) whose defaults also say whether the run appends a ledger
+record and stops gracefully on a signal.  :func:`main` is the one exit
+path: handler, ``--json``, then ledger record and orchestration trace.
 
 Suite-family commands and ``faults`` stop gracefully on SIGINT/SIGTERM:
 the first signal finishes and checkpoints the in-flight grid cell, the
@@ -55,9 +60,11 @@ import os
 import sys
 import time
 from dataclasses import replace
+from typing import Callable
 
 from ..config import MachineConfig, SamplingPlan, TelemetryConfig
-from ..errors import ConfigError, InterruptedRun
+from ..errors import BackpressureError, ConfigError, InterruptedRun, \
+    ServiceError
 from ..telemetry import (
     ChromeTraceSink,
     Heartbeat,
@@ -92,327 +99,14 @@ from .ledger import (
 from .models import MODEL_ORDER, sampling_label
 from .reporting import render_run_stats, write_json
 from .runner import run_model
-from .suite import run_suite
+from .suite import ProgressFn, run_suite
 from .table1 import table1
 from .table2 import table2
-
-_COMMANDS = ("table1", "table2", "figure8", "figure9", "figure10", "all",
-             "suite", "stats", "trace", "lifecycle", "diff", "cache",
-             "faults", "bench", "runs", "fuzz", "serve", "submit", "jobs",
-             "cancel")
-
-_CACHE_ACTIONS = ("stats", "clear")
-
-_RUNS_ACTIONS = ("list", "show", "report")
-
-#: Commands that append a ledger record (experiment runs — not the
-#: bookkeeping commands that merely inspect caches/ledgers/payloads).
-_LEDGER_COMMANDS = frozenset(
-    {"table2", "figure8", "figure9", "figure10", "all", "suite",
-     "stats", "trace", "lifecycle", "faults", "fuzz", "serve"}
-)
-
-#: Commands whose long-running grids get graceful SIGINT/SIGTERM
-#: handling: first signal stops at the next cell boundary (everything
-#: completed so far is checkpointed; the ledger records
-#: ``outcome: "interrupted"``), second signal aborts hard.  ``serve``
-#: manages its own interrupt context (it must drain workers first).
-_INTERRUPTIBLE = frozenset(
-    {"table2", "figure8", "figure9", "figure10", "all", "suite", "faults"}
-)
 
 #: lifecycle output defaults per format (when --out is not given).
 _LIFECYCLE_OUT = {"kanata": "hidisc.kanata",
                   "jsonl": "hidisc_lifecycle.jsonl",
                   "chrome": "hidisc_lifecycle.json"}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hidisc",
-        description="Reproduce the evaluation of 'HiDISC: A Decoupled "
-                    "Architecture for Data-Intensive Applications' "
-                    "(IPDPS 2003).",
-    )
-    parser.add_argument("command", choices=_COMMANDS,
-                        help="which table/figure to regenerate, 'suite' for "
-                             "the raw benchmark grid, 'stats'/'trace'/"
-                             "'lifecycle' to profile one run, 'diff' to "
-                             "compare two result payloads, 'cache' to "
-                             "manage the run cache, or 'faults' to run a "
-                             "seeded fault-injection campaign")
-    parser.add_argument("cache_action", nargs="?",
-                        help="for 'hidisc cache': 'stats' (default) or "
-                             "'clear'; for 'hidisc runs': 'list' "
-                             "(default), 'show' or 'report'; for "
-                             "'hidisc diff': the first payload path; for "
-                             "'hidisc jobs': a job id, 'top' or 'trace'; "
-                             "for 'hidisc cancel': a job id")
-    parser.add_argument("diff_b", nargs="?", metavar="payload_b",
-                        help="for 'hidisc diff': the second payload path; "
-                             "for 'hidisc runs show|report': a run-id "
-                             "prefix (default: the newest run); for "
-                             "'hidisc jobs trace': the job id (prefixes "
-                             "accepted)")
-    parser.add_argument("--quick", action="store_true",
-                        help="scaled-down inputs (seconds instead of minutes)")
-    parser.add_argument("--seed", type=int, default=2003,
-                        help="workload generator seed (default 2003)")
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also dump raw results as JSON")
-    parser.add_argument("--no-progress", action="store_true",
-                        help="suppress progress messages on stderr")
-    parser.add_argument("--jobs", type=_non_negative, default=1,
-                        metavar="N",
-                        help="worker processes for the experiment grid "
-                             "(default 1 = serial, 0 = all CPUs)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the persistent compilation cache")
-    parser.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="run-cache directory (default $HIDISC_CACHE_DIR "
-                             "or ~/.cache/hidisc)")
-    parser.add_argument("--verify", action="store_true",
-                        help="referee every timing run with the "
-                             "co-simulation oracle (commit-stream "
-                             "integrity + functional state diff)")
-    parser.add_argument("--resume", action="store_true",
-                        help="for 'suite'-family commands: load the "
-                             "checkpointed cells of an interrupted run "
-                             "and simulate only the missing ones")
-    parser.add_argument("--max-cycles", type=_positive, default=None,
-                        metavar="N",
-                        help="cycle budget per timing run (default "
-                             f"{MachineConfig().max_cycles}; a run "
-                             "exceeding it raises CycleLimitError)")
-    parser.add_argument("--orch-trace", metavar="PATH", default=None,
-                        help="record host orchestration spans (prepare, "
-                             "pool rounds, cache/checkpoint traffic, "
-                             "per-worker lanes) and write a "
-                             "Perfetto-loadable trace_event JSON here")
-    parser.add_argument("--limit", type=_positive, default=20, metavar="N",
-                        help="for 'hidisc runs list': newest N ledger "
-                             "entries to show (default 20)")
-    injection = parser.add_argument_group(
-        "faults options", "seeded fault-injection campaigns "
-                          "(repro.resilience)")
-    injection.add_argument("--fault-seed", type=int, default=2003,
-                           metavar="SEED",
-                           help="FaultPlan seed (default 2003); the same "
-                                "seed always injects the same faults")
-    injection.add_argument("--fault-count", type=_non_negative, default=8,
-                           metavar="N",
-                           help="number of fault sites to draw "
-                                "(default 8)")
-    injection.add_argument("--fault-benches", metavar="NAMES", default=None,
-                           help="comma-separated benchmark names to "
-                                "campaign over (default: every suite "
-                                "benchmark)")
-    profiling = parser.add_argument_group(
-        "stats/trace/lifecycle options",
-        "single-run telemetry (repro.telemetry)")
-    profiling.add_argument("--bench", default="pointer",
-                           choices=sorted(WORKLOADS_BY_NAME),
-                           help="benchmark to profile (default pointer)")
-    profiling.add_argument("--model", default="hidisc", choices=MODEL_ORDER,
-                           help="machine model to profile (default hidisc)")
-    profiling.add_argument("--out", metavar="PATH", default=None,
-                           help="output file (default hidisc_trace.json for "
-                                "'trace'; for 'lifecycle' it follows the "
-                                "format: hidisc.kanata / "
-                                "hidisc_lifecycle.jsonl / "
-                                "hidisc_lifecycle.json)")
-    profiling.add_argument("--format", dest="trace_format", default=None,
-                           choices=("chrome", "jsonl", "kanata"),
-                           help="output format: Chrome/Perfetto trace_event "
-                                "JSON, JSONL, or (lifecycle only) a Konata "
-                                "pipeline-viewer log (default: chrome for "
-                                "'trace', kanata for 'lifecycle')")
-    profiling.add_argument("--occupancy-interval", type=_non_negative,
-                           default=128, metavar="CYCLES",
-                           help="occupancy sampling period in cycles, "
-                                "0 disables (default 128)")
-    profiling.add_argument("--heartbeat", type=_non_negative, default=0,
-                           metavar="CYCLES",
-                           help="emit a live status line (cycle, IPC, queue "
-                                "depths, host cycles/s) on stderr every N "
-                                "simulated cycles; 0 disables (default)")
-    profiling.add_argument("--lifecycle-limit", type=_non_negative,
-                           default=0, metavar="N",
-                           help="keep only the newest N lifecycle records "
-                                "(ring buffer); 0 keeps all (default)")
-    profiling.add_argument("--top", type=_positive, default=12, metavar="N",
-                           help="rows in the critical-path table "
-                                "(default 12)")
-    defaults = SamplingPlan()
-    sampling = parser.add_argument_group(
-        "sampling options",
-        "SMARTS-style sampled simulation (repro.sim.sampling): "
-        "fast-forward by functional warming, simulate short detailed "
-        "windows, extrapolate cycles with a measured confidence "
-        "interval.  Valid for suite-family commands and 'stats'; "
-        "mutually exclusive with --verify and 'faults'.")
-    sampling.add_argument("--sample", action="store_true",
-                          help="run every timing simulation through the "
-                               "sampled-interval driver (results carry "
-                               "sampled=True plus the exact schedule and "
-                               "error bars)")
-    sampling.add_argument("--sample-interval", type=_positive, default=None,
-                          metavar="N",
-                          help="sampling period in trace positions "
-                               f"(default {defaults.interval_length})")
-    sampling.add_argument("--sample-detail", type=_positive, default=None,
-                          metavar="N",
-                          help="detailed-window length per period "
-                               f"(default {defaults.detail_length})")
-    sampling.add_argument("--sample-warmup", type=_positive, default=None,
-                          metavar="N",
-                          help="detailed warm-up positions before each "
-                               f"window (default {defaults.warmup_length})")
-    sampling.add_argument("--sample-error-budget", type=float, default=None,
-                          metavar="FRAC",
-                          help="relative 95%% CI target on cycles; the "
-                               "driver densifies the schedule (or degrades "
-                               "to exact simulation) until it is met "
-                               f"(default {defaults.error_budget})")
-    sampling.add_argument("--sample-seed", type=int, default=None,
-                          metavar="SEED",
-                          help="schedule-offset RNG seed "
-                               f"(default {defaults.seed})")
-    fuzzing = parser.add_argument_group(
-        "fuzz options", "differential program fuzzing (repro.fuzz)")
-    fuzzing.add_argument("--runs", type=_positive, default=50, metavar="N",
-                         help="number of seeded random programs to draw "
-                              "(default 50); --seed selects the first")
-    fuzzing.add_argument("--fuzz-size", type=_positive, default=24,
-                         metavar="N",
-                         help="approximate top-level statements per "
-                              "generated program (default 24)")
-    fuzzing.add_argument("--shrink", action="store_true",
-                         help="delta-debug each failing program to a "
-                              "minimal repro before reporting it")
-    fuzzing.add_argument("--corpus", metavar="DIR", default=None,
-                         help="write each (shrunk) failing program as a "
-                              "replayable JSON repro into this directory")
-    fuzzing.add_argument("--inject-fault", metavar="NAME", default=None,
-                         help="self-test: deliberately perturb one step "
-                              "of the compiled interpreter table, an ALU "
-                              "op or an annotation step (see repro.fuzz."
-                              "harness.FAULTS); the campaign must then "
-                              "FIND divergences — exit 0 iff it does")
-    service = parser.add_argument_group(
-        "service options", "durable simulation service (repro.service): "
-                           "'hidisc serve' runs the daemon, "
-                           "'submit'/'jobs'/'cancel' are its clients")
-    service.add_argument("--host", default="127.0.0.1",
-                         help="serve: interface to bind (default 127.0.0.1)")
-    service.add_argument("--port", type=_non_negative, default=8203,
-                         help="serve: TCP port (default 8203; 0 picks a "
-                              "free port and prints it)")
-    service.add_argument("--url", default=None, metavar="URL",
-                         help="submit/jobs/cancel: service endpoint "
-                              "(default $HIDISC_SERVICE_URL or "
-                              "http://127.0.0.1:8203)")
-    service.add_argument("--workers", type=_non_negative, default=2,
-                         metavar="N",
-                         help="serve: worker processes to supervise "
-                              "(default 2)")
-    service.add_argument("--lease-ttl", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="serve: job lease time-to-live; a worker "
-                              "silent this long loses its job to the "
-                              "reaper (default 30)")
-    service.add_argument("--max-depth", type=_positive, default=64,
-                         metavar="N",
-                         help="serve: admission control — reject new jobs "
-                              "(HTTP 429) past this many pending "
-                              "(default 64)")
-    service.add_argument("--job-attempts", type=_positive, default=3,
-                         metavar="N",
-                         help="serve: executions (failures + expired "
-                              "leases) before a job is quarantined as "
-                              "poison (default 3)")
-    service.add_argument("--retry-backoff", type=float, default=0.5,
-                         metavar="SECONDS",
-                         help="serve: base delay before retrying a failed "
-                              "job, doubling per attempt (default 0.5)")
-    service.add_argument("--drain-grace", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="serve: how long a SIGTERM'd worker may take "
-                              "to checkpoint and release its job before "
-                              "being killed (default 30)")
-    service.add_argument("--benchmarks", metavar="NAMES", default=None,
-                         help="submit: comma-separated benchmark names "
-                              "(default: the full suite for the chosen "
-                              "scale)")
-    service.add_argument("--modes", metavar="MODELS", default=None,
-                         help="submit: comma-separated machine models "
-                              f"(default: all of {', '.join(MODEL_ORDER)})")
-    service.add_argument("--cell-delay", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="submit: sleep after each freshly computed "
-                              "grid cell (testing hook for kill-timing; "
-                              "default 0)")
-    service.add_argument("--follow", action="store_true",
-                         help="submit/jobs <id>: stream the job's JSONL "
-                              "events until it reaches a terminal state")
-    service.add_argument("--wait", action="store_true",
-                         help="submit: block until the job is terminal; "
-                              "exit 0 iff it completed")
-    service.add_argument("--interval", type=float, default=2.0,
-                         metavar="SECONDS",
-                         help="jobs top: refresh period (default 2.0)")
-    service.add_argument("--iterations", type=_non_negative, default=0,
-                         metavar="N",
-                         help="jobs top: stop after N refreshes "
-                              "(default 0 = until Ctrl-C)")
-    bench = parser.add_argument_group(
-        "bench options", "simulator performance snapshots "
-                         "(benchmarks/record.py)")
-    bench.add_argument("--bench-filter", metavar="EXPR", default=None,
-                       help="pytest -k filter selecting benchmark "
-                            "scenarios (default: all)")
-    bench.add_argument("--bench-dir", metavar="DIR", default=None,
-                       help="directory for the BENCH_<date>.json snapshot "
-                            "(default: repository root)")
-    return parser
-
-
-def _run_bench(args, payload: dict) -> int:
-    """The 'bench' command: run the pytest-benchmark suite and append a
-    BENCH_<date>.json snapshot (see benchmarks/record.py)."""
-    import importlib.util
-    from pathlib import Path
-
-    record_py = (Path(__file__).resolve().parents[3]
-                 / "benchmarks" / "record.py")
-    if not record_py.exists():
-        print(f"hidisc bench: {record_py} not found (the benchmark "
-              f"harness ships with the repository, not the installed "
-              f"package)", file=sys.stderr)
-        return 2
-    spec = importlib.util.spec_from_file_location("_hidisc_bench_record",
-                                                  record_py)
-    record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(record)
-
-    raw = record.run_benchmarks(keyword=args.bench_filter)
-    snapshot = record.snapshot_from(raw)
-    out_dir = Path(args.bench_dir) if args.bench_dir else None
-    path = record.append_snapshot(snapshot, out_dir)
-    for name, entry in sorted(snapshot["scenarios"].items()):
-        rate = entry.get("cycles_per_second")
-        rate_text = f"  {rate:>12,.0f} cycles/s" if rate else ""
-        print(f"{name:40s} {entry['mean_seconds'] * 1e3:9.2f} ms{rate_text}")
-    print(f"snapshot ({len(snapshot['scenarios'])} scenarios, commit "
-          f"{snapshot['commit']}) appended to {path}")
-    payload["bench"] = snapshot
-    return 0
-
-
-#: Commands that accept --sample (grid/sweep runs plus single-run stats).
-_SAMPLED_COMMANDS = frozenset(
-    {"table2", "figure8", "figure9", "figure10", "all", "suite", "stats"}
-)
 
 #: The --sample-* tuning flags and the SamplingPlan fields they override.
 _SAMPLE_TUNING = (
@@ -454,9 +148,76 @@ def _positive(text: str) -> int:
     return value
 
 
+# ----------------------------------------------------------------------
+#: One command's handler: (parsed flags, their MachineConfig, progress
+#: callback or None, RunCache or None, the dict --json writes) -> exit code.
+_Handler = Callable[[argparse.Namespace, MachineConfig, ProgressFn | None,
+                     RunCache | None, dict], int]
+
+
+def _run_table1(args, config, progress, cache, payload) -> int:
+    """The 'table1' command: the simulation parameters of *config*."""
+    print("Table 1: Simulation parameters")
+    print(table1(config))
+    payload["table1"] = [list(row) for row in config.describe()]
+    return 0
+
+
+def _run_grid(args, config, progress, cache, payload) -> int:
+    """'suite', 'table2', 'figure8', 'figure9' and 'all': run the grid and
+    render what the command names from it.  'all' adds Figure 10, replaying
+    the grid's compilations, and Table 1."""
+    suite = run_suite(config, quick=args.quick, seed=args.seed,
+                      progress=progress, jobs=args.jobs, cache=cache,
+                      verify=args.verify, resume=args.resume,
+                      sampling=_sampling_plan(args))
+    payload["suite"] = suite.to_payload()
+    if args.command == "suite":
+        for bench in suite.benchmarks.values():
+            for result in bench.results.values():
+                label = sampling_label(result)
+                suffix = f"  [{label}]" if label != "full" else ""
+                print(result.summary() + suffix)
+        print(f"\nsuite of {len(suite.benchmarks)} benchmarks in "
+              f"{suite.elapsed_seconds:.1f}s "
+              f"(mean HiDISC speedup "
+              f"{suite.mean_speedup('hidisc'):.3f})")
+    if args.command in ("figure8", "all"):
+        print(figure8(suite).render())
+        print()
+    if args.command in ("table2", "all"):
+        print(table2(suite).render())
+        print()
+    if args.command in ("figure9", "all"):
+        print(figure9(suite).render())
+        print()
+    if args.command == "all":
+        compiled = {name: bench.compiled
+                    for name, bench in suite.benchmarks.items()}
+        _run_figure10(args, config, progress, cache, payload, compiled)
+        print("\nTable 1: Simulation parameters")
+        print(table1(config))
+    return 0
+
+
+def _run_figure10(args, config, progress, cache, payload,
+                  compiled: dict | None = None) -> int:
+    """The 'figure10' command: the latency sweep.  *compiled* hands over
+    the preparations of a grid that already ran ('hidisc all')."""
+    fig10 = figure10(config, quick=args.quick, seed=args.seed,
+                     progress=progress, compiled=compiled,
+                     jobs=args.jobs, cache=cache, verify=args.verify,
+                     sampling=_sampling_plan(args))
+    payload["figure10"] = {"latencies": list(fig10.latencies),
+                           "ipc": fig10.ipc}
+    print(fig10.render())
+    return 0
+
+
 def _profile_single(args, config: MachineConfig, progress,
                     telemetry: Telemetry, cache: RunCache | None):
-    """Shared stats/trace path: compile one benchmark, run one model."""
+    """Shared stats/trace/lifecycle path: compile one benchmark, run one
+    model."""
     workload = get_workload(args.bench, quick=args.quick, seed=args.seed)
     if progress:
         progress(f"preparing {workload.name} ...")
@@ -469,8 +230,116 @@ def _profile_single(args, config: MachineConfig, progress,
                      verify=args.verify, sampling=_sampling_plan(args))
 
 
-def _run_faults(args, config: MachineConfig, progress,
-                cache: RunCache | None, payload: dict) -> int:
+def _stats_payload(result, telemetry: Telemetry) -> dict:
+    return {
+        "machine": result.machine,
+        "benchmark": result.benchmark,
+        "cycles": result.cycles,
+        "ipc": result.ipc,
+        "work_instructions": result.work_instructions,
+        "committed": dict(result.committed),
+        "cpi_stacks": result.cpi_stacks,
+        "lod_cycles": result.loss_of_decoupling_cycles(),
+        "lod_breakdown": result.stall_breakdown(),
+        "l1": result.l1.as_dict(),
+        "l2": result.l2.as_dict(),
+        "cmas_threads_forked": result.cmas_threads_forked,
+        "cmas_threads_dropped": result.cmas_threads_dropped,
+        "samples": [s.as_dict() for s in telemetry.samples],
+    }
+
+
+def _run_stats(args, config, progress, cache, payload) -> int:
+    """The 'stats' command: one run's CPI stacks, loss-of-decoupling
+    breakdown and occupancy samples."""
+    telemetry = Telemetry.from_config(
+        TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
+                        heartbeat_interval=args.heartbeat))
+    result = _profile_single(args, config, progress, telemetry, cache)
+    print(render_run_stats(result))
+    payload["stats"] = _stats_payload(result, telemetry)
+    return 0
+
+
+def _run_trace(args, config, progress, cache, payload) -> int:
+    """The 'trace' command: one run's event stream as a Chrome/Perfetto
+    trace or JSONL."""
+    fmt, out = args.trace_format, args.out
+    telemetry = Telemetry.from_config(
+        TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
+                        trace_format=fmt, heartbeat_interval=args.heartbeat),
+        trace_path=out)
+    result = _profile_single(args, config, progress, telemetry, cache)
+    telemetry.close()
+    print(render_run_stats(result))
+    count = getattr(telemetry.sink, "event_count", None)
+    suffix = f" ({count} events)" if count is not None else ""
+    hint = (" — open in https://ui.perfetto.dev or chrome://tracing"
+            if fmt == "chrome" else "")
+    print(f"\ntrace written to {out}{suffix}{hint}")
+    payload["trace"] = {"path": str(out),
+                        "format": fmt,
+                        "events": count}
+    payload["stats"] = _stats_payload(result, telemetry)
+    return 0
+
+
+def _run_lifecycle(args, config, progress, cache, payload) -> int:
+    """The 'lifecycle' command: per-instruction stage tracing + export.
+
+    Runs one benchmark/model with a :class:`LifecycleCollector`, writes
+    the records in the requested format (Konata pipeline log, Chrome
+    per-instruction spans, or raw JSONL) and prints the critical-path
+    attribution table.
+    """
+    fmt = args.trace_format
+    out = args.out or _LIFECYCLE_OUT[fmt]
+    lifecycle = LifecycleCollector(
+        max_records=args.lifecycle_limit or None,
+        jsonl_path=out if fmt == "jsonl" else None,
+    )
+    heartbeat = Heartbeat(args.heartbeat) if args.heartbeat else None
+    telemetry = Telemetry(cpi=True, sample_interval=args.occupancy_interval,
+                          lifecycle=lifecycle, heartbeat=heartbeat)
+    result = _profile_single(args, config, progress, telemetry, cache)
+    telemetry.close()
+
+    rows = lifecycle.rows()
+    if fmt == "kanata":
+        write_konata(rows, out)
+        hint = " — open in Konata (https://github.com/shioyadan/Konata)"
+    elif fmt == "chrome":
+        sink = ChromeTraceSink(out)
+        lifecycle_to_chrome(rows, sink)
+        sink.close()
+        hint = " — open in https://ui.perfetto.dev or chrome://tracing"
+    else:  # jsonl — already streamed by the collector at commit time
+        hint = ""
+
+    summary = critical_path_by_pc(rows)
+    print(render_run_stats(result))
+    print(f"\nCritical-path attribution (top {args.top} static "
+          f"instructions by total commit latency):")
+    print(render_critical_path(summary, limit=args.top))
+    dropped = (f", {lifecycle.dropped} dropped by --lifecycle-limit"
+               if lifecycle.dropped else "")
+    print(f"\n{lifecycle.committed} instructions captured{dropped}; "
+          f"{len(rows)} written to {out} ({fmt}){hint}")
+    payload["lifecycle"] = {
+        "benchmark": result.benchmark,
+        "model": result.machine,
+        "cycles": result.cycles,
+        "captured": lifecycle.committed,
+        "dropped": lifecycle.dropped,
+        "format": fmt,
+        "records": rows,
+        "critical_path": summary[:args.top],
+    }
+    payload["stats"] = _stats_payload(result, telemetry)
+    return 0
+
+
+def _run_faults(args, config, progress, cache, payload) -> int:
     """The 'faults' command: a seeded campaign over benchmarks x models.
 
     Returns the process exit code: 0 when every run degraded gracefully
@@ -523,7 +392,7 @@ def _run_faults(args, config: MachineConfig, progress,
     return 0 if graceful else 1
 
 
-def _run_fuzz(args, config: MachineConfig, progress, payload: dict) -> int:
+def _run_fuzz(args, config, progress, cache, payload) -> int:
     """The 'fuzz' command: a differential fuzzing campaign.
 
     Exit code semantics flip with --inject-fault: a clean toolchain run
@@ -568,108 +437,76 @@ def _run_fuzz(args, config: MachineConfig, progress, payload: dict) -> int:
     return 0 if not found else 1
 
 
-def _run_lifecycle(args, config: MachineConfig, progress,
-                   cache: RunCache | None, payload: dict) -> int:
-    """The 'lifecycle' command: per-instruction stage tracing + export.
-
-    Runs one benchmark/model with a :class:`LifecycleCollector`, writes
-    the records in the requested format (Konata pipeline log, Chrome
-    per-instruction spans, or raw JSONL) and prints the critical-path
-    attribution table.
-    """
-    fmt = args.trace_format or "kanata"
-    out = args.out or _LIFECYCLE_OUT[fmt]
-    lifecycle = LifecycleCollector(
-        max_records=args.lifecycle_limit or None,
-        jsonl_path=out if fmt == "jsonl" else None,
-    )
-    heartbeat = Heartbeat(args.heartbeat) if args.heartbeat else None
-    telemetry = Telemetry(cpi=True, sample_interval=args.occupancy_interval,
-                          lifecycle=lifecycle, heartbeat=heartbeat)
-    result = _profile_single(args, config, progress, telemetry, cache)
-    telemetry.close()
-
-    rows = lifecycle.rows()
-    if fmt == "kanata":
-        write_konata(rows, out)
-        hint = " — open in Konata (https://github.com/shioyadan/Konata)"
-    elif fmt == "chrome":
-        sink = ChromeTraceSink(out)
-        lifecycle_to_chrome(rows, sink)
-        sink.close()
-        hint = " — open in https://ui.perfetto.dev or chrome://tracing"
-    else:  # jsonl — already streamed by the collector at commit time
-        hint = ""
-
-    summary = critical_path_by_pc(rows)
-    print(render_run_stats(result))
-    print(f"\nCritical-path attribution (top {args.top} static "
-          f"instructions by total commit latency):")
-    print(render_critical_path(summary, limit=args.top))
-    dropped = (f", {lifecycle.dropped} dropped by --lifecycle-limit"
-               if lifecycle.dropped else "")
-    print(f"\n{lifecycle.committed} instructions captured{dropped}; "
-          f"{len(rows)} written to {out} ({fmt}){hint}")
-    payload["lifecycle"] = {
-        "benchmark": result.benchmark,
-        "model": result.machine,
-        "cycles": result.cycles,
-        "captured": lifecycle.committed,
-        "dropped": lifecycle.dropped,
-        "format": fmt,
-        "records": rows,
-        "critical_path": summary[:args.top],
-    }
-    payload["stats"] = _stats_payload(result, telemetry)
-    return 0
-
-
-def _run_diff(args, payload: dict) -> int:
+def _run_diff(args, config, progress, cache, payload) -> int:
     """The 'diff' command: compare two run/suite JSON payloads.
 
     Returns 0 when the payloads are identical (modulo wall-clock keys),
-    1 when they diverge — so CI can gate on it directly.
+    1 when they diverge — so CI can gate on it directly — and 2 when a
+    payload is missing, unreadable or not JSON.
     """
-    path_a, path_b = args.cache_action, args.diff_b
-    a = load_payload(path_a)
-    b = load_payload(path_b)
-    report = diff_payloads(a, b)
+    path_a, path_b = args.payload_a, args.payload_b
+    loaded = []
+    for path in (path_a, path_b):
+        try:
+            loaded.append(load_payload(path))
+        except (OSError, ValueError) as exc:
+            print(f"hidisc diff: cannot load {path}: {exc}", file=sys.stderr)
+            return 2
+    report = diff_payloads(*loaded)
     print(f"diff {path_a} vs {path_b}:")
     print(render_diff(report, name_a=path_a, name_b=path_b))
     payload["diff"] = report
     return 0 if report["identical"] else 1
 
 
-def _run_runs(args, payload: dict) -> int:
+def _run_cache(args, config, progress, cache, payload) -> int:
+    """The 'cache' command: show the run cache's size, or clear it."""
+    if args.action == "clear":
+        removed = cache.clear()
+        print(f"cache cleared: {removed} entries removed from "
+              f"{cache.root}")
+        payload["cache"] = {"cleared": removed, "root": str(cache.root)}
+        return 0
+    stats = cache.stats()
+    print(f"cache at {stats['root']}: {stats['entries']} entries, "
+          f"{stats['total_bytes']} bytes; suite checkpoints: "
+          f"{stats['suite_cells']} cells, "
+          f"{stats['suite_bytes']} bytes; service spool: "
+          f"{stats['service_files']} files, "
+          f"{stats['service_bytes']} bytes")
+    payload["cache"] = stats
+    return 0
+
+
+def _run_runs(args, config, progress, cache, payload) -> int:
     """The 'runs' command: render the persistent run ledger.
 
     ``list`` shows the newest entries, ``show`` dumps one record as JSON,
     ``report`` renders its metrics/span digest plus a regression check
     against the most recent earlier run of the same command.
     """
-    ledger = RunLedger(ledger_path(RunCache(args.cache_dir).root))
-    action = args.cache_action or "list"
-    if action == "list":
+    ledger = RunLedger(ledger_path(cache.root))
+    if args.action == "list":
         entries = ledger.entries(limit=args.limit)
         print(f"ledger at {ledger.path}:")
         print(render_runs_list(entries))
         payload["runs"] = entries
         return 0
-    if args.diff_b:
-        entry = ledger.find(args.diff_b)
+    if args.run_id:
+        entry = ledger.find(args.run_id)
         if entry is None:
-            print(f"hidisc runs {action}: no ledger entry matching "
-                  f"{args.diff_b!r} in {ledger.path}", file=sys.stderr)
+            print(f"hidisc runs {args.action}: no ledger entry matching "
+                  f"{args.run_id!r} in {ledger.path}", file=sys.stderr)
             return 2
     else:
         newest = ledger.entries(limit=1)
         if not newest:
-            print(f"hidisc runs {action}: ledger at {ledger.path} is "
+            print(f"hidisc runs {args.action}: ledger at {ledger.path} is "
                   f"empty — run any experiment command first",
                   file=sys.stderr)
             return 2
         entry = newest[-1]
-    if action == "show":
+    if args.action == "show":
         print(json.dumps(entry, indent=2, sort_keys=True))
         payload["runs"] = [entry]
         return 0
@@ -685,9 +522,44 @@ def _run_runs(args, payload: dict) -> int:
     return 0
 
 
-def _service_url(args) -> str:
-    return (args.url or os.environ.get("HIDISC_SERVICE_URL")
-            or "http://127.0.0.1:8203")
+def _run_serve(args, config, progress, cache, payload) -> int:
+    """The 'serve' command: run the durable simulation service daemon.
+
+    SIGTERM/SIGINT drains gracefully: workers finish/checkpoint their
+    in-flight cell, release their jobs back to pending, and the daemon
+    exits 0; nothing is left in ``leased/``.  A later ``hidisc serve``
+    resumes released jobs from their suite checkpoints.
+    """
+    from ..service import SERVICE_DIR, ServiceServer
+
+    server = ServiceServer(
+        cache.root / SERVICE_DIR, host=args.host, port=args.port,
+        workers=args.workers, lease_ttl=args.lease_ttl,
+        max_depth=args.max_depth, max_attempts=args.job_attempts,
+        retry_backoff=args.retry_backoff, drain_grace=args.drain_grace)
+    server.start()
+    with GracefulInterrupt() as interrupt_ctx:
+        code = server.serve_forever(interrupt_ctx=interrupt_ctx)
+    payload["serve"] = server.health()
+    return code
+
+
+# The service clients ('submit', 'jobs', 'cancel') raise ServiceError on
+# any refusal; main() maps it onto the exit code in one place.
+
+def _client(args):
+    from ..service import ServiceClient
+
+    return ServiceClient(args.url or os.environ.get("HIDISC_SERVICE_URL")
+                         or "http://127.0.0.1:8203")
+
+
+def _event_line(event: dict) -> str:
+    kind = event.get("kind", "?")
+    rest = {k: v for k, v in event.items() if k not in ("kind", "t")}
+    detail = " ".join(f"{k}={v}" for k, v in sorted(rest.items()))
+    return f"[{event.get('t', 0):.3f}] {kind}" + (f" {detail}" if detail
+                                                  else "")
 
 
 def _split_names(text: str | None) -> list[str] | None:
@@ -711,38 +583,81 @@ def _submit_spec(args) -> dict:
     return spec
 
 
-def _run_serve(args, progress, payload: dict) -> int:
-    """The 'serve' command: run the durable simulation service daemon.
+def _run_submit(args, config, progress, cache, payload) -> int:
+    """The 'submit' command: queue a suite job; with --follow or --wait,
+    see it through and exit 0 iff it completed."""
+    client = _client(args)
+    # Send a trace context beside the spec so the stitched job trace gets
+    # a client lane; it never affects dedup.
+    trace = {"pid": os.getpid(), "span": f"{os.getpid():x}.submit",
+             "t_ns": time.time_ns()}
+    response = client.submit(_submit_spec(args), trace=trace)
+    job_id = response["job_id"]
+    payload["submit"] = response
+    if response.get("created"):
+        print(f"job {job_id}: submitted")
+    else:
+        print(f"job {job_id}: joined an identical in-flight job "
+              f"({response.get('submitted')} submissions share it)")
+    if not (args.follow or args.wait):
+        return 0
+    if args.follow:
+        for event in client.events(job_id, follow=True):
+            print(_event_line(event))
+        record = client.job(job_id)
+    else:
+        record = client.wait(job_id)
+    payload["job"] = record
+    state, job_outcome = record.get("state"), record.get("outcome")
+    print(f"job {job_id}: {state}"
+          + (f" ({job_outcome})" if job_outcome else ""))
+    if record.get("error"):
+        print(f"  error: {record['error']}", file=sys.stderr)
+    if state == "done":
+        payload["result"] = client.result(job_id)
+        return 0
+    return 1
 
-    SIGTERM/SIGINT drains gracefully: workers finish/checkpoint their
-    in-flight cell, release their jobs back to pending, and the daemon
-    exits 0; nothing is left in ``leased/``.  A later ``hidisc serve``
-    resumes released jobs from their suite checkpoints.
-    """
-    from ..service import SERVICE_DIR, ServiceServer
 
-    root = RunCache(args.cache_dir).root / SERVICE_DIR
-    server = ServiceServer(
-        root, host=args.host, port=args.port, workers=args.workers,
-        lease_ttl=args.lease_ttl, max_depth=args.max_depth,
-        max_attempts=args.job_attempts, retry_backoff=args.retry_backoff,
-        drain_grace=args.drain_grace)
-    server.start()
-    with GracefulInterrupt() as interrupt_ctx:
-        code = server.serve_forever(interrupt_ctx=interrupt_ctx)
-    payload["serve"] = server.health()
-    return code
+def _run_jobs(args, config, progress, cache, payload) -> int:
+    """The 'jobs' command: list every job, inspect one ('jobs <id>'),
+    watch the fleet ('jobs top') or stitch one job's trace ('jobs trace
+    <id>')."""
+    if args.target == "trace":
+        return _run_jobs_trace(args, cache, payload)
+    client = _client(args)
+    if args.target == "top":
+        from ..service import run_top
+
+        return run_top(client, interval=args.interval,
+                       iterations=args.iterations)
+    if args.target is None:
+        jobs = client.jobs()
+        payload["jobs"] = jobs
+        if not jobs:
+            print("no jobs")
+            return 0
+        for job in jobs:
+            grid = (",".join(job["benchmarks"])
+                    if job.get("benchmarks") else "suite")
+            state = job["state"] + (f"/{job['outcome']}"
+                                    if job.get("outcome") else "")
+            print(f"{job['job_id']}  {state:22s} "
+                  f"attempts={job['attempts']} "
+                  f"cells={job['cells_done']}  {grid} "
+                  f"x {','.join(job.get('modes') or [])}"
+                  + ("  [quick]" if job.get("quick") else ""))
+        return 0
+    if args.follow:
+        for event in client.events(args.target, follow=True):
+            print(_event_line(event))
+    record = client.job(args.target)
+    payload["job"] = record
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 0
 
 
-def _event_line(event: dict) -> str:
-    kind = event.get("kind", "?")
-    rest = {k: v for k, v in event.items() if k not in ("kind", "t")}
-    detail = " ".join(f"{k}={v}" for k, v in sorted(rest.items()))
-    return f"[{event.get('t', 0):.3f}] {kind}" + (f" {detail}" if detail
-                                                  else "")
-
-
-def _run_jobs_trace(args, payload: dict) -> int:
+def _run_jobs_trace(args, cache: RunCache, payload: dict) -> int:
     """'jobs trace <id>': stitch one job's cross-process Perfetto trace.
 
     Reads the spool directly (job traces are about durable history, so
@@ -750,196 +665,358 @@ def _run_jobs_trace(args, payload: dict) -> int:
     is enough) and writes a single trace with client, queue and worker
     lanes, plus a span digest on stdout.
     """
-    from ..errors import ServiceError
     from ..service import SERVICE_DIR, JobQueue, resolve_job_id, \
         stitch_job_trace
 
-    queue = JobQueue(RunCache(args.cache_dir).root / SERVICE_DIR)
-    out = args.out or "hidisc_job_trace.json"
-    try:
-        job_id = resolve_job_id(queue, args.diff_b)
-        records, lane_names = stitch_job_trace(queue, job_id)
-    except ServiceError as exc:
-        print(f"hidisc jobs trace: {exc}", file=sys.stderr)
-        return 2
-    count = spans.write_orchestration_trace(records, out,
+    queue = JobQueue(cache.root / SERVICE_DIR)
+    job_id = resolve_job_id(queue, args.job_id)
+    records, lane_names = stitch_job_trace(queue, job_id)
+    count = spans.write_orchestration_trace(records, args.out,
                                             lane_names=lane_names)
     digest = spans.summarize(records)
     lanes = len(lane_names)
     print(f"job {job_id}: {count} events across {lanes} lanes "
-          f"written to {out} — open in https://ui.perfetto.dev")
+          f"written to {args.out} — open in https://ui.perfetto.dev")
     for cat in sorted(digest["by_category"]):
         entry = digest["by_category"][cat]
         print(f"  {cat:12s} {entry['count']:5d} spans "
               f"{entry['ms']:10.1f} ms total")
-    payload["job_trace"] = {"job_id": job_id, "path": out,
+    payload["job_trace"] = {"job_id": job_id, "path": args.out,
                             "events": count, "lanes": lanes,
                             "summary": digest}
     return 0
 
 
-def _run_service_client(args, payload: dict) -> int:
-    """'submit', 'jobs' and 'cancel': thin clients for a running daemon."""
-    from ..errors import BackpressureError, ServiceError
-    from ..service import ServiceClient, run_top
-
-    client = ServiceClient(_service_url(args))
-    try:
-        if args.command == "cancel":
-            response = client.cancel(args.cache_action)
-            print(f"job {response['job_id']}: cancellation requested "
-                  f"(state: {response['state']})")
-            payload["cancel"] = response
-            return 0
-        if args.command == "jobs":
-            if args.cache_action == "top":
-                return run_top(client, interval=args.interval,
-                               iterations=args.iterations)
-            if args.cache_action is None:
-                jobs = client.jobs()
-                payload["jobs"] = jobs
-                if not jobs:
-                    print("no jobs")
-                    return 0
-                for job in jobs:
-                    grid = (",".join(job["benchmarks"])
-                            if job.get("benchmarks") else "suite")
-                    state = job["state"] + (f"/{job['outcome']}"
-                                            if job.get("outcome") else "")
-                    print(f"{job['job_id']}  {state:22s} "
-                          f"attempts={job['attempts']} "
-                          f"cells={job['cells_done']}  {grid} "
-                          f"x {','.join(job.get('modes') or [])}"
-                          + ("  [quick]" if job.get("quick") else ""))
-                return 0
-            if args.follow:
-                for event in client.events(args.cache_action, follow=True):
-                    print(_event_line(event))
-            record = client.job(args.cache_action)
-            payload["job"] = record
-            print(json.dumps(record, indent=2, sort_keys=True))
-            return 0
-        # submit — send a trace context beside the spec so the stitched
-        # job trace gets a client lane; it never affects dedup.
-        trace = {"pid": os.getpid(), "span": f"{os.getpid():x}.submit",
-                 "t_ns": time.time_ns()}
-        response = client.submit(_submit_spec(args), trace=trace)
-        job_id = response["job_id"]
-        payload["submit"] = response
-        if response.get("created"):
-            print(f"job {job_id}: submitted")
-        else:
-            print(f"job {job_id}: joined an identical in-flight job "
-                  f"({response.get('submitted')} submissions share it)")
-        if not (args.follow or args.wait):
-            return 0
-        if args.follow:
-            for event in client.events(job_id, follow=True):
-                print(_event_line(event))
-            record = client.job(job_id)
-        else:
-            record = client.wait(job_id)
-        payload["job"] = record
-        state, job_outcome = record.get("state"), record.get("outcome")
-        print(f"job {job_id}: {state}"
-              + (f" ({job_outcome})" if job_outcome else ""))
-        if record.get("error"):
-            print(f"  error: {record['error']}", file=sys.stderr)
-        if state == "done":
-            payload["result"] = client.result(job_id)
-            return 0
-        return 1
-    except BackpressureError as exc:
-        print(f"hidisc {args.command}: {exc}", file=sys.stderr)
-        return 75  # EX_TEMPFAIL: retry after the backlog drains
-    except ServiceError as exc:
-        print(f"hidisc {args.command}: {exc}", file=sys.stderr)
-        return 2
+def _run_cancel(args, config, progress, cache, payload) -> int:
+    """The 'cancel' command: request cancellation of one job."""
+    response = _client(args).cancel(args.job_id)
+    print(f"job {response['job_id']}: cancellation requested "
+          f"(state: {response['state']})")
+    payload["cancel"] = response
+    return 0
 
 
-def _stats_payload(result, telemetry: Telemetry) -> dict:
-    return {
-        "machine": result.machine,
-        "benchmark": result.benchmark,
-        "cycles": result.cycles,
-        "ipc": result.ipc,
-        "work_instructions": result.work_instructions,
-        "committed": dict(result.committed),
-        "cpi_stacks": result.cpi_stacks,
-        "lod_cycles": result.loss_of_decoupling_cycles(),
-        "lod_breakdown": result.stall_breakdown(),
-        "l1": result.l1.as_dict(),
-        "l2": result.l2.as_dict(),
-        "cmas_threads_forked": result.cmas_threads_forked,
-        "cmas_threads_dropped": result.cmas_threads_dropped,
-        "samples": [s.as_dict() for s in telemetry.samples],
-    }
+# ----------------------------------------------------------------------
+# The command table.
+
+def _flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A flag set shared by several commands: an argparse parent parser."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="hidisc",
+        description="Reproduce the evaluation of 'HiDISC: A Decoupled "
+                    "Architecture for Data-Intensive Applications' "
+                    "(IPDPS 2003).",
+    )
+    # main(), _validate and the ledger read these on every command; a
+    # command without the flag gets the value that leaves it off.
+    parser.set_defaults(cache_dir=None, no_cache=False, max_cycles=None,
+                        orch_trace=None, quick=False, jobs=1, sample=False,
+                        **{attr: None for attr, _ in _SAMPLE_TUNING})
+    commands = parser.add_subparsers(
+        dest="command", required=True, metavar="command",
+        help="'hidisc <command> --help' lists the flags of one command")
+
+    common = _flags()
+    common.add_argument("--json", metavar="PATH", default=None,
+                        help="also dump raw results as JSON")
+    common.add_argument("--no-progress", action="store_true",
+                        help="suppress progress messages on stderr")
+    cache_dir = _flags()
+    cache_dir.add_argument("--cache-dir", metavar="PATH", default=None,
+                           help="run-cache directory (default "
+                                "$HIDISC_CACHE_DIR or ~/.cache/hidisc)")
+    seed = _flags()
+    seed.add_argument("--seed", type=int, default=2003,
+                      help="workload generator seed (default 2003)")
+    quick = _flags()
+    quick.add_argument("--quick", action="store_true",
+                       help="scaled-down inputs (seconds instead of minutes)")
+    verify = _flags()
+    verify.add_argument("--verify", action="store_true",
+                        help="referee every timing run with the "
+                             "co-simulation oracle (commit-stream "
+                             "integrity + functional state diff)")
+    run = _flags(cache_dir, seed)
+    run.add_argument("--no-cache", action="store_true",
+                     help="disable the persistent compilation cache")
+    run.add_argument("--max-cycles", type=_positive, default=None,
+                     metavar="N",
+                     help="cycle budget per timing run (default "
+                          f"{MachineConfig().max_cycles}; a run "
+                          "exceeding it raises CycleLimitError)")
+    run.add_argument("--orch-trace", metavar="PATH", default=None,
+                     help="record host orchestration spans (prepare, "
+                          "pool rounds, cache/checkpoint traffic, "
+                          "per-worker lanes) and write a "
+                          "Perfetto-loadable trace_event JSON here")
+    sweep = _flags(run, quick, verify)
+    sweep.add_argument("--jobs", type=_non_negative, default=1, metavar="N",
+                       help="worker processes for the experiment grid "
+                            "(default 1 = serial, 0 = all CPUs)")
+    defaults = SamplingPlan()
+    sampled = _flags()
+    sampling = sampled.add_argument_group(
+        "sampling options",
+        "SMARTS-style sampled simulation (repro.sim.sampling): "
+        "fast-forward by functional warming, simulate short detailed "
+        "windows, extrapolate cycles with a measured confidence "
+        "interval.  Mutually exclusive with --verify.")
+    sampling.add_argument("--sample", action="store_true",
+                          help="run every timing simulation through the "
+                               "sampled-interval driver (results carry "
+                               "sampled=True plus the exact schedule and "
+                               "error bars)")
+    sampling.add_argument("--sample-interval", type=_positive, default=None,
+                          metavar="N",
+                          help="sampling period in trace positions "
+                               f"(default {defaults.interval_length})")
+    sampling.add_argument("--sample-detail", type=_positive, default=None,
+                          metavar="N",
+                          help="detailed-window length per period "
+                               f"(default {defaults.detail_length})")
+    sampling.add_argument("--sample-warmup", type=_positive, default=None,
+                          metavar="N",
+                          help="detailed warm-up positions before each "
+                               f"window (default {defaults.warmup_length})")
+    sampling.add_argument("--sample-error-budget", type=float, default=None,
+                          metavar="FRAC",
+                          help="relative 95%% CI target on cycles; the "
+                               "driver densifies the schedule (or degrades "
+                               "to exact simulation) until it is met "
+                               f"(default {defaults.error_budget})")
+    sampling.add_argument("--sample-seed", type=int, default=None,
+                          metavar="SEED",
+                          help="schedule-offset RNG seed "
+                               f"(default {defaults.seed})")
+    profile = _flags(run, quick, verify)
+    profile.add_argument("--bench", default="pointer",
+                         choices=sorted(WORKLOADS_BY_NAME),
+                         help="benchmark to profile (default pointer)")
+    profile.add_argument("--model", default="hidisc", choices=MODEL_ORDER,
+                         help="machine model to profile (default hidisc)")
+    profile.add_argument("--occupancy-interval", type=_non_negative,
+                         default=128, metavar="CYCLES",
+                         help="occupancy sampling period in cycles, "
+                              "0 disables (default 128)")
+    profile.add_argument("--heartbeat", type=_non_negative, default=0,
+                         metavar="CYCLES",
+                         help="emit a live status line (cycle, IPC, queue "
+                              "depths, host cycles/s) on stderr every N "
+                              "simulated cycles; 0 disables (default)")
+    url = _flags()
+    url.add_argument("--url", default=None, metavar="URL",
+                     help="service endpoint (default $HIDISC_SERVICE_URL "
+                          "or http://127.0.0.1:8203)")
+    follow = _flags()
+    follow.add_argument("--follow", action="store_true",
+                        help="stream the job's JSONL events until it "
+                             "reaches a terminal state")
+
+    def command(name: str, handler: _Handler, help: str, *parents,
+                ledger=False, interruptible=False):
+        sub = commands.add_parser(name, parents=[common, *parents],
+                                  help=help, description=help)
+        sub.set_defaults(handler=handler, ledger=ledger,
+                         interruptible=interruptible)
+        return sub
+
+    command("table1", _run_table1, "Table 1: simulation parameters")
+    for name, help in (("table2", "Table 2: mean speed-up per model"),
+                       ("figure8", "Figure 8: speed-up over the baseline"),
+                       ("figure9", "Figure 9: L1 miss rate vs. the baseline"),
+                       ("all", "every table and figure"),
+                       ("suite", "the raw benchmark x model grid")):
+        sub = command(name, _run_grid, help, sweep, sampled, ledger=True,
+                      interruptible=True)
+        sub.add_argument("--resume", action="store_true",
+                         help="load the checkpointed cells of an "
+                              "interrupted run and simulate only the "
+                              "missing ones")
+    command("figure10", _run_figure10,
+            "Figure 10: IPC versus L2/memory latency", sweep, sampled,
+            ledger=True, interruptible=True)
+    command("stats", _run_stats,
+            "profile one run: CPI stacks and occupancy samples",
+            profile, sampled, ledger=True)
+    sub = command("trace", _run_trace,
+                  "profile one run into a Chrome/Perfetto or JSONL trace",
+                  profile, ledger=True)
+    sub.add_argument("--out", metavar="PATH", default="hidisc_trace.json",
+                     help="output file (default hidisc_trace.json)")
+    sub.add_argument("--format", dest="trace_format", default="chrome",
+                     choices=("chrome", "jsonl"),
+                     help="output format: Chrome/Perfetto trace_event "
+                          "JSON or JSONL (default chrome)")
+    sub = command("lifecycle", _run_lifecycle,
+                  "trace every instruction's pipeline stages in one run",
+                  profile, ledger=True)
+    sub.add_argument("--out", metavar="PATH", default=None,
+                     help="output file (default follows the format: "
+                          "hidisc.kanata / hidisc_lifecycle.jsonl / "
+                          "hidisc_lifecycle.json)")
+    sub.add_argument("--format", dest="trace_format", default="kanata",
+                     choices=("kanata", "chrome", "jsonl"),
+                     help="output format: a Konata pipeline-viewer log, "
+                          "Chrome/Perfetto per-instruction spans, or "
+                          "JSONL (default kanata)")
+    sub.add_argument("--lifecycle-limit", type=_non_negative, default=0,
+                     metavar="N",
+                     help="keep only the newest N lifecycle records "
+                          "(ring buffer); 0 keeps all (default)")
+    sub.add_argument("--top", type=_positive, default=12, metavar="N",
+                     help="rows in the critical-path table (default 12)")
+    sub = command("faults", _run_faults, "seeded fault-injection campaigns "
+                  "(repro.resilience)", run, quick, ledger=True,
+                  interruptible=True)
+    sub.add_argument("--fault-seed", type=int, default=2003, metavar="SEED",
+                     help="FaultPlan seed (default 2003); the same seed "
+                          "always injects the same faults")
+    sub.add_argument("--fault-count", type=_non_negative, default=8,
+                     metavar="N",
+                     help="number of fault sites to draw (default 8)")
+    sub.add_argument("--fault-benches", metavar="NAMES", default=None,
+                     help="comma-separated benchmark names to campaign "
+                          "over (default: every suite benchmark)")
+    sub = command("fuzz", _run_fuzz,
+                  "differential program fuzzing (repro.fuzz)", run,
+                  ledger=True)
+    sub.add_argument("--runs", type=_positive, default=50, metavar="N",
+                     help="number of seeded random programs to draw "
+                          "(default 50); --seed selects the first")
+    sub.add_argument("--fuzz-size", type=_positive, default=24, metavar="N",
+                     help="approximate top-level statements per "
+                          "generated program (default 24)")
+    sub.add_argument("--shrink", action="store_true",
+                     help="delta-debug each failing program to a minimal "
+                          "repro before reporting it")
+    sub.add_argument("--corpus", metavar="DIR", default=None,
+                     help="write each (shrunk) failing program as a "
+                          "replayable JSON repro into this directory")
+    sub.add_argument("--inject-fault", metavar="NAME", default=None,
+                     help="self-test: deliberately perturb one step of "
+                          "the compiled interpreter table, an ALU op or "
+                          "an annotation step (see repro.fuzz.harness."
+                          "FAULTS); the campaign must then FIND "
+                          "divergences — exit 0 iff it does")
+    sub = command("serve", _run_serve, "run the durable simulation service "
+                  "daemon (repro.service)", cache_dir, ledger=True)
+    sub.add_argument("--host", default="127.0.0.1",
+                     help="interface to bind (default 127.0.0.1)")
+    sub.add_argument("--port", type=_non_negative, default=8203,
+                     help="TCP port (default 8203; 0 picks a free port "
+                          "and prints it)")
+    sub.add_argument("--workers", type=_non_negative, default=2,
+                     metavar="N",
+                     help="worker processes to supervise (default 2)")
+    sub.add_argument("--lease-ttl", type=float, default=30.0,
+                     metavar="SECONDS",
+                     help="job lease time-to-live; a worker silent this "
+                          "long loses its job to the reaper (default 30)")
+    sub.add_argument("--max-depth", type=_positive, default=64, metavar="N",
+                     help="admission control — reject new jobs (HTTP 429) "
+                          "past this many pending (default 64)")
+    sub.add_argument("--job-attempts", type=_positive, default=3,
+                     metavar="N",
+                     help="executions (failures + expired leases) before a "
+                          "job is quarantined as poison (default 3)")
+    sub.add_argument("--retry-backoff", type=float, default=0.5,
+                     metavar="SECONDS",
+                     help="base delay before retrying a failed job, "
+                          "doubling per attempt (default 0.5)")
+    sub.add_argument("--drain-grace", type=float, default=30.0,
+                     metavar="SECONDS",
+                     help="how long a SIGTERM'd worker may take to "
+                          "checkpoint and release its job before being "
+                          "killed (default 30)")
+    sub = command("submit", _run_submit, "queue a suite job on a 'hidisc "
+                  "serve' daemon", url, seed, quick, verify, follow)
+    sub.add_argument("--wait", action="store_true",
+                     help="block until the job is terminal; exit 0 iff it "
+                          "completed")
+    sub.add_argument("--benchmarks", metavar="NAMES", default=None,
+                     help="comma-separated benchmark names (default: the "
+                          "full suite for the chosen scale)")
+    sub.add_argument("--modes", metavar="MODELS", default=None,
+                     help="comma-separated machine models "
+                          f"(default: all of {', '.join(MODEL_ORDER)})")
+    sub.add_argument("--cell-delay", type=float, default=0.0,
+                     metavar="SECONDS",
+                     help="sleep after each freshly computed grid cell "
+                          "(testing hook for kill-timing; default 0)")
+    sub = command("jobs", _run_jobs, "list, inspect, watch or trace the "
+                  "service's jobs", url, follow, cache_dir)
+    sub.add_argument("target", nargs="?",
+                     help="a job id to inspect, 'top' for live fleet "
+                          "status, or 'trace' (default: list every job)")
+    sub.add_argument("job_id", nargs="?",
+                     help="for 'jobs trace': the job id (prefixes accepted)")
+    sub.add_argument("--out", metavar="PATH", default="hidisc_job_trace.json",
+                     help="'jobs trace' output file (default "
+                          "hidisc_job_trace.json)")
+    sub.add_argument("--interval", type=float, default=2.0,
+                     metavar="SECONDS",
+                     help="'jobs top' refresh period (default 2.0)")
+    sub.add_argument("--iterations", type=_non_negative, default=0,
+                     metavar="N",
+                     help="'jobs top': stop after N refreshes (default 0 "
+                          "= until Ctrl-C)")
+    sub = command("cancel", _run_cancel, "cancel a service job", url)
+    sub.add_argument("job_id", help="the job to cancel")
+    sub = command("diff", _run_diff, "compare two result payloads: first "
+                  "divergent commit and values")
+    sub.add_argument("payload_a", help="the first payload path")
+    sub.add_argument("payload_b", help="the second payload path")
+    sub = command("cache", _run_cache, "inspect or clear the run cache",
+                  cache_dir)
+    sub.add_argument("action", nargs="?", default="stats",
+                     choices=("stats", "clear"),
+                     help="'stats' (default) or 'clear'")
+    sub = command("runs", _run_runs,
+                  "render the run ledger: recent runs, one record, or a "
+                  "regression report", cache_dir)
+    sub.add_argument("action", nargs="?", default="list",
+                     choices=("list", "show", "report"),
+                     help="'list' (default), 'show' or 'report'")
+    sub.add_argument("run_id", nargs="?",
+                     help="for 'show'/'report': a run-id prefix (default: "
+                          "the newest run)")
+    sub.add_argument("--limit", type=_positive, default=20, metavar="N",
+                     help="newest N ledger entries to list (default 20)")
+    return parser
 
 
 def _validate(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "cache":
-        if (args.cache_action is not None
-                and args.cache_action not in _CACHE_ACTIONS):
-            parser.error(f"unknown cache action {args.cache_action!r} "
-                         f"(expected {' or '.join(_CACHE_ACTIONS)})")
-        if args.diff_b is not None:
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'cache {args.cache_action}'")
-    elif args.command == "runs":
-        if (args.cache_action is not None
-                and args.cache_action not in _RUNS_ACTIONS):
-            parser.error(f"unknown runs action {args.cache_action!r} "
-                         f"(expected {', '.join(_RUNS_ACTIONS)})")
-        if args.diff_b is not None and (args.cache_action or "list") == "list":
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'runs list' (run ids select 'show'/'report')")
-    elif args.command == "diff":
-        if args.cache_action is None or args.diff_b is None:
-            parser.error("diff needs two payload paths: "
-                         "hidisc diff <payload_a> <payload_b>")
-    elif args.command == "jobs":
-        if args.cache_action == "trace":
-            if args.diff_b is None:
-                parser.error("jobs trace needs a job id: "
-                             "hidisc jobs trace <job_id>")
-        elif args.diff_b is not None:
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'jobs {args.cache_action}'")
-    elif args.command == "cancel":
-        if args.cache_action is None:
-            parser.error("cancel needs a job id: hidisc cancel <job_id>")
-        if args.diff_b is not None:
-            parser.error(f"unexpected argument {args.diff_b!r} after "
-                         f"'cancel {args.cache_action}'")
-    elif args.cache_action is not None:
-        parser.error(f"'{args.cache_action}' is only valid after 'cache', "
-                     f"'runs', 'jobs' or 'cancel'")
-    if args.command == "serve" and args.no_cache:
-        parser.error("the service spool lives in the run cache — "
-                     "'hidisc serve' cannot run with --no-cache")
-    if args.trace_format == "kanata" and args.command != "lifecycle":
-        parser.error("--format kanata is only valid for 'hidisc lifecycle'")
+    """The checks argparse cannot express; every flag or positional a
+    command does not declare is already a usage error."""
     tuning = [f"--{attr.replace('_', '-')}" for attr, _ in _SAMPLE_TUNING
               if getattr(args, attr) is not None]
     if tuning and not args.sample:
         noun = "makes" if len(tuning) == 1 else "make"
         parser.error(f"{', '.join(tuning)} only {noun} sense together "
                      f"with --sample")
-    if args.sample:
-        if args.command not in _SAMPLED_COMMANDS:
-            parser.error(f"--sample is not valid for '{args.command}' "
-                         f"(sampled runs work for "
-                         f"{', '.join(sorted(_SAMPLED_COMMANDS))}; "
-                         f"'trace'/'lifecycle'/'faults' need every cycle "
-                         f"simulated in detail)")
-        if args.verify:
-            parser.error("--sample and --verify are mutually exclusive: "
-                         "the co-simulation oracle needs the full commit "
-                         "stream")
-        try:
-            _sampling_plan(args)
-        except ConfigError as exc:
-            parser.error(f"invalid sampling plan: {exc}")
+    if args.sample and args.verify:
+        parser.error("--sample and --verify are mutually exclusive: "
+                     "the co-simulation oracle needs the full commit "
+                     "stream")
+    try:
+        _sampling_plan(args)
+    except ConfigError as exc:
+        parser.error(f"invalid sampling plan: {exc}")
+    if args.command == "jobs":
+        if args.target == "trace" and args.job_id is None:
+            parser.error("jobs trace needs a job id: "
+                         "hidisc jobs trace <job_id>")
+        if args.target != "trace" and args.job_id is not None:
+            parser.error(f"unexpected argument {args.job_id!r} after "
+                         f"'jobs {args.target}'")
+    if (args.command == "runs" and args.action == "list"
+            and args.run_id is not None):
+        parser.error(f"unexpected argument {args.run_id!r} after "
+                     f"'runs list' (run ids select 'show'/'report')")
 
 
 def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
@@ -958,7 +1035,7 @@ def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
         if progress:
             progress(f"orchestration trace written to {args.orch_trace} "
                      f"({count} events) — open in https://ui.perfetto.dev")
-    if cache is None or args.command not in _LEDGER_COMMANDS:
+    if cache is None or not args.ledger:
         return
     record = build_record(
         run_id=run_id,
@@ -991,10 +1068,14 @@ def main(argv: list[str] | None = None) -> int:
     tracer = spans.enable() if args.orch_trace else None
     run_id = new_run_id()
     start = time.perf_counter()
+    payload: dict = {}
     outcome, code = "ok", 0
     try:
-        with GracefulInterrupt(enabled=args.command in _INTERRUPTIBLE):
-            code = _dispatch(args, config, progress, cache)
+        with GracefulInterrupt(enabled=args.interruptible):
+            code = args.handler(args, config, progress, cache, payload)
+        if args.json:
+            path = write_json(args.json, payload)
+            print(f"\nraw results written to {path}", file=sys.stderr)
         if code:
             outcome = f"exit:{code}"
         return code
@@ -1002,6 +1083,11 @@ def main(argv: list[str] | None = None) -> int:
         outcome = "interrupted"
         code = 130
         print(f"\nhidisc {args.command}: {exc}", file=sys.stderr)
+        return code
+    except ServiceError as exc:  # 75 = EX_TEMPFAIL: shed load, retry later
+        code = 75 if isinstance(exc, BackpressureError) else 2
+        outcome = f"exit:{code}"
+        print(f"hidisc {args.command}: {exc}", file=sys.stderr)
         return code
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
@@ -1014,176 +1100,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         _finalize(args, argv, config, cache, tracer, run_id, outcome, code,
                   time.perf_counter() - start, progress)
-
-
-def _dispatch(args, config: MachineConfig, progress,
-              cache: RunCache | None) -> int:
-    payload: dict = {}
-    if args.command == "cache":
-        cache = RunCache(args.cache_dir)
-        if args.cache_action == "clear":
-            removed = cache.clear()
-            print(f"cache cleared: {removed} entries removed from "
-                  f"{cache.root}")
-            payload["cache"] = {"cleared": removed, "root": str(cache.root)}
-        else:
-            stats = cache.stats()
-            print(f"cache at {stats['root']}: {stats['entries']} entries, "
-                  f"{stats['total_bytes']} bytes; suite checkpoints: "
-                  f"{stats['suite_cells']} cells, "
-                  f"{stats['suite_bytes']} bytes; service spool: "
-                  f"{stats['service_files']} files, "
-                  f"{stats['service_bytes']} bytes")
-            payload["cache"] = stats
-
-    if args.command == "runs":
-        code = _run_runs(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "serve":
-        code = _run_serve(args, progress, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "jobs" and args.cache_action == "trace":
-        code = _run_jobs_trace(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command in ("submit", "jobs", "cancel"):
-        code = _run_service_client(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "table1":
-        print("Table 1: Simulation parameters")
-        print(table1(config))
-        payload["table1"] = [list(row) for row in config.describe()]
-
-    if args.command == "stats":
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
-                            heartbeat_interval=args.heartbeat)
-        )
-        result = _profile_single(args, config, progress, telemetry, cache)
-        print(render_run_stats(result))
-        payload["stats"] = _stats_payload(result, telemetry)
-
-    if args.command == "trace":
-        fmt = args.trace_format or "chrome"
-        out = args.out or "hidisc_trace.json"
-        telemetry = Telemetry.from_config(
-            TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
-                            trace_format=fmt,
-                            heartbeat_interval=args.heartbeat),
-            trace_path=out,
-        )
-        result = _profile_single(args, config, progress, telemetry, cache)
-        telemetry.close()
-        print(render_run_stats(result))
-        count = getattr(telemetry.sink, "event_count", None)
-        suffix = f" ({count} events)" if count is not None else ""
-        hint = (" — open in https://ui.perfetto.dev or chrome://tracing"
-                if fmt == "chrome" else "")
-        print(f"\ntrace written to {out}{suffix}{hint}")
-        payload["trace"] = {"path": str(out),
-                            "format": fmt,
-                            "events": count}
-        payload["stats"] = _stats_payload(result, telemetry)
-
-    if args.command == "lifecycle":
-        code = _run_lifecycle(args, config, progress, cache, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "diff":
-        code = _run_diff(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "faults":
-        code = _run_faults(args, config, progress, cache, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "fuzz":
-        code = _run_fuzz(args, config, progress, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command == "bench":
-        code = _run_bench(args, payload)
-        if args.json:
-            path = write_json(args.json, payload)
-            print(f"\nraw results written to {path}", file=sys.stderr)
-        return code
-
-    if args.command in ("table2", "figure8", "figure9", "all", "suite"):
-        suite = run_suite(config, quick=args.quick, seed=args.seed,
-                          progress=progress, jobs=args.jobs, cache=cache,
-                          verify=args.verify, resume=args.resume,
-                          sampling=_sampling_plan(args))
-        payload["suite"] = suite.to_payload()
-        if args.command == "suite":
-            for bench in suite.benchmarks.values():
-                for result in bench.results.values():
-                    label = sampling_label(result)
-                    suffix = f"  [{label}]" if label != "full" else ""
-                    print(result.summary() + suffix)
-            print(f"\nsuite of {len(suite.benchmarks)} benchmarks in "
-                  f"{suite.elapsed_seconds:.1f}s "
-                  f"(mean HiDISC speedup "
-                  f"{suite.mean_speedup('hidisc'):.3f})")
-        if args.command in ("figure8", "all"):
-            print(figure8(suite).render())
-            print()
-        if args.command in ("table2", "all"):
-            print(table2(suite).render())
-            print()
-        if args.command in ("figure9", "all"):
-            print(figure9(suite).render())
-            print()
-        compiled = {name: bench.compiled
-                    for name, bench in suite.benchmarks.items()}
-    else:
-        compiled = None
-
-    if args.command in ("figure10", "all"):
-        fig10 = figure10(config, quick=args.quick, seed=args.seed,
-                         progress=progress, compiled=compiled,
-                         jobs=args.jobs, cache=cache,
-                         sampling=_sampling_plan(args))
-        payload["figure10"] = {
-            "latencies": list(fig10.latencies),
-            "ipc": fig10.ipc,
-        }
-        print(fig10.render())
-
-    if args.command == "all":
-        print("\nTable 1: Simulation parameters")
-        print(table1(config))
-
-    if args.json:
-        path = write_json(args.json, payload)
-        print(f"\nraw results written to {path}", file=sys.stderr)
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

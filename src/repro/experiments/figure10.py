@@ -83,6 +83,7 @@ def figure10(
     compiled: dict[str, CompiledWorkload] | None = None,
     jobs: int = 1,
     cache: RunCache | None = None,
+    verify: bool = False,
     sampling: SamplingPlan | None = None,
 ) -> Figure10:
     """Run the latency sweep.
@@ -96,6 +97,7 @@ def figure10(
 
     ``jobs > 1`` fans preparation and the (benchmark, latency, model)
     cells out over worker processes; *cache* memoizes compilations.
+    *verify* referees every cell with the co-simulation oracle.
     *sampling* runs every sweep cell through the sampled-interval driver
     (``hidisc figure10 --sample`` — the sampled-vs-full recipe in
     EXPERIMENTS.md compares the two sweeps point by point).
@@ -133,8 +135,8 @@ def figure10(
         for l2, mem in latencies
         for mode in modes
     ]
-    results = run_cells(cells, base_config, jobs=jobs, sampling=sampling,
-                        progress=progress)
+    results = run_cells(cells, base_config, jobs=jobs, verify=verify,
+                        sampling=sampling, progress=progress)
     out = Figure10(latencies=latencies)
     for name in benchmarks:
         out.ipc[name] = {mode: [] for mode in modes}

@@ -1,19 +1,72 @@
 """CLI tests (argument handling plus one end-to-end table)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from repro.experiments.cli import build_parser, main
+from repro.errors import BackpressureError, ServiceError
+from repro.experiments.cli import _validate, build_parser, main
+from repro.experiments.models import MODEL_ORDER
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def documented_invocations() -> list[str]:
+    """Every ``hidisc ...`` command line in the README/EXPERIMENTS bash
+    blocks and the CI workflow, with continuations joined, shell plumbing
+    (comments, pipes, redirects, ``&``) cut and ``<job-id>``-style
+    placeholders filled."""
+    sources = [block for name in ("README.md", "EXPERIMENTS.md")
+               for block in re.findall(r"```bash\n(.*?)```",
+                                       (ROOT / name).read_text(), re.S)]
+    sources.append((ROOT / ".github" / "workflows" / "ci.yml").read_text())
+    lines = []
+    for text in sources:
+        text = re.sub(r"<[\w-]+>", "18c2f", re.sub(r"\\\n\s*", " ", text))
+        for line in text.splitlines():
+            line = re.split(r" #|\||&|2>|>", line, maxsplit=1)[0].strip()
+            line = line.removeprefix("run: ")
+            if line.startswith("hidisc "):
+                lines.append(line)
+    return lines
 
 
 class TestParser:
     def test_commands_accepted(self):
         parser = build_parser()
-        for cmd in ("table1", "table2", "figure8", "figure9", "figure10",
-                    "all", "suite", "stats", "trace", "lifecycle", "diff",
-                    "cache", "runs"):
-            assert parser.parse_args([cmd]).command == cmd
+        for argv in (["table1"], ["table2"], ["figure8"], ["figure9"],
+                     ["figure10"], ["all"], ["suite"], ["stats"], ["trace"],
+                     ["lifecycle"], ["diff", "a.json", "b.json"], ["cache"],
+                     ["runs"], ["faults"], ["fuzz"], ["serve"], ["submit"],
+                     ["jobs"], ["cancel", "18c2f"]):
+            args = parser.parse_args(argv)
+            assert args.command == argv[0] and callable(args.handler)
+
+    def test_documented_invocations_parse(self):
+        lines = documented_invocations()
+        assert len(lines) > 90, "the doc scan found too few command lines"
+        parser = build_parser()
+        rejected = []
+        for line in lines:
+            try:
+                _validate(parser, parser.parse_args(shlex.split(line)[1:]))
+            except SystemExit:
+                rejected.append(line)
+        assert not rejected
+
+    @pytest.mark.parametrize("argv", [
+        "table1 --jobs 2", "stats --jobs 2", "figure10 --resume",
+        "cache --no-cache", "runs --no-cache", "submit --no-cache",
+        "fuzz --quick", "diff a b --resume", "cancel j --limit 3",
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv.split())
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -95,8 +148,10 @@ class TestParser:
     def test_cache_subcommands(self):
         for action in ("stats", "clear"):
             args = build_parser().parse_args(["cache", action])
-            assert args.command == "cache" and args.cache_action == action
-        assert build_parser().parse_args(["cache"]).cache_action is None
+            assert args.command == "cache" and args.action == action
+        assert build_parser().parse_args(["cache"]).action == "stats"
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["cache", "frobnicate"])
 
     def test_cache_action_only_valid_after_cache(self):
         with pytest.raises(SystemExit):
@@ -112,10 +167,13 @@ class TestParser:
         assert args.command == "lifecycle" and args.trace_format == "kanata"
         assert args.out == "run.kanata" and args.heartbeat == 5000
         assert args.lifecycle_limit == 256 and args.top == 5
-        # defaults: format resolved later (kanata), heartbeat/limit off
+        # defaults: kanata for lifecycle (chrome for trace), heartbeat and
+        # limit off, --out derived from the format later
         args = build_parser().parse_args(["lifecycle"])
-        assert args.trace_format is None and args.heartbeat == 0
+        assert args.trace_format == "kanata" and args.out is None
+        assert args.heartbeat == 0
         assert args.lifecycle_limit == 0 and args.top == 12
+        assert build_parser().parse_args(["trace"]).trace_format == "chrome"
 
     def test_negative_heartbeat_rejected(self):
         with pytest.raises(SystemExit):
@@ -127,7 +185,7 @@ class TestParser:
 
     def test_diff_positional_paths(self):
         args = build_parser().parse_args(["diff", "a.json", "b.json"])
-        assert args.cache_action == "a.json" and args.diff_b == "b.json"
+        assert args.payload_a == "a.json" and args.payload_b == "b.json"
 
     def test_diff_requires_both_paths(self):
         for argv in (["diff"], ["diff", "a.json"]):
@@ -137,11 +195,11 @@ class TestParser:
     def test_runs_subcommands(self):
         for action in ("list", "show", "report"):
             args = build_parser().parse_args(["runs", action])
-            assert args.command == "runs" and args.cache_action == action
-        # show/report take an optional run-id prefix (the diff_b slot)
+            assert args.command == "runs" and args.action == action
+        # show/report take an optional run-id prefix
         args = build_parser().parse_args(["runs", "show", "18c2f"])
-        assert args.cache_action == "show" and args.diff_b == "18c2f"
-        assert build_parser().parse_args(["runs"]).cache_action is None
+        assert args.action == "show" and args.run_id == "18c2f"
+        assert build_parser().parse_args(["runs"]).action == "list"
 
     def test_runs_action_validated_in_main(self):
         with pytest.raises(SystemExit):
@@ -155,8 +213,8 @@ class TestParser:
         assert args.orch_trace == "orch.json"
         args = build_parser().parse_args(["runs", "list", "--limit", "5"])
         assert args.limit == 5
-        defaults = build_parser().parse_args(["suite"])
-        assert defaults.orch_trace is None and defaults.limit == 20
+        assert build_parser().parse_args(["suite"]).orch_trace is None
+        assert build_parser().parse_args(["runs"]).limit == 20
 
     def test_bad_limit_rejected(self):
         with pytest.raises(SystemExit):
@@ -298,3 +356,70 @@ class TestExecution:
         payload = json.loads(json_path.read_text())
         assert "figure10" in payload
         assert payload["figure10"]["ipc"]["field"]["hidisc"][0] > 0
+
+    def test_figure10_verify_reaches_every_cell(self, capsys, monkeypatch):
+        import repro.experiments.cli as cli_mod
+        import repro.experiments.parallel as parallel
+
+        original = cli_mod.figure10
+
+        def tiny_figure10(config, quick, seed, progress, compiled=None,
+                          **kwargs):
+            return original(config, quick=quick, seed=seed,
+                            benchmarks=("field",),
+                            latencies=((12, 120),), progress=progress,
+                            compiled=compiled, **kwargs)
+
+        cells = []
+        run_model_task = parallel.run_model_task
+
+        def spy(compiled, config, mode, cpi, verify=False, sampling=None):
+            cells.append((mode, verify))
+            return run_model_task(compiled, config, mode, cpi, verify,
+                                  sampling)
+
+        monkeypatch.setattr(cli_mod, "figure10", tiny_figure10)
+        monkeypatch.setattr(parallel, "run_model_task", spy)
+        assert main(["figure10", "--quick", "--verify", "--no-progress",
+                     "--no-cache"]) == 0
+        assert "Figure 10" in capsys.readouterr().out
+        assert sorted(mode for mode, _ in cells) == sorted(MODEL_ORDER)
+        assert all(verify for _, verify in cells), cells
+
+    @pytest.mark.parametrize("content", [None, "{not json"],
+                             ids=["missing", "malformed"])
+    def test_diff_unreadable_payload_exits_2(self, content, capsys,
+                                             tmp_path):
+        good = tmp_path / "good.json"
+        good.write_text("{}")
+        bad = tmp_path / "bad.json"
+        if content is not None:
+            bad.write_text(content)
+        assert main(["diff", str(bad), str(good)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("hidisc diff: ") and str(bad) in err
+
+    @pytest.mark.parametrize("refusal, code", [
+        (BackpressureError(64, 64), 75),  # EX_TEMPFAIL: retry later
+        (ServiceError("unknown job 'j'"), 2),
+    ], ids=["backpressure", "service-error"])
+    def test_service_refusal_exit_codes(self, refusal, code, capsys,
+                                        monkeypatch):
+        import repro.service as service
+
+        class RefusingClient:
+            def __init__(self, url):
+                pass
+
+            def cancel(self, job_id):
+                raise refusal
+
+        monkeypatch.setattr(service, "ServiceClient", RefusingClient)
+        assert main(["cancel", "j"]) == code
+        assert capsys.readouterr().err == f"hidisc cancel: {refusal}\n"
+
+    def test_jobs_trace_of_unknown_job_exits_2(self, capsys, tmp_path):
+        assert main(["jobs", "trace", "nosuch",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "unknown job" in capsys.readouterr().err

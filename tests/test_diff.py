@@ -188,3 +188,29 @@ class TestCliDiff:
     def test_diff_requires_two_paths(self):
         with pytest.raises(SystemExit):
             main(["diff", "only_one.json"])
+
+    def test_konata_log_parses_line_by_line(self, payloads):
+        """The fixture's Konata log: cycles only move forward, every stage
+        an ``S`` opens an ``E`` closes, and the run retires >1000
+        instructions."""
+        lines = payloads[0].with_suffix(".kanata").read_text().splitlines()
+        assert lines[0] == "Kanata\t0004"
+        stages, retired, cycle = {}, 0, 0
+        for line in lines[1:]:
+            kind, *fields = line.split("\t")
+            if kind == "C=":
+                assert int(fields[0]) >= cycle, line
+                cycle = int(fields[0])
+            elif kind == "C":
+                assert int(fields[0]) > 0, line
+                cycle += int(fields[0])
+            elif kind == "S":
+                stages[(fields[0], fields[2])] = cycle
+            elif kind == "E":
+                assert stages.pop((fields[0], fields[2])) <= cycle, line
+            elif kind == "R":
+                retired += 1
+            else:
+                assert kind in ("I", "L"), line
+        assert not stages, "unclosed pipeline stages"
+        assert retired > 1000, f"only {retired} instructions retired"
