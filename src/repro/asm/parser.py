@@ -45,9 +45,6 @@ class _LineParser:
     def done(self) -> bool:
         return self.pos >= len(self.tokens)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
     def take(self) -> str:
         if self.done():
             raise self.error("unexpected end of operands")

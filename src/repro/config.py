@@ -52,11 +52,6 @@ class CacheConfig:
         if self.latency < 0:
             raise ConfigError(f"{self.name}: latency must be >= 0, got {self.latency}")
 
-    @property
-    def capacity_bytes(self) -> int:
-        """Total data capacity in bytes."""
-        return self.sets * self.block_bytes * self.ways
-
 
 @dataclass(frozen=True)
 class CoreConfig:

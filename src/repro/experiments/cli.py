@@ -231,7 +231,7 @@ def _profile_single(args, config: MachineConfig, progress,
 
 
 def _stats_payload(result, telemetry: Telemetry) -> dict:
-    return {
+    payload = {
         "machine": result.machine,
         "benchmark": result.benchmark,
         "cycles": result.cycles,
@@ -247,6 +247,10 @@ def _stats_payload(result, telemetry: Telemetry) -> dict:
         "cmas_threads_dropped": result.cmas_threads_dropped,
         "samples": [s.as_dict() for s in telemetry.samples],
     }
+    if result.sampled:
+        payload["sampled"] = True
+        payload["sampling"] = result.sampling
+    return payload
 
 
 def _run_stats(args, config, progress, cache, payload) -> int:
@@ -257,6 +261,9 @@ def _run_stats(args, config, progress, cache, payload) -> int:
                         heartbeat_interval=args.heartbeat))
     result = _profile_single(args, config, progress, telemetry, cache)
     print(render_run_stats(result))
+    label = sampling_label(result)
+    if label != "full":
+        print(f"\n[{label}]")
     payload["stats"] = _stats_payload(result, telemetry)
     return 0
 

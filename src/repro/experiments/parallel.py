@@ -10,11 +10,11 @@ through this module, at any ``--jobs``:
   results **in task order** (deterministic grid assembly regardless of
   completion order).  ``jobs <= 1`` runs them inline; otherwise they fan
   out on a ``ProcessPoolExecutor`` with **bounded retry with exponential
-  backoff** for pool-infrastructure failures (a worker killed by the OS,
-  a task past its *timeout*: the pool is rebuilt and only the unfinished
-  tasks resubmitted, up to *retries* times), after which the remaining
-  tasks run in the same inline loop — so a flaky pool can slow a run
-  down but never fail or corrupt it.  Genuine simulation errors raised by
+  backoff** for pool-infrastructure failures (a worker killed by the OS:
+  the pool is rebuilt and only the unfinished tasks resubmitted, up to
+  *retries* times), after which the remaining tasks run in the same
+  inline loop — so a flaky pool can slow a run down but never fail or
+  corrupt it.  Genuine simulation errors raised by
   a task are *not* swallowed — they propagate immediately (deterministic
   failures fail fast; only infrastructure failures retry).  An
   *on_result* callback sees each ``(index, result)`` the moment it lands,
@@ -39,7 +39,6 @@ import os
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
@@ -210,15 +209,14 @@ def run_model_task(compiled, config: MachineConfig, mode: str, cpi: bool,
 # ----------------------------------------------------------------------
 
 def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
-                    jobs: int, timeout: float | None,
-                    progress: ProgressFn | None,
+                    jobs: int, progress: ProgressFn | None,
                     deliver: Callable[[int, object], None],
                     submitted: dict[int, int] | None = None) -> bool:
     """One process-pool attempt over the *pending* task indices.
 
     Delivers every result that lands (including salvage of
     already-finished futures after a failure).  Returns True if the pool
-    infrastructure broke (worker death, timeout) and some tasks remain
+    infrastructure broke (a worker died) and some tasks remain
     undone; task-raised exceptions propagate unchanged.  *submitted*
     (if given) records each index's submission wall-stamp for
     queue-latency accounting.
@@ -244,8 +242,8 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
             # futures are cancelled by the shutdown below.
             interrupt.poll()
             try:
-                result = future.result(timeout=timeout)
-            except (BrokenProcessPool, FuturesTimeoutError, OSError) as exc:
+                result = future.result()
+            except (BrokenProcessPool, OSError) as exc:
                 broken = True
                 metrics.inc("pool_worker_failures")
                 spans.instant("worker_failure", cat="pool",
@@ -265,9 +263,8 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
             for index, future in futures.items():
                 if future.done() and not future.cancelled():
                     try:
-                        deliver(index, future.result(timeout=0))
-                    except (BrokenProcessPool, FuturesTimeoutError,
-                            OSError):
+                        deliver(index, future.result())
+                    except (BrokenProcessPool, OSError):
                         pass
                 else:
                     future.cancel()
@@ -277,17 +274,15 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
 
 
 def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
-              timeout: float | None = None,
               progress: ProgressFn | None = None,
               retries: int = 1, backoff: float = 0.25,
               on_result: Callable[[int, object], None] | None = None) -> list:
     """Run *tasks* and return their results in task order.
 
     ``jobs <= 1`` (after :func:`resolve_jobs`) executes inline.  Otherwise
-    tasks are fanned out on a ``ProcessPoolExecutor``; *timeout* bounds
-    each task's wall-clock wait in seconds.
+    tasks are fanned out on a ``ProcessPoolExecutor``.
 
-    Pool-infrastructure failures (worker crash, timeout) are **transient**:
+    Pool-infrastructure failures (a worker crash) are **transient**:
     already-finished results are salvaged, the pool is rebuilt and only
     the unfinished tasks are resubmitted, up to *retries* times with
     exponential backoff (``backoff * 2**attempt`` seconds); when retries
@@ -323,8 +318,8 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
                 break
             with spans.span("pool_round", cat="pool",
                             pending=len(pending), attempt=attempt):
-                broken = _run_pool_round(tasks, pending, jobs, timeout,
-                                         progress, deliver, submitted)
+                broken = _run_pool_round(tasks, pending, jobs, progress,
+                                         deliver, submitted)
             if not broken or attempt >= retries:
                 break
             delay = backoff * (2 ** attempt)

@@ -54,10 +54,3 @@ def replay_repro(path: str | Path,
     """Re-run a corpus entry; None means the failure no longer reproduces."""
     fuzz_prog, _ = load_repro(path)
     return check_program(fuzz_prog, config or MachineConfig())
-
-
-def corpus_entries(corpus_dir: str | Path) -> list[Path]:
-    corpus = Path(corpus_dir)
-    if not corpus.is_dir():
-        return []
-    return sorted(corpus.glob("repro_*.json"))

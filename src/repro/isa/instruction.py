@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from . import registers
-from .opcodes import FP_CMP_OPS, FP_DEST_OPS, Format, Op
+from .opcodes import FP_CMP_OPS, Format, Op
 
 
 class Stream(enum.Enum):
@@ -222,8 +222,3 @@ class Instruction:
         from .disasm import disassemble_instruction
 
         return disassemble_instruction(self)
-
-
-def writes_fp_dest(op: Op) -> bool:
-    """True iff *op*'s destination register is a floating-point register."""
-    return op in FP_DEST_OPS

@@ -81,10 +81,6 @@ class BranchPredictor:
             return True
         return self._table[self._index(pc)] >= 2
 
-    def predict_target(self, pc: int) -> int | None:
-        """Predicted target (None = BTB miss, treat as fall-through)."""
-        return self.btb.lookup(pc)
-
     # ------------------------------------------------------------------
     def resolve(self, pc: int, taken: bool, target: int,
                 kind: str = "cond") -> bool:

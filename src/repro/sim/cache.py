@@ -33,10 +33,6 @@ class CacheStats:
     useful_prefetch_hits: int = 0
 
     @property
-    def demand_hits(self) -> int:
-        return self.demand_accesses - self.demand_misses
-
-    @property
     def demand_miss_rate(self) -> float:
         if self.demand_accesses == 0:
             return 0.0

@@ -363,8 +363,6 @@ class TimingCore:
             issued += 1
             if tel_issue:
                 self._on_issue(entry, d, now, latency)
-            if d.is_control:
-                machine.note_branch_issue(gid, t)
         if deferred:
             for item in deferred:
                 heappush(ready, item)

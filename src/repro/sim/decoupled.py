@@ -38,7 +38,6 @@ from heapq import heappop, heappush
 from ..asm.program import Program
 from ..config import MachineConfig
 from ..errors import CycleLimitError, SimulationError
-from ..isa.instruction import Instruction
 from ..resilience.watchdog import ProgressWatchdog
 from ..telemetry import Telemetry
 from .branch import BranchPredictor
@@ -227,9 +226,6 @@ class Machine:
     # ------------------------------------------------------------------
     # Services used by the cores.
     # ------------------------------------------------------------------
-    def text_for(self, core: TimingCore) -> list[Instruction]:
-        return self.program.text
-
     def instr_queue_capacity(self, core_name: str) -> int:
         if core_name == "CMP":
             return _CMP_QUEUE_CAPACITY
@@ -238,10 +234,6 @@ class Machine:
             # give the main core a deep fetch queue.
             return max(64, self.config.queues.instr_queue_entries)
         return self.config.queues.instr_queue_entries
-
-    def note_branch_issue(self, gid: int, completes: int) -> None:
-        """Called by a core when a control instruction issues (no-op: the
-        separator polls ``complete_at`` directly)."""
 
     @property
     def fetch_done(self) -> bool:

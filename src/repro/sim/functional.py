@@ -51,9 +51,6 @@ class ArchState:
         self.pc = 0
         self.halted = False
 
-    def copy_registers_from(self, other: "ArchState") -> None:
-        self.regs[:] = other.regs
-
 
 def load_program(program: Program, memory: MainMemory | None = None) -> ArchState:
     """Create an architectural state with the program's data image loaded."""

@@ -1,15 +1,11 @@
 """Architectural FIFO queues (LDQ, SDQ, SAQ, instruction queues).
 
 The queues are the heart of a decoupled machine: they carry data between
-the streams and *are* the slip-distance mechanism.  Two usage modes:
-
-* **Functional mode** (:meth:`ArchQueue.push` / :meth:`ArchQueue.pop`):
-  capacity is not enforced; popping an empty queue raises
-  :class:`~repro.errors.QueueProtocolError` because in a correctly
-  separated program, program-order execution can never pop early.
-
-* **Timing mode**: the timing cores call :meth:`can_push` / :meth:`can_pop`
-  and account stalls themselves; occupancy statistics accumulate here.
+the streams and *are* the slip-distance mechanism.  The functional
+executors use them through :meth:`ArchQueue.push` / :meth:`ArchQueue.pop`:
+capacity is not enforced, and popping an empty queue raises
+:class:`~repro.errors.QueueProtocolError` because in a correctly
+separated program, program-order execution can never pop early.
 """
 
 from __future__ import annotations
@@ -31,13 +27,11 @@ def _corrupt_value(item):
 
 @dataclass
 class QueueStats:
-    """Occupancy and stall statistics of one queue."""
+    """Occupancy statistics of one queue."""
 
     pushes: int = 0
     pops: int = 0
     max_occupancy: int = 0
-    full_stall_cycles: int = 0
-    empty_stall_cycles: int = 0
     #: transfers discarded by fault injection (repro.resilience).
     drops: int = 0
     #: transfers whose payload was corrupted by fault injection.
@@ -48,8 +42,6 @@ class QueueStats:
             "pushes": self.pushes,
             "pops": self.pops,
             "max_occupancy": self.max_occupancy,
-            "full_stall_cycles": self.full_stall_cycles,
-            "empty_stall_cycles": self.empty_stall_cycles,
             "drops": self.drops,
             "corruptions": self.corruptions,
         }
@@ -65,20 +57,8 @@ class ArchQueue:
         self.capacity = capacity
         self._items: deque = deque()
         self.stats = QueueStats()
-        self._sink = None
-        self._sink_track = "queues"
-        self._ops = 0
         #: push ordinal (0-based) -> "drop" | "corrupt" (fault injection).
         self._fault_schedule: dict[int, str] | None = None
-
-    def attach_sink(self, sink, track: str = "queues") -> None:
-        """Mirror occupancy to a telemetry sink as a counter track.
-
-        Functional execution has no clock, so the counter timestamp is the
-        running push+pop operation count (monotonic, one tick per queue op).
-        """
-        self._sink = sink if (sink is not None and sink.enabled) else None
-        self._sink_track = track
 
     def __len__(self) -> int:
         return len(self._items)
@@ -92,12 +72,6 @@ class ArchQueue:
         return len(self._items) >= self.capacity
 
     # ------------------------------------------------------------------
-    def can_push(self) -> bool:
-        return not self.full
-
-    def can_pop(self) -> bool:
-        return bool(self._items)
-
     def schedule_faults(self, schedule: dict[int, str]) -> None:
         """Arm deterministic push faults: ``{push_ordinal: "drop"|"corrupt"}``.
 
@@ -126,10 +100,6 @@ class ArchQueue:
         self.stats.pushes += 1
         if len(self._items) > self.stats.max_occupancy:
             self.stats.max_occupancy = len(self._items)
-        if self._sink is not None:
-            self._ops += 1
-            self._sink.counter(self._sink_track, self.name, self._ops,
-                               len(self._items))
         return item
 
     def pop(self):
@@ -137,27 +107,10 @@ class ArchQueue:
         if not self._items:
             raise QueueProtocolError(f"pop on empty queue {self.name}")
         self.stats.pops += 1
-        item = self._items.popleft()
-        if self._sink is not None:
-            self._ops += 1
-            self._sink.counter(self._sink_track, self.name, self._ops,
-                               len(self._items))
-        return item
-
-    def peek(self):
-        """Head element without removing it; raises if empty."""
-        if not self._items:
-            raise QueueProtocolError(f"peek on empty queue {self.name}")
-        return self._items[0]
+        return self._items.popleft()
 
     def clear(self) -> None:
         self._items.clear()
-
-    def note_full_stall(self, cycles: int = 1) -> None:
-        self.stats.full_stall_cycles += cycles
-
-    def note_empty_stall(self, cycles: int = 1) -> None:
-        self.stats.empty_stall_cycles += cycles
 
 
 class QueueSet:
@@ -172,6 +125,3 @@ class QueueSet:
         self.ldq.clear()
         self.sdq.clear()
         self.saq.clear()
-
-    def all_empty(self) -> bool:
-        return self.ldq.empty and self.sdq.empty and self.saq.empty

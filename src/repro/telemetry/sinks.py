@@ -14,7 +14,8 @@ attribute :attr:`Sink.enabled` once at construction and skip every emit
 call when it is ``False``, so a run without telemetry never enters this
 module.  ``ChromeTraceSink`` writes the Chrome/Perfetto ``trace_event``
 JSON format (open the file at https://ui.perfetto.dev or in
-``chrome://tracing``; one simulated cycle is rendered as one microsecond).
+``chrome://tracing``; one simulated cycle is rendered as one microsecond)
+through :func:`write_trace_events`, the one writer of such files.
 """
 
 from __future__ import annotations
@@ -22,6 +23,24 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import IO
+
+
+def write_trace_events(events: list[dict], path: str | Path) -> int:
+    """Write *events* as a Chrome/Perfetto ``trace_event`` file at *path*.
+
+    One event per line inside the ``traceEvents`` array, so the file is
+    both a single valid JSON document and consumable line by line by
+    streaming tools.  Returns the number of events written.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w") as fh:
+        fh.write('{"traceEvents": [\n')
+        for index, event in enumerate(events):
+            comma = "," if index + 1 < len(events) else ""
+            fh.write(json.dumps(event, separators=(",", ":")) + comma + "\n")
+        fh.write("]}\n")
+    return len(events)
 
 
 class Sink:
@@ -212,7 +231,4 @@ class ChromeTraceSink(Sink):
         for track, tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
             meta.append({"ph": "M", "pid": 0, "tid": tid,
                          "name": "thread_name", "args": {"name": track}})
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(
-            {"traceEvents": meta + self._events, "displayTimeUnit": "ms"},
-        ) + "\n")
+        write_trace_events(meta + self._events, self.path)

@@ -28,11 +28,12 @@ collide.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .sinks import write_trace_events
 
 #: Environment variable propagating "orchestration tracing is on" to pool
 #: workers (set by :func:`enable`, cleared by :func:`disable`).
@@ -308,23 +309,12 @@ def to_trace_events(records, main_pid: int | None = None,
 def write_orchestration_trace(records, path: str | Path,
                               main_pid: int | None = None,
                               lane_names: dict | None = None) -> int:
-    """Write *records* as a Perfetto-loadable trace at *path*.
-
-    One event per line inside the ``traceEvents`` array, so the file is
-    both a single valid JSON document and consumable line by line by
-    streaming tools.  Returns the number of events written.
-    """
-    events = to_trace_events(records, main_pid=main_pid,
-                             lane_names=lane_names)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        fh.write('{"traceEvents": [\n')
-        for index, event in enumerate(events):
-            comma = "," if index + 1 < len(events) else ""
-            fh.write(json.dumps(event, separators=(",", ":")) + comma + "\n")
-        fh.write("]}\n")
-    return len(events)
+    """Write *records* as a Perfetto-loadable trace at *path* (see
+    :func:`~repro.telemetry.sinks.write_trace_events`).  Returns the number
+    of events written."""
+    return write_trace_events(
+        to_trace_events(records, main_pid=main_pid, lane_names=lane_names),
+        path)
 
 
 def summarize(records) -> dict:

@@ -23,7 +23,6 @@ Two ISA-level constraints every kernel honours (and
 from __future__ import annotations
 
 import abc
-import struct
 
 import numpy as np
 
@@ -137,22 +136,6 @@ class Workload(abc.ABC):
         return self.label
 
 
-def pack_i64(values) -> bytes:
-    """Little-endian bytes of a sequence of 64-bit integers."""
-    arr = np.asarray(values, dtype=np.int64)
-    return arr.tobytes()
-
-
-def pack_f64(values) -> bytes:
-    """Little-endian bytes of a sequence of binary64 floats."""
-    arr = np.asarray(values, dtype=np.float64)
-    return arr.tobytes()
-
-
-def unpack_i64(blob: bytes) -> np.ndarray:
-    return np.frombuffer(blob, dtype=np.int64)
-
-
 def check_ap_executable(program: Program, ap_has_fp: bool = False) -> None:
     """Raise if any Access-Stream instruction needs an FP unit the AP lacks.
 
@@ -170,8 +153,3 @@ def check_ap_executable(program: Program, ap_has_fp: bool = False) -> None:
                 f"FP unit but the AP has none — FP data reached control flow "
                 f"or address computation"
             )
-
-
-def f64_bits(value: float) -> int:
-    """Bit pattern of a float (for writing float constants as .word64)."""
-    return struct.unpack("<q", struct.pack("<d", value))[0]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.asm.builder import ProgramBuilder
@@ -30,6 +33,24 @@ def _isolated_run_cache(tmp_path_factory, monkeypatch):
     monkeypatch.setenv(
         "HIDISC_CACHE_DIR", str(tmp_path_factory.mktemp("hidisc-cache"))
     )
+
+
+def read_perfetto_trace(path) -> tuple[list[dict], dict]:
+    """Parse a Chrome/Perfetto trace file and return its events plus the
+    lane names by pid.
+
+    Asserts the file is one JSON document *and* one event per line inside
+    the ``traceEvents`` array, and that every event's pid is a named lane.
+    """
+    text = Path(path).read_text()
+    events = json.loads(text)["traceEvents"]
+    lines = text.splitlines()
+    assert lines[0] == '{"traceEvents": [' and lines[-1] == "]}"
+    assert [json.loads(line.rstrip(",")) for line in lines[1:-1]] == events
+    lanes = {e["pid"]: e["args"]["name"] for e in events
+             if e["ph"] == "M" and e["name"] == "process_name"}
+    assert events and {e["pid"] for e in events} <= set(lanes), lanes
+    return events, lanes
 
 
 def build_counting_loop(iterations: int = 10) -> "Program":

@@ -26,6 +26,8 @@ from repro.experiments.ledger import (
 from repro.store import locked_append
 from repro.telemetry import metrics, spans
 
+from .conftest import read_perfetto_trace
+
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 
@@ -277,15 +279,11 @@ class TestRunsCli:
         capsys.readouterr()
         assert not spans.active(), "tracer must be disabled after the run"
 
-        doc = json.loads(trace_path.read_text())
-        names = {e["name"] for e in doc["traceEvents"]}
+        events, _ = read_perfetto_trace(trace_path)
+        names = {e["name"] for e in events}
         assert {"prepare", "run_model", "cache_store"} <= names
-        lines = trace_path.read_text().splitlines()
-        assert lines[0] == '{"traceEvents": ['
-        for line in lines[1:-1]:
-            json.loads(line.rstrip(","))
 
         # the traced run's ledger entry carries the span summary
         entry = RunLedger(ledger_path(cache_dir)).entries()[-1]
-        assert entry["spans"]["count"] == len(doc["traceEvents"]) - \
-            sum(1 for e in doc["traceEvents"] if e["ph"] == "M")
+        assert entry["spans"]["count"] == len(events) - \
+            sum(1 for e in events if e["ph"] == "M")

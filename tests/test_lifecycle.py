@@ -38,7 +38,11 @@ from repro.telemetry import (
 )
 from repro.telemetry.sinks import ChromeTraceSink
 
-from .conftest import build_load_compute_store, build_store_loop
+from .conftest import (
+    build_load_compute_store,
+    build_store_loop,
+    read_perfetto_trace,
+)
 from .test_telemetry import _compile_all_modes
 
 
@@ -258,8 +262,8 @@ class TestChromeLifecycleExport:
         emitted = lifecycle_to_chrome(rows, sink)
         sink.close()
         assert emitted == len(rows)
-        doc = json.loads(path.read_text())
-        spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
+        events, _ = read_perfetto_trace(path)
+        spans = [e for e in events if e["ph"] == "X"]
         assert len(spans) == len(rows)
         first = spans[0]["args"]
         assert {"gid", "fetch", "commit", "breakdown"} <= first.keys()

@@ -20,20 +20,11 @@ class TestFifo:
         with pytest.raises(QueueProtocolError):
             q.pop()
 
-    def test_peek(self):
-        q = ArchQueue("q", 4)
-        q.push(9)
-        assert q.peek() == 9
-        assert len(q) == 1
-        q.pop()
-        with pytest.raises(QueueProtocolError):
-            q.peek()
-
     def test_capacity_enforced_optionally(self):
         q = ArchQueue("q", 2)
         q.push(1)
         q.push(2)
-        assert q.full and not q.can_push()
+        assert q.full
         q.push(3)  # functional mode: allowed
         with pytest.raises(QueueProtocolError):
             q.push(4, enforce_capacity=True)
@@ -49,12 +40,9 @@ class TestStats:
         q.push(1)
         q.push(2)
         q.pop()
-        q.note_full_stall(3)
-        q.note_empty_stall()
         s = q.stats
         assert s.pushes == 2 and s.pops == 1
         assert s.max_occupancy == 2
-        assert s.full_stall_cycles == 3 and s.empty_stall_cycles == 1
 
     def test_clear_keeps_stats(self):
         q = ArchQueue("q", 4)
@@ -70,14 +58,9 @@ class TestQueueSet:
         assert qs.ldq.capacity == 32
         assert qs.sdq.capacity == 16
         assert qs.saq.capacity == 8
-
-    def test_all_empty(self):
-        qs = QueueSet(4, 4, 4)
-        assert qs.all_empty()
         qs.sdq.push(1)
-        assert not qs.all_empty()
         qs.clear()
-        assert qs.all_empty()
+        assert qs.sdq.empty
 
 
 @given(st.lists(st.one_of(st.integers(), st.none()), max_size=60))

@@ -334,12 +334,6 @@ def _record_then_raise(log_path):
     raise SimulationError("deterministic failure")
 
 
-def _sleep_in_worker(parent_pid, seconds):
-    if os.getpid() != parent_pid:
-        time.sleep(seconds)
-    return "ok"
-
-
 def _log_and_return(log_path, value):
     with open(log_path, "a") as fh:
         fh.write(value + "\n")
@@ -394,16 +388,6 @@ class TestRetryBackoff:
             run_tasks(tasks, jobs=2, retries=3, backoff=0.01)
         assert log.read_text().count("attempt") == 1, \
             "a task-raised error must not be retried"
-
-    def test_timeout_salvages_finished_results(self):
-        parent = os.getpid()
-        fast = Task(label="fast", fn=_identity_task, args=("done",))
-        slow = Task(label="slow", fn=_sleep_in_worker, args=(parent, 5))
-        delivered = []
-        results = run_tasks([fast, slow], jobs=2, timeout=0.5, retries=0,
-                            on_result=lambda i, r: delivered.append(i))
-        assert results == ["done", "ok"]
-        assert sorted(delivered) == [0, 1]
 
     def test_worker_death_mid_round_salvages_delivered_results(self,
                                                                tmp_path):

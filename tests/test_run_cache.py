@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 
 import pytest
 
@@ -185,13 +184,6 @@ def _crash_in_worker(parent_pid):
     return "ok"
 
 
-def _sleep_in_worker(parent_pid, seconds):
-    """Hangs in a pool worker; returns immediately in the parent."""
-    if os.getpid() != parent_pid:
-        time.sleep(seconds)
-    return "ok"
-
-
 def _raise_simulation_error():
     raise SimulationError("boom from worker")
 
@@ -216,12 +208,6 @@ class TestRunTasks:
         tasks = [Task(label=f"t{i}", fn=_crash_in_worker, args=(parent,))
                  for i in range(4)]
         assert run_tasks(tasks, jobs=2) == ["ok"] * 4
-
-    def test_timeout_falls_back_to_serial(self):
-        parent = os.getpid()
-        tasks = [Task(label=f"t{i}", fn=_sleep_in_worker, args=(parent, 3))
-                 for i in range(2)]
-        assert run_tasks(tasks, jobs=2, timeout=0.2) == ["ok"] * 2
 
     def test_task_exceptions_propagate(self):
         # two tasks so the pool path (not the inline shortcut) is taken

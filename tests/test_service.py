@@ -52,6 +52,8 @@ from repro.service import (
 from repro.telemetry import diff_payloads
 from repro.workloads import get_workload
 
+from .conftest import read_perfetto_trace
+
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
 POINTER_SPEC = {"kind": "suite", "benchmarks": ["pointer"],
@@ -673,20 +675,57 @@ class TestEndToEnd:
             second.kill()
 
     def test_cli_clients_round_trip(self, tmp_path, capsys):
-        """hidisc submit --wait / jobs / cancel against a live daemon."""
+        """hidisc submit --wait / jobs / cancel against a live daemon, the
+        /metrics scrape before and after the job, a duplicate submission,
+        'jobs top', the stitched job trace and the job's ledger record."""
         from repro.experiments.cli import main
 
+        def scraped(name: str, text: str) -> bool:
+            return re.search(rf"^{name}\b", text, re.M) is not None
+
+        def scrape_showing(name: str, what: str) -> str:
+            def scrape():
+                text = client.metrics_text()
+                return text if scraped(name, text) else None
+            return wait_for(scrape, 30, what)
+
+        def ready():
+            try:
+                return client.fleet()
+            except ServiceError:
+                return None
+
+        spool = Path(os.environ["HIDISC_CACHE_DIR"]) / "service"
         daemon = ServeDaemon("--workers", "1", "--lease-ttl", "10")
         try:
             client = daemon.client()
             url = client.url
-            code = main(["submit", "--url", url, "--benchmarks", "pointer",
-                         "--modes", "superscalar", "--quick", "--wait",
-                         "--no-progress"])
+            wait_for(ready, 30, "a live worker (/health)")
+            # Worker status files, which the scrape folds in, trail the
+            # process: the first lands once the worker is up, and the one
+            # counting a job (after its ledger record and spans) lands
+            # just after the job turns done.
+            before = scrape_showing("workers_live 1", "the worker's status")
+            assert not scraped("jobs_completed", before)
+
+            submit = ["submit", "--url", url, "--benchmarks", "pointer",
+                      "--modes", "superscalar", "--quick", "--no-progress"]
+            code = main([*submit, "--wait"])
             out = capsys.readouterr().out
             assert code == 0
             assert "submitted" in out and "done" in out
             job_id = re.search(r"job (\S+): submitted", out).group(1)
+
+            after = scrape_showing("jobs_completed 1", "the job's counters")
+            for name in ("jobs_submitted 1", "job_latency_seconds_count 1",
+                         "job_queue_wait_seconds_bucket"):
+                assert scraped(name, after), name
+            assert client.metrics()["counts"]["done"] == 1
+
+            assert main(submit) == 0
+            assert "joined an identical in-flight job" in \
+                capsys.readouterr().out
+            assert len(list((spool / "jobs" / "done").glob("*.json"))) == 1
 
             assert main(["jobs", "--url", url, "--no-progress"]) == 0
             listing = capsys.readouterr().out
@@ -696,6 +735,29 @@ class TestEndToEnd:
                          "--no-progress"]) == 0
             record = json.loads(capsys.readouterr().out)
             assert record["state"] == "done"
+
+            assert main(["jobs", "top", "--url", url, "--iterations", "2",
+                         "--interval", "0.2", "--no-progress"]) == 0
+            top = capsys.readouterr().err
+            lines = [l for l in top.splitlines() if l.startswith("[top] ")]
+            assert len(lines) == 2 and "\r" not in top
+            assert all("workers 1/1" in line for line in lines)
+
+            trace_path = tmp_path / "job.trace.json"
+            assert main(["jobs", "trace", job_id, "--out", str(trace_path),
+                         "--no-progress"]) == 0
+            capsys.readouterr()
+            _, lanes = read_perfetto_trace(trace_path)
+            for lane in ("client", "queue", "worker"):
+                assert any(lane in name for name in lanes.values()), lanes
+
+            assert main(["runs", "list"]) == 0
+            runs = capsys.readouterr().out
+            assert job_id[:14] in runs and " job " in runs
+            assert main(["runs", "report", job_id]) == 0
+            assert "service job" in capsys.readouterr().out
+            assert main(["cache", "stats"]) == 0
+            assert "service spool:" in capsys.readouterr().out
 
             assert main(["cancel", job_id, "--url", url,
                          "--no-progress"]) == 0

@@ -61,6 +61,8 @@ from repro.telemetry.metrics import (
     render_prometheus,
 )
 
+from .conftest import read_perfetto_trace
+
 POINTER_SPEC = {"kind": "suite", "benchmarks": ["pointer"],
                 "modes": ["superscalar"], "quick": True}
 
@@ -416,13 +418,9 @@ class TestJobTrace:
         out = tmp_path / "trace.json"
         count = spans.write_orchestration_trace(records, out,
                                                 lane_names=lane_names)
-        data = json.loads(out.read_text())
-        events = data["traceEvents"]
+        events, lanes = read_perfetto_trace(out)
         assert count == len(events) > 0
-        metas = {e["args"]["name"] for e in events
-                 if e.get("ph") == "M" and e.get("name") == "process_name"}
-        assert metas == set(lane_names.values())
-        assert {e["pid"] for e in events} == set(lane_names)
+        assert lanes == lane_names
         # Residency spans reconstructed from the event stream.
         cats = {e.get("cat") for e in events if e.get("ph") == "X"}
         assert "queue-state" in cats and "cell" in cats

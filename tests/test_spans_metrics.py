@@ -11,6 +11,8 @@ import pytest
 
 from repro.telemetry import metrics, spans
 
+from .conftest import read_perfetto_trace
+
 
 @pytest.fixture(autouse=True)
 def _clean_observability():
@@ -158,13 +160,8 @@ class TestTraceExport:
         out = tmp_path / "orch.json"
         count = spans.write_orchestration_trace(_sample_records(), out,
                                                 main_pid=os.getpid())
-        doc = json.loads(out.read_text())
-        assert len(doc["traceEvents"]) == count > 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == '{"traceEvents": ['
-        assert lines[-1] == "]}"
-        for line in lines[1:-1]:
-            json.loads(line.rstrip(","))
+        events, _ = read_perfetto_trace(out)
+        assert len(events) == count > 0
 
     def test_summarize(self):
         digest = spans.summarize(_sample_records())

@@ -26,7 +26,6 @@ from repro.sim import (
 )
 from repro.sim.core import TimingCore, WindowEntry
 from repro.sim.decode import DecodedOp
-from repro.sim.queues import ArchQueue
 from repro.slicer import compile_hidisc
 from repro.telemetry import (
     CPI_COMPONENTS,
@@ -43,7 +42,11 @@ from repro.telemetry import (
 )
 from repro.telemetry.sampler import take_sample
 
-from .conftest import build_load_compute_store, build_store_loop
+from .conftest import (
+    build_load_compute_store,
+    build_store_loop,
+    read_perfetto_trace,
+)
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +113,7 @@ class TestSinks:
         sink.instant("CMP", "cmas_fork", 6)
         sink.counter("queues", "LDQ", 7, 4)
         sink.close()
-        doc = json.loads(path.read_text())
-        events = doc["traceEvents"]
+        events, _ = read_perfetto_trace(path)
         thread_names = {e["args"]["name"] for e in events
                         if e.get("name") == "thread_name"}
         assert {"CP", "CMP"} <= thread_names
@@ -477,24 +479,6 @@ class TestSamplerEdgeCases:
         assert sample.queues == {"LDQ": 0, "SDQ": 0, "SAQ": 0}
         assert sample.cores == {"main": (0, 0)}
         assert sample.as_dict()["outstanding_misses"] == 0
-
-
-class TestArchQueueSink:
-    def test_functional_queue_mirrors_occupancy(self):
-        sink = MemorySink()
-        q = ArchQueue("LDQ", 4)
-        q.attach_sink(sink)
-        q.push(1)
-        q.push(2)
-        q.pop()
-        values = [e[4] for e in sink.of_kind("counter")]
-        assert values == [1, 2, 1]
-
-    def test_attach_null_sink_is_off(self):
-        q = ArchQueue("LDQ", 4)
-        q.attach_sink(NullSink())
-        q.push(1)  # must not record or fail
-        assert q._sink is None
 
 
 def test_new_stack_and_total():
