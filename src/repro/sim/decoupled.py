@@ -73,6 +73,8 @@ class Machine:
         end_pos: int | None = None,
         hierarchy: MemoryHierarchy | None = None,
         predictor: BranchPredictor | None = None,
+        complete_at: list[int | None] | None = None,
+        decoded: list | None = None,
     ):
         if mode not in MODES:
             raise SimulationError(f"unknown machine mode {mode!r}")
@@ -97,8 +99,11 @@ class Machine:
         # Interval (sampled) execution: replay only trace positions in
         # [start_pos, end_pos).  The memory hierarchy and branch predictor
         # may be *injected* so that a sampling driver can carry their warm
-        # micro-architectural state across fast-forward gaps (see
-        # repro.sim.sampling); a fresh pair is built for normal full runs.
+        # micro-architectural state across fast-forward gaps, and so may
+        # the ``complete_at`` buffer (which must then read None over the
+        # window and the CMAS gids, 0 elsewhere) and the decode table, so
+        # that it builds neither per window (see repro.sim.sampling); full
+        # runs build their own.
         self._fetch_end = len(trace) if end_pos is None else end_pos
         if not (0 <= start_pos <= self._fetch_end <= len(trace)):
             raise SimulationError(
@@ -148,24 +153,17 @@ class Machine:
         if self._tel_events:
             self.hierarchy.sink = self.sink
 
-        cmas_extra = cmas_plan.total_prefetch_instructions if self.cmp_enabled else 0
-        self.complete_at: list[int | None] = [None] * (len(trace) + cmas_extra)
+        if complete_at is None:
+            cmas_extra = (cmas_plan.total_prefetch_instructions
+                          if self.cmp_enabled else 0)
+            complete_at = [None] * (len(trace) + cmas_extra)
+        self.complete_at = complete_at
         self._next_cmas_gid = len(trace)
-        if start_pos > 0 or self._fetch_end < len(trace):
-            # Windowed replay: dependence edges reaching outside the window
-            # (value producers before it, and LDQ/SDQ *capacity* edges that
-            # point forward past it — queue-slot reuse ignores fetch order)
-            # are treated as already satisfied at cycle 0.  This is the
-            # standard sampling approximation: cross-window stalls are
-            # dropped, which the detailed-warmup prefix re-establishes.
-            complete_at = self.complete_at
-            complete_at[:start_pos] = [0] * start_pos
-            tail = len(trace) - self._fetch_end
-            complete_at[self._fetch_end:len(trace)] = [0] * tail
 
         #: static decode table indexed by PC (see repro.sim.decode) — every
         #: per-instruction property the scheduler needs, resolved once.
-        self.decoded = decode_program(program.text)
+        self.decoded = (decode_program(program.text) if decoded is None
+                        else decoded)
         if self._life is not None:
             self._life.bind(self)
 

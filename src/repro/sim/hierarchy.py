@@ -18,6 +18,7 @@ HiDISC access the same L1/L2, which is how the CMP's prefetches help).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..config import CacheConfig, MachineConfig
@@ -140,28 +141,18 @@ class MemoryHierarchy:
         return self.access(address, is_write=False, now=now, is_prefetch=True)
 
     # ------------------------------------------------------------------
-    def warm(self, address: int, is_write: bool = False) -> None:
-        """Timing-free functional warming (sampled fast-forward).
+    def warm_many(self, events: Iterable[tuple[int, bool]]) -> None:
+        """Timing-free functional warming (sampled fast-forward) over
+        ``(address, is_write)`` pairs.
 
-        Updates L1/L2 tag and LRU state exactly as a demand access would —
-        misses allocate, writes set dirty bits — but charges no latency and
-        touches neither the MSHR table nor the statistics counters beyond
-        the caches' own (which the next measurement window resets anyway).
-        This is what keeps cache state honest across fast-forward gaps.
-        """
-        result = self.l1.access(address, is_write=is_write, is_prefetch=False)
-        if not result.hit:
-            self.l2.access(address, is_write=False, is_prefetch=False)
-
-    def warm_many(self, events: list[tuple[int, bool]]) -> None:
-        """Batched :meth:`warm` over ``(address, is_write)`` pairs.
-
-        Identical tag/LRU/dirty/prefetched-flag transitions, but inlined
-        over both levels with no per-access result objects and no
-        statistics counters (functional warming always precedes a
-        measurement window, which resets statistics anyway).  This loop is
-        the fast-forward inner loop of sampled simulation — its speed sets
-        the ceiling on the sampled-vs-full speedup.
+        Updates L1/L2 tag, LRU, dirty and prefetched-flag state exactly as
+        a demand access would, but charges no latency and touches neither
+        the MSHR table nor any statistics counter (functional warming
+        always precedes a measurement window, which resets statistics
+        anyway).  Inlined over both levels with no per-access result
+        objects: this loop is the fast-forward inner loop of sampled
+        simulation — its speed sets the ceiling on the sampled-vs-full
+        speedup.
         """
         from .cache import _Line
 

@@ -109,9 +109,6 @@ class ArchQueue:
         self.stats.pops += 1
         return self._items.popleft()
 
-    def clear(self) -> None:
-        self._items.clear()
-
 
 class QueueSet:
     """The LDQ/SDQ/SAQ triple of one decoupled machine."""
@@ -120,8 +117,3 @@ class QueueSet:
         self.ldq = ArchQueue("LDQ", ldq_entries)
         self.sdq = ArchQueue("SDQ", sdq_entries)
         self.saq = ArchQueue("SAQ", saq_entries)
-
-    def clear(self) -> None:
-        self.ldq.clear()
-        self.sdq.clear()
-        self.saq.clear()

@@ -11,7 +11,7 @@ periodic windows and *extrapolates*:
    event stream instead of a functional re-execution.
 2. **Functional warming** — while fast-forwarding, the memory/branch
    event stream is replayed into the *shared* cache hierarchy
-   (:meth:`~repro.sim.hierarchy.MemoryHierarchy.warm`) and branch
+   (:meth:`~repro.sim.hierarchy.MemoryHierarchy.warm_many`) and branch
    predictor (:meth:`~repro.sim.branch.BranchPredictor.resolve`), so
    long-lived micro-architectural state never goes cold.
 3. **Detailed warmup** — each measured window is preceded by
@@ -39,20 +39,23 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
-from bisect import bisect_left
 from dataclasses import fields as dataclass_fields
+from itertools import repeat
 
 import numpy as np
 
 from ..asm.program import Program
 from ..config import MachineConfig, SamplingPlan
-from ..telemetry import Telemetry
+from ..telemetry import Telemetry, spans
 from .branch import BranchPredictor, BranchStats
 from .decode import CTRL_COND, CTRL_DIRECT, decode_program
 from .decoupled import Machine
 from .hierarchy import MemoryHierarchy
 from .machine import RunResult
 from .trace import CmasPlan, QueuePlan, Trace
+
+#: predictor kind of a warmed branch, indexed by its class minus 3.
+_BRANCH_KINDS = np.array(["cond", "indirect"], dtype=object)
 
 #: two-sided 95% normal quantile for the extrapolation error bars.
 _Z95 = 1.96
@@ -78,19 +81,21 @@ def _t95(df: int) -> float:
 class WarmupProbe:
     """Pre-extracted memory/branch event stream for functional warming.
 
-    Gathers over (decoded program, trace) build compact position-sorted
-    streams of the events that touch the hierarchy or the predictor;
-    replaying any position range is then two bisects plus tight loops —
-    no decode, no interpretation, no timing.  Memory and branch state are
-    independent structures, so the two streams replay separately (batched
-    through :meth:`~repro.sim.hierarchy.MemoryHierarchy.warm_many` for
-    the cache side, which dominates).
+    Gathers over (decode table, trace) build position-sorted event columns
+    (numpy arrays, no per-event Python objects): memory address and
+    is-write; branch pc, taken, next pc and predictor kind.  Replaying any
+    position range is then two binary searches per stream plus tight
+    loops over zipped column slices — no decode, no interpretation, no
+    timing.  Memory and branch state are independent structures, so the
+    two streams replay separately (batched through
+    :meth:`~repro.sim.hierarchy.MemoryHierarchy.warm_many` for the cache
+    side, which dominates).
     """
 
-    __slots__ = ("mem_positions", "mem_events", "br_positions", "br_events")
+    __slots__ = ("mem_positions", "mem_addr", "mem_write",
+                 "br_positions", "br_pc", "br_taken", "br_next", "br_kind")
 
-    def __init__(self, program: Program, trace: Trace):
-        decoded = decode_program(program.text)
+    def __init__(self, decoded: list, trace: Trace):
         # Per-pc classification (0 skip, 1 load, 2 store, 3 cond,
         # 4 indirect), gathered over the pc column.  Direct jumps never
         # consult predictor state; they classify as skip.
@@ -102,36 +107,34 @@ class WarmupProbe:
                 cls[pc] = 3
             elif op.ctrl_kind and op.ctrl_kind != CTRL_DIRECT:
                 cls[pc] = 4
-        kind = cls[trace.pcs()]
-        pcs, addrs = trace.pc, trace.addr
+        pcs = trace.pcs()
+        kind = cls[pcs]
         mem = np.flatnonzero((kind == 1) | (kind == 2))
-        self.mem_positions = mem.tolist()
-        self.mem_events = list(zip([addrs[i] for i in self.mem_positions],
-                                   (kind[mem] == 2).tolist()))
+        self.mem_positions = mem
+        self.mem_addr = np.fromiter(map(trace.addr.__getitem__, mem.tolist()),
+                                    dtype=np.int64, count=len(mem))
+        self.mem_write = kind[mem] == 2
         branches = np.flatnonzero(kind >= 3)
-        self.br_positions = branches.tolist()
-        br_events = []
-        for pos, k in zip(self.br_positions, kind[branches].tolist()):
-            pc, next_pc = pcs[pos], trace.next_pc(pos)
-            if k == 3:
-                br_events.append((pc, next_pc != pc + 1, next_pc, "cond"))
-            else:
-                br_events.append((pc, True, next_pc, "indirect"))
-        self.br_events = br_events
+        self.br_positions = branches
+        # The next pc is the following position's (the final HALT's own).
+        self.br_pc = pcs[branches]
+        self.br_next = pcs[np.minimum(branches + 1, len(pcs) - 1)]
+        br_cls = kind[branches]
+        self.br_taken = (br_cls == 4) | (self.br_next != self.br_pc + 1)
+        self.br_kind = _BRANCH_KINDS[br_cls - 3]
 
     def replay(self, lo: int, hi: int, hierarchy: MemoryHierarchy,
                predictor: BranchPredictor) -> None:
         """Warm *hierarchy*/*predictor* with events in positions [lo, hi)."""
-        i = bisect_left(self.mem_positions, lo)
-        j = bisect_left(self.mem_positions, hi)
-        hierarchy.warm_many(self.mem_events[i:j])
-        i = bisect_left(self.br_positions, lo)
-        j = bisect_left(self.br_positions, hi)
-        events = self.br_events
+        i, j = self.mem_positions.searchsorted((lo, hi))
+        hierarchy.warm_many(zip(self.mem_addr[i:j].tolist(),
+                                self.mem_write[i:j].tolist()))
+        i, j = self.br_positions.searchsorted((lo, hi))
         resolve = predictor.resolve
-        for k in range(i, j):
-            ev = events[k]
-            resolve(ev[0], ev[1], ev[2], ev[3])
+        for pc, taken, next_pc, kind in zip(
+                self.br_pc[i:j].tolist(), self.br_taken[i:j].tolist(),
+                self.br_next[i:j].tolist(), self.br_kind[i:j].tolist()):
+            resolve(pc, taken, next_pc, kind)
 
 
 def build_schedule(trace_length: int, warmup_pos: int,
@@ -285,7 +288,21 @@ def run_sampled(
     if not schedule:
         return run_exact(0)
 
-    probe = WarmupProbe(program, trace)
+    decoded = decode_program(program.text)
+    with spans.span("sample_probe", cat="simulate"):
+        probe = WarmupProbe(decoded, trace)
+    # Window state, allocated once per cell and adopted by every window
+    # machine.  Outside a window, dependence edges reaching past its edges
+    # (value producers before it, and LDQ/SDQ *capacity* edges that point
+    # forward past it — queue-slot reuse ignores fetch order) read as
+    # complete at cycle 0: the standard sampling approximation, whose
+    # dropped cross-window stalls the detailed-warmup prefix
+    # re-establishes.  Invariant between windows: 0 over the trace range,
+    # None over the CMAS gid range (extended in place: one large
+    # allocation, not three).
+    complete_at: list[int | None] = [0] * len(trace)
+    if cmas_plan is not None:
+        complete_at.extend(repeat(None, cmas_plan.total_prefetch_instructions))
 
     # Adaptive densification (the plan's `error_budget` is a variance
     # target, SMARTS-style): run the schedule, measure the 95% CI of
@@ -301,16 +318,26 @@ def run_sampled(
         intervals: list[RunResult] = []
         probe_pos = 0
         for w_start, d_start, d_end in schedule:
-            probe.replay(probe_pos, w_start, hierarchy, predictor)
-            hierarchy.settle()
-            machine = Machine(config, program, trace, mode,
-                              queue_plan=queue_plan, cmas_plan=cmas_plan,
-                              work_instructions=d_end - d_start,
-                              benchmark=benchmark, warmup_pos=d_start,
-                              telemetry=telemetry,
-                              start_pos=w_start, end_pos=d_end,
-                              hierarchy=hierarchy, predictor=predictor)
-            intervals.append(machine.run(max_cycles))
+            with spans.span("sample_replay", cat="simulate"):
+                probe.replay(probe_pos, w_start, hierarchy, predictor)
+                hierarchy.settle()
+            # Fast-forward lookups are never measured: a window with no
+            # warm-up prefix never resets the stats it starts with.
+            predictor.stats = BranchStats()
+            with spans.span("sample_window", cat="simulate"):
+                complete_at[w_start:d_end] = [None] * (d_end - w_start)
+                machine = Machine(config, program, trace, mode,
+                                  queue_plan=queue_plan, cmas_plan=cmas_plan,
+                                  work_instructions=d_end - d_start,
+                                  benchmark=benchmark, warmup_pos=d_start,
+                                  telemetry=telemetry,
+                                  start_pos=w_start, end_pos=d_end,
+                                  hierarchy=hierarchy, predictor=predictor,
+                                  complete_at=complete_at, decoded=decoded)
+                intervals.append(machine.run(max_cycles))
+                complete_at[w_start:d_end] = [0] * (d_end - w_start)
+                used = machine._next_cmas_gid - len(trace)
+                complete_at[len(trace):len(trace) + used] = [None] * used
             # Detach the stats objects the interval result now owns: the
             # next probe replay and interval mutate fresh ones instead.
             hierarchy.reset_stats()

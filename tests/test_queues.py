@@ -44,13 +44,6 @@ class TestStats:
         assert s.pushes == 2 and s.pops == 1
         assert s.max_occupancy == 2
 
-    def test_clear_keeps_stats(self):
-        q = ArchQueue("q", 4)
-        q.push(1)
-        q.clear()
-        assert q.empty
-        assert q.stats.pushes == 1
-
 
 class TestQueueSet:
     def test_construction(self):
@@ -58,9 +51,6 @@ class TestQueueSet:
         assert qs.ldq.capacity == 32
         assert qs.sdq.capacity == 16
         assert qs.saq.capacity == 8
-        qs.sdq.push(1)
-        qs.clear()
-        assert qs.sdq.empty
 
 
 @given(st.lists(st.one_of(st.integers(), st.none()), max_size=60))

@@ -30,13 +30,18 @@ from repro.experiments import (
 )
 from repro.sim import generate_trace
 from repro.sim.sampling import build_schedule
+from repro.telemetry import spans
 from repro.workloads import all_workloads, get_workload, quick_workloads
 from repro.workloads.large import LARGE_SPECS, large_workload
 
-#: Grid-validated plan: every paper-scale (benchmark, model) cell lands
-#: inside the default 3% error budget at this density.
-GRID_PLAN = SamplingPlan(interval_length=4000, detail_length=1000,
-                         warmup_length=1000)
+from tests.record_sched_fixtures import (
+    GRID_PLAN,
+    SAMPLED_CELLS,
+    SAMPLED_FIXTURE_PATH,
+    SEED,
+    run_sampled_cell,
+    sampled_cell,
+)
 
 #: The committed full-detail paper-scale numbers (the fixed point).
 PAPER_SCALE = Path(__file__).resolve().parents[1] / "results" / \
@@ -118,14 +123,69 @@ def paper_raytrace():
     return prepare(get_workload("raytrace"), MachineConfig())
 
 
+@pytest.fixture(scope="module")
+def sampled_parity() -> dict:
+    """Sampled cells recorded by ``tests/record_sched_fixtures.py``."""
+    payload = json.loads(SAMPLED_FIXTURE_PATH.read_text())
+    assert payload["seed"] == SEED
+    return payload["cells"]
+
+
 class TestSampledRun:
     @pytest.mark.parametrize("mode", MODEL_ORDER)
-    def test_same_seed_and_plan_byte_identical(self, paper_raytrace, mode):
+    def test_same_seed_and_plan_byte_identical(self, paper_raytrace,
+                                               sampled_parity, mode):
         config = MachineConfig()
         a = run_model(paper_raytrace, config, mode, sampling=GRID_PLAN)
         b = run_model(paper_raytrace, config, mode, sampling=GRID_PLAN)
         assert pickle.dumps(a) == pickle.dumps(b)
         assert a.sampling["cycles_rel_ci95"] <= GRID_PLAN.error_budget
+        assert sampled_cell(a) == sampled_parity[f"raytrace/{mode}"]
+
+    @pytest.mark.parametrize(
+        "name,mode,plan,cpi",
+        [pytest.param(*cell, id=f"{cell[0]}-{cell[1]}")
+         for cell in SAMPLED_CELLS if cell[0] != "raytrace"])
+    def test_refined_and_degraded_cells_match_fixture(
+            self, sampled_parity, name, mode, plan, cpi):
+        """A cell that refines and stays sampled, and one that degrades to
+        exact, reproduce their recorded results bit for bit."""
+        cw = prepare(get_workload(name, seed=SEED), MachineConfig())
+        result = run_sampled_cell(cw, mode, plan, cpi)
+        assert sampled_cell(result) == sampled_parity[f"{name}/{mode}"]
+
+    def test_zero_warmup_counts_only_measured_branches(self, paper_raytrace):
+        """Without a warm-up prefix no measurement reset happens inside a
+        window, so the fast-forward replay's predictor lookups must not
+        reach the window's branch statistics."""
+        config = MachineConfig()
+        full = run_model(paper_raytrace, config, "superscalar")
+        samp = run_model(paper_raytrace, config, "superscalar",
+                         sampling=dataclasses.replace(GRID_PLAN,
+                                                      warmup_length=0))
+        assert not samp.sampling["exact"]
+        assert samp.branch.lookups == pytest.approx(full.branch.lookups,
+                                                    rel=0.05)
+
+    def test_sampling_spans_nest_under_run_model(self, paper_raytrace):
+        tracer = spans.enable()
+        try:
+            result = run_model(paper_raytrace, MachineConfig(), "hidisc",
+                               sampling=GRID_PLAN)
+        finally:
+            spans.disable()
+        by_name: dict[str, list] = {}
+        for record in tracer.records:
+            by_name.setdefault(record.name, []).append(record)
+        (run,) = by_name["run_model"]
+        counts = {"sample_probe": 1,
+                  "sample_replay": result.sampling["intervals"],
+                  "sample_window": result.sampling["intervals"]}
+        for name, count in counts.items():
+            records = by_name.get(name, [])
+            assert len(records) == count, name
+            assert all(r.cat == "simulate" and r.parent == run.sid
+                       for r in records), name
 
     def test_metadata_carries_plan_and_schedule(self, paper_raytrace):
         result = run_model(paper_raytrace, MachineConfig(), "hidisc",

@@ -18,6 +18,7 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import re
@@ -573,9 +574,19 @@ class ServeDaemon:
                 "serve did not drain on SIGTERM:\n" + "\n".join(self.lines))
 
     def kill(self):
-        if self.proc.poll() is None:
-            self.proc.kill()
-            self.proc.wait()
+        """Cleanup after any test outcome.  A SIGKILLed daemon would orphan
+        its workers, so this is :meth:`stop` (SIGTERM, then SIGKILL after
+        a bounded wait) without its drain assertion."""
+        with contextlib.suppress(AssertionError):
+            self.stop(timeout=30.0)
+
+
+def pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def reference_pointer_payload(tmp_path, modes=("superscalar", "cp_ap",
@@ -589,6 +600,30 @@ def reference_pointer_payload(tmp_path, modes=("superscalar", "cp_ap",
 
 @pytest.mark.slow
 class TestEndToEnd:
+    def test_kill_leaves_no_orphaned_worker(self):
+        """The cleanup path every end-to-end test ends in must take the
+        daemon's worker down with it."""
+        daemon = ServeDaemon("--workers", "1")
+        worker_pid = None
+        try:
+            daemon.client()
+
+            def worker_up():
+                for line in list(daemon.lines):
+                    match = re.search(r"worker up \(pid (\d+)", line)
+                    if match:
+                        return int(match.group(1))
+                return None
+
+            worker_pid = wait_for(worker_up, 30, "the worker to start")
+            daemon.kill()
+            wait_for(lambda: not pid_alive(worker_pid), 10,
+                     f"worker {worker_pid} to exit")
+        finally:
+            daemon.kill()
+            if worker_pid is not None and pid_alive(worker_pid):
+                os.kill(worker_pid, signal.SIGKILL)
+
     def test_sigkilled_worker_job_requeues_and_completes(self, tmp_path):
         """The headline guarantee: SIGKILL a worker mid-job; the lease
         expires, the job requeues (one attempt charged), a fresh worker
