@@ -30,7 +30,6 @@ from .config import (
     CoreConfig,
     MachineConfig,
     SamplingPlan,
-    TelemetryConfig,
 )
 from .errors import ReproError
 from .slicer import compile_hidisc
@@ -48,7 +47,6 @@ __all__ = [
     "ReproError",
     "SamplingPlan",
     "Telemetry",
-    "TelemetryConfig",
     "__version__",
     "assemble",
     "compile_hidisc",

@@ -98,15 +98,14 @@ class BranchConfig:
 
 @dataclass(frozen=True)
 class QueueConfig:
-    """Architectural queue depths (LDQ/SDQ/SAQ and instruction queues)."""
+    """Architectural queue depths (LDQ/SDQ and instruction queues)."""
 
     ldq_entries: int = 32
     sdq_entries: int = 32
-    saq_entries: int = 32
     instr_queue_entries: int = 64
 
     def __post_init__(self) -> None:
-        for attr in ("ldq_entries", "sdq_entries", "saq_entries", "instr_queue_entries"):
+        for attr in ("ldq_entries", "sdq_entries", "instr_queue_entries"):
             if getattr(self, attr) < 1:
                 raise ConfigError(f"{attr} must be >= 1")
 
@@ -123,7 +122,6 @@ class CmasConfig:
     #: assumptions of the speculative-precomputation literature (the paper
     #: does not size the CMP's thread storage).
     max_contexts: int = 16
-    prefetch_into_l1: bool = True
 
     def __post_init__(self) -> None:
         if self.trigger_distance < 1:
@@ -132,44 +130,6 @@ class CmasConfig:
             raise ConfigError("miss_rate_threshold must be in [0, 1]")
         if self.max_contexts < 1:
             raise ConfigError("max_contexts must be >= 1")
-
-
-@dataclass(frozen=True)
-class TelemetryConfig:
-    """Observability knobs (see :mod:`repro.telemetry`).
-
-    This is declarative configuration only; the runtime collector object
-    (sink, sampler storage) is :class:`repro.telemetry.Telemetry`, built
-    from one of these with :meth:`repro.telemetry.Telemetry.from_config`.
-    """
-
-    #: collect per-core CPI stacks (exhaustive cycle attribution).
-    cpi: bool = True
-    #: occupancy-sampling period in cycles; 0 disables sampling.
-    sample_interval: int = 0
-    #: event-trace file format: Chrome ``trace_event`` JSON or JSONL.
-    trace_format: str = "chrome"
-    #: capture per-dynamic-instruction lifecycle records
-    #: (:mod:`repro.telemetry.lifecycle`).
-    lifecycle: bool = False
-    #: lifecycle ring-buffer capacity; 0 keeps every committed record.
-    lifecycle_max_records: int = 0
-    #: heartbeat period in cycles (one live status line per period on
-    #: stderr); 0 disables the heartbeat.
-    heartbeat_interval: int = 0
-
-    def __post_init__(self) -> None:
-        if self.sample_interval < 0:
-            raise ConfigError("sample_interval must be >= 0")
-        if self.trace_format not in ("chrome", "jsonl"):
-            raise ConfigError(
-                f"unknown trace format {self.trace_format!r} "
-                "(expected 'chrome' or 'jsonl')"
-            )
-        if self.lifecycle_max_records < 0:
-            raise ConfigError("lifecycle_max_records must be >= 0")
-        if self.heartbeat_interval < 0:
-            raise ConfigError("heartbeat_interval must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -88,17 +88,17 @@ def default_cache_dir() -> Path:
 def workload_fingerprint(workload: Workload) -> str:
     """Deterministic identity of one workload instance.
 
-    Covers the class and every scalar constructor attribute — which
-    includes ``seed`` and the size parameters, so quick and paper-scale
-    instances of the same benchmark never collide.  (Generated data arrays
-    are derived deterministically from these scalars and need not be
-    hashed.)
+    Covers the class and every scalar or tuple attribute.  Each family
+    stores every constructor parameter (``seed`` and the size parameters
+    included, so quick and paper-scale instances never collide); the
+    generated data arrays derive deterministically from them and need not
+    be hashed.
     """
     cls = type(workload)
     params = {
         key: value
         for key, value in sorted(vars(workload).items())
-        if isinstance(value, (bool, int, float, str))
+        if isinstance(value, (bool, int, float, str, tuple))
     }
     return f"{cls.__module__}.{cls.__qualname__}:{workload.name}:{params!r}"
 

@@ -62,12 +62,13 @@ import time
 from dataclasses import replace
 from typing import Callable
 
-from ..config import MachineConfig, SamplingPlan, TelemetryConfig
+from ..config import MachineConfig, SamplingPlan
 from ..errors import BackpressureError, ConfigError, InterruptedRun, \
     ServiceError
 from ..telemetry import (
     ChromeTraceSink,
     Heartbeat,
+    JsonlSink,
     LifecycleCollector,
     Telemetry,
     critical_path_by_pc,
@@ -253,12 +254,16 @@ def _stats_payload(result, telemetry: Telemetry) -> dict:
     return payload
 
 
+def _heartbeat(args) -> Heartbeat | None:
+    """The --heartbeat status line, or None when it is off (0)."""
+    return Heartbeat(args.heartbeat) if args.heartbeat else None
+
+
 def _run_stats(args, config, progress, cache, payload) -> int:
     """The 'stats' command: one run's CPI stacks, loss-of-decoupling
     breakdown and occupancy samples."""
-    telemetry = Telemetry.from_config(
-        TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
-                        heartbeat_interval=args.heartbeat))
+    telemetry = Telemetry(cpi=True, sample_interval=args.occupancy_interval,
+                          heartbeat=_heartbeat(args))
     result = _profile_single(args, config, progress, telemetry, cache)
     print(render_run_stats(result))
     label = sampling_label(result)
@@ -272,10 +277,10 @@ def _run_trace(args, config, progress, cache, payload) -> int:
     """The 'trace' command: one run's event stream as a Chrome/Perfetto
     trace or JSONL."""
     fmt, out = args.trace_format, args.out
-    telemetry = Telemetry.from_config(
-        TelemetryConfig(cpi=True, sample_interval=args.occupancy_interval,
-                        trace_format=fmt, heartbeat_interval=args.heartbeat),
-        trace_path=out)
+    sink = JsonlSink(out) if fmt == "jsonl" else ChromeTraceSink(out)
+    telemetry = Telemetry(sink=sink, cpi=True,
+                          sample_interval=args.occupancy_interval,
+                          heartbeat=_heartbeat(args))
     result = _profile_single(args, config, progress, telemetry, cache)
     telemetry.close()
     print(render_run_stats(result))
@@ -305,9 +310,8 @@ def _run_lifecycle(args, config, progress, cache, payload) -> int:
         max_records=args.lifecycle_limit or None,
         jsonl_path=out if fmt == "jsonl" else None,
     )
-    heartbeat = Heartbeat(args.heartbeat) if args.heartbeat else None
     telemetry = Telemetry(cpi=True, sample_interval=args.occupancy_interval,
-                          lifecycle=lifecycle, heartbeat=heartbeat)
+                          lifecycle=lifecycle, heartbeat=_heartbeat(args))
     result = _profile_single(args, config, progress, telemetry, cache)
     telemetry.close()
 

@@ -20,13 +20,10 @@ give each traced run its own sink/sampler/lifecycle collector.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from ..config import TelemetryConfig
 from .heartbeat import Heartbeat
 from .lifecycle import LifecycleCollector
 from .sampler import Sampler
-from .sinks import NULL_SINK, ChromeTraceSink, JsonlSink, Sink
+from .sinks import NULL_SINK, Sink
 
 
 class Telemetry:
@@ -72,35 +69,3 @@ class Telemetry:
         self.sink.close()
         if self.lifecycle is not None:
             self.lifecycle.close()
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_config(cls, config: TelemetryConfig,
-                    trace_path: str | Path | None = None,
-                    lifecycle_jsonl: str | Path | None = None) -> "Telemetry":
-        """Build a telemetry object from a :class:`TelemetryConfig`.
-
-        *trace_path* selects the sink: ``None`` means no event stream
-        (CPI/sampling only); otherwise the configured ``trace_format``
-        decides between Chrome ``trace_event`` JSON and JSONL.
-        *lifecycle_jsonl* streams the lifecycle records there in addition
-        to the configured ring buffer.
-        """
-        sink: Sink | None = None
-        if trace_path is not None:
-            if config.trace_format == "jsonl":
-                sink = JsonlSink(trace_path)
-            else:
-                sink = ChromeTraceSink(trace_path)
-        lifecycle: LifecycleCollector | None = None
-        if config.lifecycle or lifecycle_jsonl is not None:
-            lifecycle = LifecycleCollector(
-                max_records=config.lifecycle_max_records or None,
-                jsonl_path=lifecycle_jsonl,
-            )
-        heartbeat: Heartbeat | None = None
-        if config.heartbeat_interval:
-            heartbeat = Heartbeat(config.heartbeat_interval)
-        return cls(sink=sink, cpi=config.cpi,
-                   sample_interval=config.sample_interval,
-                   lifecycle=lifecycle, heartbeat=heartbeat)

@@ -18,9 +18,9 @@ SpMV*              CSR gather mat-vec                    (reproduction extra)
 gather-style access patterns.)
 
 Use :func:`all_workloads` / :func:`quick_workloads` for the paper-scale and
-test-scale suites, :func:`get_workload` by name, or
-:func:`workloads_from_spec` to build the suite from one
-family-independent :class:`~repro.workloads.spec.WorkloadSpec`.
+test-scale suites, :func:`get_workload` by name, or :func:`large_workload`
+for one benchmark of the sampled-simulation tier.  Every tier is a fixed
+set of constructor arguments.
 """
 
 from __future__ import annotations
@@ -29,11 +29,10 @@ from .base import Workload, check_ap_executable
 from .dm import DmWorkload
 from .field import FieldWorkload
 from .hashjoin import HashJoinWorkload
-from .large import LARGE_SPECS, large_workload, large_workloads
+from .large import LARGE_WORKLOADS, large_workload
 from .neighborhood import NeighborhoodWorkload
 from .pointer import PointerWorkload
 from .raytrace import RayTraceWorkload
-from .spec import WorkloadSpec, describe_spec
 from .spmv import SpmvWorkload
 from .transitive import TransitiveWorkload
 from .update import UpdateWorkload
@@ -76,14 +75,6 @@ def quick_workloads(seed: int = 2003) -> list[Workload]:
     ]
 
 
-def workloads_from_spec(spec: WorkloadSpec,
-                        names: list[str] | None = None) -> list[Workload]:
-    """Instantiate the suite (or the *names* subset) from one spec."""
-    classes = WORKLOAD_CLASSES if names is None else tuple(
-        WORKLOADS_BY_NAME[name] for name in names)
-    return [cls.from_spec(spec) for cls in classes]
-
-
 def get_workload(name: str, quick: bool = False, seed: int = 2003) -> Workload:
     """Instantiate one benchmark by name."""
     if name not in WORKLOADS_BY_NAME:
@@ -101,7 +92,7 @@ __all__ = [
     "DmWorkload",
     "FieldWorkload",
     "HashJoinWorkload",
-    "LARGE_SPECS",
+    "LARGE_WORKLOADS",
     "NeighborhoodWorkload",
     "PointerWorkload",
     "RayTraceWorkload",
@@ -111,13 +102,9 @@ __all__ = [
     "WORKLOADS_BY_NAME",
     "WORKLOAD_CLASSES",
     "Workload",
-    "WorkloadSpec",
     "all_workloads",
     "check_ap_executable",
-    "describe_spec",
     "get_workload",
     "large_workload",
-    "large_workloads",
     "quick_workloads",
-    "workloads_from_spec",
 ]

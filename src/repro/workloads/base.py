@@ -52,21 +52,6 @@ class Workload(abc.ABC):
         self._program: Program | None = None
 
     # ------------------------------------------------------------------
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        """Translate a :class:`~repro.workloads.spec.WorkloadSpec` into
-        this family's constructor kwargs.  Families override this to map
-        the shared axes (size, stride, hot set, chase depth, value
-        range) onto their own knobs; axes with no sensible mapping are
-        simply not consumed."""
-        return {"seed": spec.seed}
-
-    @classmethod
-    def from_spec(cls, spec) -> "Workload":
-        """Instantiate this family from family-independent parameters."""
-        return cls(**cls.spec_kwargs(spec))
-
-    # ------------------------------------------------------------------
     def rng(self) -> np.random.Generator:
         """Fresh deterministic generator (same data every build)."""
         return np.random.default_rng(self.seed)
@@ -129,11 +114,6 @@ class Workload(abc.ABC):
                 raise WorkloadError(
                     f"{self.name}: unsupported expected type {type(expected)}"
                 )
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        """One-line description for reports."""
-        return self.label
 
 
 def check_ap_executable(program: Program, ap_has_fp: bool = False) -> None:

@@ -39,6 +39,7 @@ class DmWorkload(Workload):
         self.n = n
         self.buckets = buckets
         self.queries = queries
+        self.hit_fraction = hit_fraction
         rng = self.rng()
         self._keys, self._values = random_records(rng, n, key_space=1 << 20)
         self._head, self._next = build_hash_chains(self._keys, buckets)
@@ -47,19 +48,6 @@ class DmWorkload(Workload):
         misses = rng.integers(0, 1 << 20, size=queries, dtype=np.int64)
         take_hit = rng.random(queries) < hit_fraction
         self._queries = np.where(take_hit, hits, misses).astype(np.int64)
-
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        n = spec.pick("size", 4096)
-        # keep roughly 4 records per bucket as the index scales
-        buckets = 1 << max(1, (n // 4).bit_length() - 1)
-        return {
-            "n": n,
-            "buckets": buckets,
-            "queries": spec.scaled(1800),
-            "hit_fraction": spec.pick("hot_fraction", 0.5),
-            "seed": spec.seed,
-        }
 
     # ------------------------------------------------------------------
     def build(self) -> Program:

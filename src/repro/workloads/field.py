@@ -37,13 +37,6 @@ class FieldWorkload(Workload):
         self.token = token
         self._data = random_bytes(self.rng(), n)
 
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        kwargs = {"n": spec.pick("size", 6000), "seed": spec.seed}
-        if spec.value_range is not None:
-            kwargs["token"] = spec.value_range[0] % 256
-        return kwargs
-
     # ------------------------------------------------------------------
     def build(self) -> Program:
         b = ProgramBuilder(self.name)

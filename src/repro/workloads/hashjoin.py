@@ -45,6 +45,8 @@ class HashJoinWorkload(Workload):
         self.build_n = build
         self.probes = probes
         self.buckets = buckets
+        self.hit_fraction = hit_fraction
+        self.value_range = (lo, hi)
         rng = self.rng()
         # small key space => buckets contain real duplicate keys
         key_space = max(2, build // 2)
@@ -57,20 +59,6 @@ class HashJoinWorkload(Workload):
         take_hit = rng.random(probes) < hit_fraction
         self._pkeys = np.where(take_hit, hits, misses).astype(np.int64)
         self._pvalues = rng.integers(lo, hi + 1, size=probes, dtype=np.int64)
-
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        n = spec.pick("size", 2048)
-        kwargs = {
-            "build": n,
-            "probes": spec.scaled(600),
-            "buckets": 1 << max(1, (n // 4).bit_length() - 1),
-            "hit_fraction": spec.pick("hot_fraction", 0.5),
-            "seed": spec.seed,
-        }
-        if spec.value_range is not None:
-            kwargs["value_range"] = spec.value_range
-        return kwargs
 
     # ------------------------------------------------------------------
     def build(self) -> Program:

@@ -8,11 +8,6 @@ one (benchmark, model) cell takes long enough that the sampled driver
 exactly what this tier exists to exercise: enough sampling periods for
 the extrapolation to converge, with workload generation still cheap
 enough to run inside benchmarks and CI.
-
-Every workload is built through :class:`~repro.workloads.spec.WorkloadSpec`
-(the family-independent parameter layer), so the content-addressed run
-cache, suite checkpoints and the ledger key these workloads exactly like
-any other spec-built instance.
 """
 
 from __future__ import annotations
@@ -24,50 +19,34 @@ from .hashjoin import HashJoinWorkload
 from .neighborhood import NeighborhoodWorkload
 from .pointer import PointerWorkload
 from .raytrace import RayTraceWorkload
-from .spec import WorkloadSpec
 from .spmv import SpmvWorkload
 from .transitive import TransitiveWorkload
 from .update import UpdateWorkload
 
-_FAMILIES: dict[str, type[Workload]] = {
-    cls.name: cls for cls in (
-        DmWorkload, RayTraceWorkload, PointerWorkload, UpdateWorkload,
-        FieldWorkload, NeighborhoodWorkload, TransitiveWorkload,
-        HashJoinWorkload, SpmvWorkload,
-    )
+#: name -> (family, constructor kwargs) producing >= 50x the quick-suite
+#: dynamic instruction counts (asserted by tests/test_sampling.py; the
+#: program images are pinned by tests/test_workloads.py).  Primary sizes
+#: grow where footprint drives the access pattern; the secondary work
+#: axis (queries / sequences / rays / pivots / probes) grows with them.
+LARGE_WORKLOADS: dict[str, tuple[type[Workload], dict]] = {
+    "dm": (DmWorkload, dict(n=16384, buckets=4096, queries=14400)),
+    "raytrace": (RayTraceWorkload, dict(rays=15)),
+    "pointer": (PointerWorkload, dict(sequences=9000, hops=4)),
+    "update": (UpdateWorkload, dict(sequences=7000, hops=4)),
+    "field": (FieldWorkload, dict(n=48000)),
+    "neighborhood": (NeighborhoodWorkload, dict(size=160)),
+    "transitive": (TransitiveWorkload, dict(kiters=14)),
+    "hashjoin": (HashJoinWorkload,
+                 dict(build=4096, probes=5400, buckets=1024)),
+    "spmv": (SpmvWorkload, dict(rows=3700)),
 }
-
-#: Per-family spec overrides producing >= 50x the quick-suite dynamic
-#: instruction counts (asserted by tests/test_sampling.py).  Primary
-#: sizes grow where footprint drives the access pattern; ``intensity``
-#: scales the secondary work axis (queries / sequences / rays / probes).
-LARGE_SPECS: dict[str, WorkloadSpec] = {
-    "dm": WorkloadSpec(size=16384, intensity=8.0),
-    "raytrace": WorkloadSpec(size=2048, intensity=5.0),
-    "pointer": WorkloadSpec(size=65536, chase_depth=4, intensity=5.0),
-    "update": WorkloadSpec(size=65536, chase_depth=4, intensity=5.0),
-    "field": WorkloadSpec(size=48000),
-    "neighborhood": WorkloadSpec(size=160),
-    "transitive": WorkloadSpec(size=72, intensity=7.0),
-    "hashjoin": WorkloadSpec(size=4096, intensity=9.0),
-    "spmv": WorkloadSpec(size=3700, chase_depth=8),
-}
-
-
-def large_workloads(seed: int = 2003) -> list[Workload]:
-    """The whole suite at large (sampling-tier) scale."""
-    return [large_workload(name, seed=seed) for name in LARGE_SPECS]
 
 
 def large_workload(name: str, seed: int = 2003) -> Workload:
     """One benchmark at large scale (``KeyError`` for unknown names)."""
-    if name not in LARGE_SPECS:
+    if name not in LARGE_WORKLOADS:
         raise KeyError(
             f"unknown large workload {name!r}; choose from "
-            f"{sorted(LARGE_SPECS)}")
-    spec = LARGE_SPECS[name]
-    if seed != spec.seed:
-        import dataclasses
-
-        spec = dataclasses.replace(spec, seed=seed)
-    return _FAMILIES[name].from_spec(spec)
+            f"{sorted(LARGE_WORKLOADS)}")
+    cls, kwargs = LARGE_WORKLOADS[name]
+    return cls(**kwargs, seed=seed)

@@ -41,19 +41,6 @@ class NeighborhoodWorkload(Workload):
         self.levels = levels
         self._image = random_image(self.rng(), size, size, levels)
 
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        size = spec.pick("size", 64)
-        kwargs = {
-            "size": size,
-            "distance": min(spec.pick("stride", 2), size - 1),
-            "seed": spec.seed,
-        }
-        if spec.value_range is not None:
-            lo, hi = spec.value_range
-            kwargs["levels"] = max(2, hi - lo + 1)
-        return kwargs
-
     # ------------------------------------------------------------------
     def build(self) -> Program:
         n, d, levels = self.size, self.distance, self.levels

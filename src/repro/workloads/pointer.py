@@ -43,22 +43,11 @@ class PointerWorkload(Workload):
         self.n = n
         self.sequences = sequences
         self.hops = hops
+        self.hot = hot
+        self.hot_fraction = hot_fraction
         rng = self.rng()
         self._field = segmented_chain(rng, n, hot)
         self._starts = mixed_starts(rng, sequences, n, hot, hot_fraction)
-
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        n = spec.pick("size", 65536)
-        return {
-            "n": n,
-            "sequences": spec.scaled(1800),
-            "hops": spec.pick("chase_depth", 2),
-            # hot segment scales with the field so the skew survives sizing
-            "hot": max(2, min(n - 1, n // 32)),
-            "hot_fraction": spec.pick("hot_fraction", 0.97),
-            "seed": spec.seed,
-        }
 
     # ------------------------------------------------------------------
     def build(self) -> Program:

@@ -44,14 +44,6 @@ class RayTraceWorkload(Workload):
         self._spheres = random_spheres(rng, spheres)
         self._rays = random_rays(rng, rays)
 
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        return {
-            "spheres": spec.pick("size", 2048),
-            "rays": spec.scaled(3),
-            "seed": spec.seed,
-        }
-
     # ------------------------------------------------------------------
     def build(self) -> Program:
         b = ProgramBuilder(self.name)

@@ -41,6 +41,7 @@ class SpmvWorkload(Workload):
         self.rows = rows
         self.row_nnz = row_nnz
         self.stride = stride
+        self.value_range = (lo, hi)
         cols = rows  # square matrix; x has one slot per column
         rng = self.rng()
         rowptr = [0]
@@ -59,18 +60,6 @@ class SpmvWorkload(Workload):
         self._colidx = np.asarray(colidx, dtype=np.int64)
         self._vals = rng.integers(lo, hi + 1, size=len(colidx), dtype=np.int64)
         self._x = rng.integers(lo, hi + 1, size=cols, dtype=np.int64)
-
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        kwargs = {
-            "rows": spec.pick("size", 384),
-            "row_nnz": spec.pick("chase_depth", 8),
-            "stride": spec.pick("stride", 1),
-            "seed": spec.seed,
-        }
-        if spec.value_range is not None:
-            kwargs["value_range"] = spec.value_range
-        return kwargs
 
     # ------------------------------------------------------------------
     def build(self) -> Program:

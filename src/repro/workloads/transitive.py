@@ -37,17 +37,8 @@ class TransitiveWorkload(Workload):
             raise ValueError("kiters cannot exceed n")
         self.n = n
         self.kiters = kiters
+        self.density = density
         self._matrix = random_distance_matrix(self.rng(), n, density)
-
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        n = spec.pick("size", 72)
-        return {
-            "n": n,
-            "kiters": min(n, spec.scaled(2)),
-            "density": spec.pick("hot_fraction", 0.25),
-            "seed": spec.seed,
-        }
 
     # ------------------------------------------------------------------
     def build(self) -> Program:

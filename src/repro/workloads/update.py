@@ -38,23 +38,11 @@ class UpdateWorkload(Workload):
         self.n = n
         self.sequences = sequences
         self.hops = hops
+        self.hot = hot
+        self.hot_fraction = hot_fraction
         rng = self.rng()
         self._field = segmented_chain(rng, n, hot)
         self._starts = mixed_starts(rng, sequences, n, hot, hot_fraction)
-
-    @classmethod
-    def spec_kwargs(cls, spec) -> dict:
-        n = spec.pick("size", 65536)
-        if n & (n - 1):  # round up to the power of two the field needs
-            n = 1 << n.bit_length()
-        return {
-            "n": n,
-            "sequences": spec.scaled(1400),
-            "hops": spec.pick("chase_depth", 2),
-            "hot": max(2, min(n - 1, n // 32)),
-            "hot_fraction": spec.pick("hot_fraction", 0.95),
-            "seed": spec.seed,
-        }
 
     # ------------------------------------------------------------------
     def build(self) -> Program:

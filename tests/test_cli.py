@@ -1,5 +1,6 @@
 """CLI tests (argument handling plus one end-to-end table)."""
 
+import ast
 import json
 import re
 import shlex
@@ -38,6 +39,18 @@ def documented_invocations() -> list[str]:
     return lines
 
 
+def documented_imports() -> list[str]:
+    """Every ``import`` and ``from ... import`` statement in the README's
+    python blocks and in ``examples/*.py``, rendered back to source."""
+    sources = re.findall(r"```python\n(.*?)```",
+                         (ROOT / "README.md").read_text(), re.S)
+    sources += [path.read_text()
+                for path in sorted((ROOT / "examples").glob("*.py"))]
+    return [ast.unparse(node) for text in sources
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
 class TestParser:
     def test_commands_accepted(self):
         parser = build_parser()
@@ -61,6 +74,17 @@ class TestParser:
             except SystemExit:
                 rejected.append(line)
         assert not rejected
+
+    def test_documented_imports_resolve(self):
+        statements = documented_imports()
+        assert len(statements) > 10, "the doc scan found too few imports"
+        failed = []
+        for statement in statements:
+            try:
+                exec(statement, {})
+            except ImportError as exc:
+                failed.append(f"{statement}: {exc}")
+        assert not failed
 
     @pytest.mark.parametrize("argv", [
         "table1 --jobs 2", "stats --jobs 2", "figure10 --resume",
@@ -256,16 +280,27 @@ class TestExecution:
             assert sum(stack.values()) == cycles
         assert payload["samples"], "sampler timeseries missing"
 
-    def test_trace_quick(self, capsys, tmp_path):
-        out_path = tmp_path / "trace.json"
+    @pytest.mark.parametrize("fmt", ["chrome", "jsonl"])
+    def test_trace_quick(self, fmt, capsys, tmp_path):
+        out_path = tmp_path / f"trace.{fmt}"
+        json_path = tmp_path / "payload.json"
         assert main(["trace", "--quick", "--no-progress", "--bench", "field",
-                     "--model", "superscalar", "--out", str(out_path)]) == 0
+                     "--model", "superscalar", "--format", fmt,
+                     "--out", str(out_path), "--json", str(json_path)]) == 0
         out = capsys.readouterr().out
-        assert "trace written to" in out and "perfetto" in out
-        events, lanes = read_perfetto_trace(out_path)
-        assert lanes == {0: "hidisc-sim"}
-        assert any(e["ph"] == "X" for e in events)
-        assert any(e["ph"] == "C" for e in events)
+        assert "trace written to" in out
+        assert ("perfetto" in out) == (fmt == "chrome")
+        payload = json.loads(json_path.read_text())["trace"]
+        assert payload["format"] == fmt
+        if fmt == "chrome":
+            events, lanes = read_perfetto_trace(out_path)
+            assert lanes == {0: "hidisc-sim"}
+            assert {"X", "C"} <= {e["ph"] for e in events}
+        else:
+            records = [json.loads(line)
+                       for line in out_path.read_text().splitlines()]
+            assert payload["events"] == len(records)
+            assert {"duration", "counter"} <= {r["ev"] for r in records}
 
     def test_lifecycle_quick_kanata(self, capsys, tmp_path):
         out_path = tmp_path / "run.kanata"

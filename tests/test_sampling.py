@@ -32,7 +32,7 @@ from repro.sim import generate_trace
 from repro.sim.sampling import build_schedule
 from repro.telemetry import spans
 from repro.workloads import all_workloads, get_workload, quick_workloads
-from repro.workloads.large import LARGE_SPECS, large_workload
+from repro.workloads.large import LARGE_WORKLOADS, large_workload
 
 from tests.record_sched_fixtures import (
     GRID_PLAN,
@@ -328,7 +328,7 @@ class TestCacheKeys:
 class TestLargeFamily:
     def test_at_least_50x_quick_counts(self):
         quick_by_name = {w.name: w for w in quick_workloads()}
-        for name in LARGE_SPECS:
+        for name in LARGE_WORKLOADS:
             quick_trace, _ = generate_trace(quick_by_name[name].program)
             large_trace, _ = generate_trace(large_workload(name).program)
             ratio = len(large_trace) / len(quick_trace)

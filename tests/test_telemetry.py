@@ -13,8 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.config import CoreConfig, MachineConfig, TelemetryConfig
-from repro.errors import ConfigError
+from repro.config import CoreConfig, MachineConfig
 from repro.isa.instruction import Annotations, Instruction
 from repro.isa.opcodes import Op
 from repro.sim import (
@@ -121,40 +120,6 @@ class TestSinks:
         assert x and x[0]["ts"] == 5 and x[0]["dur"] == 2
         c = [e for e in events if e["ph"] == "C"]
         assert c[0]["name"] == "queues/LDQ" and c[0]["args"]["value"] == 4
-
-    def test_telemetry_from_config(self, tmp_path):
-        tel = Telemetry.from_config(TelemetryConfig(sample_interval=64))
-        assert tel.cpi and not tel.events_on and tel.sample_interval == 64
-        tel2 = Telemetry.from_config(
-            TelemetryConfig(trace_format="jsonl"), tmp_path / "t.jsonl")
-        assert isinstance(tel2.sink, JsonlSink)
-        tel3 = Telemetry.from_config(
-            TelemetryConfig(), tmp_path / "t.json")
-        assert isinstance(tel3.sink, ChromeTraceSink)
-
-    def test_telemetry_config_validation(self):
-        with pytest.raises(ConfigError):
-            TelemetryConfig(sample_interval=-1)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(trace_format="xml")
-        with pytest.raises(ConfigError):
-            TelemetryConfig(lifecycle_max_records=-1)
-        with pytest.raises(ConfigError):
-            TelemetryConfig(heartbeat_interval=-5)
-
-    def test_telemetry_from_config_lifecycle_and_heartbeat(self, tmp_path):
-        tel = Telemetry.from_config(
-            TelemetryConfig(lifecycle=True, lifecycle_max_records=128,
-                            heartbeat_interval=1000))
-        assert tel.lifecycle is not None
-        assert tel.lifecycle.max_records == 128
-        assert tel.heartbeat is not None and tel.heartbeat.interval == 1000
-        off = Telemetry.from_config(TelemetryConfig())
-        assert off.lifecycle is None and off.heartbeat is None
-        streamed = Telemetry.from_config(
-            TelemetryConfig(), lifecycle_jsonl=tmp_path / "life.jsonl")
-        assert streamed.lifecycle is not None
-        streamed.close()
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""Workload tests: correctness, determinism, separation soundness, and the
-memory-access character each benchmark is supposed to have."""
+"""Workload tests: correctness, determinism, separation soundness, the
+memory-access character each benchmark is supposed to have, the large
+tier's pinned program images, and cache keys covering every constructor
+parameter."""
+
+import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.config import MachineConfig
 from repro.errors import WorkloadError
+from repro.experiments.cache import compile_key
+from repro.isa.encoding import encode_program_text
 from repro.sim import generate_trace, profile_cache
 from repro.sim.functional import FunctionalSimulator
 from repro.slicer import compile_hidisc, validate_decoupled_dynamic
@@ -20,11 +27,10 @@ from repro.workloads import (
     TransitiveWorkload,
     UpdateWorkload,
     WORKLOAD_CLASSES,
-    WorkloadSpec,
     check_ap_executable,
     get_workload,
+    large_workload,
     quick_workloads,
-    workloads_from_spec,
 )
 
 QUICK = {w.name: w for w in quick_workloads()}
@@ -155,51 +161,86 @@ class TestRegistry:
             assert len(bytes(quick.program.data)) <= len(bytes(full.program.data))
 
 
-class TestWorkloadSpec:
-    SPEC = WorkloadSpec(size=128, stride=2, hot_fraction=0.8,
-                        chase_depth=3, value_range=(1, 50),
-                        intensity=0.05, seed=11)
+#: sha256 prefix of each large program image (encoded text + data).
+LARGE_IMAGE_DIGESTS = {
+    ("dm", 2003): "9ca75906c5032c95",
+    ("raytrace", 2003): "ff7d807a58baa3dd",
+    ("pointer", 2003): "c5717e4f261d38ae",
+    ("update", 2003): "9ac86a89a45cb6e8",
+    ("field", 2003): "192a56115c0a65ee",
+    ("neighborhood", 2003): "2c7ec10e12e7d541",
+    ("transitive", 2003): "e022e049e177cc0f",
+    ("hashjoin", 2003): "3e6a52da67855def",
+    ("spmv", 2003): "d28fd6d041f27e39",
+    ("dm", 7): "7d782aad6478ec3a",
+    ("raytrace", 7): "cfa9f9ca7c72f37a",
+    ("pointer", 7): "c2cd0c5350229da5",
+    ("update", 7): "e059cce33727c8e3",
+    ("field", 7): "8eed58f1489add7a",
+    ("neighborhood", 7): "867a3c726166eb24",
+    ("transitive", 7): "4c97165fdd21a684",
+    ("hashjoin", 7): "8d6b17f15314a84f",
+    ("spmv", 7): "ad3e95c23b9766c1",
+}
 
-    def test_every_family_builds_and_verifies_from_one_spec(self):
-        built = workloads_from_spec(self.SPEC)
-        assert [w.name for w in built] == [c.name for c in WORKLOAD_CLASSES]
-        for w in built:
-            state = FunctionalSimulator(w.program).run()
-            w.verify(state)
 
-    def test_spec_axes_reach_the_families(self):
-        pointer = PointerWorkload.from_spec(self.SPEC)
-        assert pointer.n == 128 and pointer.hops == 3
-        spmv = SpmvWorkload.from_spec(self.SPEC)
-        assert spmv.rows == 128 and spmv.stride == 2
-        dm = DmWorkload.from_spec(self.SPEC)
-        assert dm.n == 128
+class TestLargeTier:
+    @pytest.mark.parametrize("name,seed", sorted(LARGE_IMAGE_DIGESTS))
+    def test_program_image_pinned(self, name, seed):
+        program = large_workload(name, seed=seed).program
+        image = encode_program_text(program.text) + bytes(program.data)
+        digest = hashlib.sha256(image).hexdigest()[:16]
+        assert digest == LARGE_IMAGE_DIGESTS[name, seed]
 
-    def test_update_rounds_size_to_power_of_two(self):
-        w = UpdateWorkload.from_spec(WorkloadSpec(size=100, intensity=0.02))
-        assert w.n == 128
-
-    def test_spec_seed_threads_through(self):
-        a = FieldWorkload.from_spec(WorkloadSpec(size=300, seed=1))
-        b = FieldWorkload.from_spec(WorkloadSpec(size=300, seed=2))
+    def test_seed_threads_through(self):
+        a = large_workload("field", seed=1)
+        b = large_workload("field", seed=2)
         assert bytes(a.program.data) != bytes(b.program.data)
 
-    @pytest.mark.parametrize("bad", [
-        dict(size=0), dict(stride=-1), dict(hot_fraction=1.5),
-        dict(chase_depth=0), dict(value_range=(5, 1)), dict(intensity=0),
-    ])
-    def test_invalid_specs_rejected(self, bad):
-        with pytest.raises(ValueError):
-            WorkloadSpec(**bad)
 
-    def test_spec_built_workloads_fingerprint_distinctly(self):
-        from repro.experiments.cache import workload_fingerprint
+#: Per family: small valid constructor kwargs, and a second valid value
+#: for every constructor parameter.
+KEY_VARIANTS = {
+    DmWorkload: (dict(n=256, buckets=64, queries=20),
+                 dict(n=300, buckets=128, queries=21, hit_fraction=0.9,
+                      seed=1)),
+    RayTraceWorkload: (dict(spheres=16, rays=1),
+                       dict(spheres=17, rays=2, seed=1)),
+    PointerWorkload: (dict(n=1024, sequences=10, hot=64),
+                      dict(n=2048, sequences=11, hops=3, hot=32,
+                           hot_fraction=0.5, seed=1)),
+    UpdateWorkload: (dict(n=1024, sequences=10, hot=64),
+                     dict(n=2048, sequences=11, hops=3, hot=32,
+                          hot_fraction=0.5, seed=1)),
+    FieldWorkload: (dict(n=100), dict(n=101, token=7, seed=1)),
+    NeighborhoodWorkload: (dict(size=8),
+                           dict(size=9, distance=3, levels=8, seed=1)),
+    TransitiveWorkload: (dict(n=8, kiters=1),
+                         dict(n=9, kiters=2, density=0.5, seed=1)),
+    HashJoinWorkload: (dict(build=64, probes=10, buckets=16),
+                       dict(build=65, probes=11, buckets=32,
+                            hit_fraction=0.9, value_range=(1, 10),
+                            seed=1)),
+    SpmvWorkload: (dict(rows=16, row_nnz=2),
+                   dict(rows=17, row_nnz=3, stride=2, value_range=(1, 10),
+                        seed=1)),
+}
 
-        small = HashJoinWorkload.from_spec(WorkloadSpec(size=64,
-                                                        intensity=0.05))
-        large = HashJoinWorkload.from_spec(WorkloadSpec(size=128,
-                                                        intensity=0.05))
-        assert workload_fingerprint(small) != workload_fingerprint(large)
+
+class TestCompileKey:
+    @pytest.mark.parametrize("cls,param", [
+        pytest.param(cls, param, id=f"{cls.name}-{param}")
+        for cls in WORKLOAD_CLASSES
+        for param in inspect.signature(cls).parameters])
+    def test_every_constructor_parameter_reaches_the_key(self, cls, param):
+        """Two instances differing only in *param* must not share a
+        compilation (or a suite checkpoint, which hashes the same
+        fingerprint)."""
+        base, variants = KEY_VARIANTS[cls]
+        a = cls(**base)
+        b = cls(**{**base, param: variants[param]})
+        config = MachineConfig()
+        assert compile_key(a, config) != compile_key(b, config)
 
 
 class TestNewFamilies:
