@@ -248,7 +248,7 @@ def test_cache_access_rate(benchmark):
     def run():
         hits = 0
         for a in addresses:
-            hits += cache.access(a).hit
+            hits += cache.access(a)
         return hits
 
     benchmark(run)

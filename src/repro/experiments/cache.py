@@ -14,10 +14,9 @@ Design:
   parameters that distinguish ``--quick`` from paper-scale inputs), the
   full ``repr`` of the frozen :class:`~repro.config.MachineConfig` (so a
   changed CMAS trigger distance or latency point misses), and
-  :func:`code_digest` — a sha256 of the simulation-relevant source — so
-  any edit to the ISA, assembler, slicer, simulator, workloads or
-  configuration code misses instead of replaying results computed by
-  older code.  The suite-checkpoint and service-dedup keys use the same
+  :func:`code_digest` — a sha256 of the whole package's source — so
+  any code edit misses instead of replaying results computed by older
+  code.  The suite-checkpoint and service-dedup keys use the same
   digest.
 * **Entry format.**  An entry is a pickled
   :class:`~repro.experiments.runner.CompiledWorkload`, whose traces and
@@ -59,10 +58,6 @@ ENTRY_SUFFIX = ".pkl"
 #: Subdirectory of the cache root holding suite checkpoints (see
 #: :mod:`repro.experiments.checkpoint`).
 SUITES_DIR = "suites"
-
-#: Package-relative source paths whose content decides simulated results
-#: (see :func:`code_digest`).
-RESULT_SOURCES = ("isa", "asm", "slicer", "sim", "workloads", "config.py")
 
 _code_digest: str | None = None
 
@@ -114,24 +109,25 @@ def config_fingerprint(config: MachineConfig) -> str:
 
 
 def code_digest() -> str:
-    """sha256 of the simulation-relevant source (:data:`RESULT_SOURCES`).
+    """sha256 of every ``*.py`` file in the ``repro`` package.
 
     The code part of every result identity: compile, suite and job-dedup
-    keys.  Computed on first use and memoized for the process — never at
-    import, which would tax every command that does not need it.
+    keys.  The whole package is hashed, not a hand-kept list of the
+    modules thought to decide results, so no such list can go stale; an
+    edit to a module that cannot reach a result (the CLI, the service)
+    costs one cold cache.  Computed on first use and memoized for the
+    process — never at import, which would tax every command that does
+    not need it.
     """
     global _code_digest
     if _code_digest is None:
         root = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
-        for name in RESULT_SOURCES:
-            path = root / name
-            for source in [path] if path.is_file() else sorted(
-                    path.rglob("*.py")):
-                digest.update(source.relative_to(root).as_posix().encode())
-                digest.update(b"\0")
-                digest.update(source.read_bytes())
-                digest.update(b"\0")
+        for source in sorted(root.rglob("*.py")):
+            digest.update(source.relative_to(root).as_posix().encode())
+            digest.update(b"\0")
+            digest.update(source.read_bytes())
+            digest.update(b"\0")
         _code_digest = digest.hexdigest()
     return _code_digest
 

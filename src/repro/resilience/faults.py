@@ -179,9 +179,7 @@ class FaultInjector:
         # corrupt_line: ECC rejects the data when the fill lands — discard
         # the allocated line and the in-flight entry so the next touch
         # re-misses instead of consuming bad data.
-        hierarchy.l1.invalidate_block(block)
-        hierarchy._inflight.pop(block, None)
-        hierarchy._inflight_prefetch.discard(block)
+        hierarchy.reject_fill(block)
         return latency
 
     def on_queue_push(self, gid: int) -> int | None:

@@ -8,7 +8,7 @@ Typical use::
 """
 
 from .branch import BranchPredictor, BranchStats, BranchTargetBuffer
-from .cache import AccessResult, Cache, CacheStats
+from .cache import Cache, CacheStats
 from .decoupled import MODES, Machine
 from .functional import (
     ArchState,
@@ -36,7 +36,6 @@ from .trace import (
 )
 
 __all__ = [
-    "AccessResult",
     "ArchQueue",
     "ArchState",
     "BranchPredictor",

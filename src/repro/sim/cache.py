@@ -9,14 +9,25 @@ Accesses are classified as *demand* (issued by the CP/AP/superscalar
 pipeline) or *prefetch* (issued by the CMP running a CMAS).  Figure 9 of
 the paper reports demand-miss reduction, so the two classes are counted
 separately.
+
+:meth:`Cache.access` is the one LRU routine: the timing hierarchy's demand
+and prefetch path, sampled functional warming and the compiler's cache
+profile all go through it.  Each set is a dict from tag to flag bits whose
+insertion order is the LRU order (oldest first), so a lookup is one dict
+operation and a hit re-inserts its tag at the MRU end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import CacheConfig
 from ..utils import ilog2
+
+#: Flag bits of a resident line.
+DIRTY = 1
+#: Installed by a CMP prefetch and not yet demand-touched.
+PREFETCHED = 2
 
 
 @dataclass
@@ -38,13 +49,6 @@ class CacheStats:
             return 0.0
         return self.demand_misses / self.demand_accesses
 
-    def merge(self, other: "CacheStats") -> None:
-        for name in (
-            "demand_accesses", "demand_misses", "prefetch_accesses",
-            "prefetch_misses", "writebacks", "evictions", "useful_prefetch_hits",
-        ):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def as_dict(self) -> dict[str, float]:
         """JSON-ready counters (used by the `hidisc stats` payload)."""
         return {
@@ -59,23 +63,6 @@ class CacheStats:
         }
 
 
-@dataclass
-class _Line:
-    tag: int
-    dirty: bool = False
-    #: line was installed by a CMP prefetch and not yet demand-touched
-    prefetched: bool = False
-
-
-@dataclass
-class AccessResult:
-    """Outcome of one cache access."""
-
-    hit: bool
-    #: Block-aligned byte address of the evicted dirty line, if any.
-    writeback_address: int | None = None
-
-
 class Cache:
     """One level of set-associative, write-back, write-allocate cache."""
 
@@ -84,14 +71,14 @@ class Cache:
         self.block_bits = ilog2(config.block_bytes)
         self.set_bits = ilog2(config.sets)
         self.set_mask = config.sets - 1
-        # Each set is an MRU-first list of _Line.
-        self._sets: list[list[_Line]] = [[] for _ in range(config.sets)]
+        # Each set maps tag -> flag bits, least recently used first.
+        self._sets: list[dict[int, int]] = [{} for _ in range(config.sets)]
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
-    def _index_tag(self, address: int) -> tuple[int, int]:
+    def _set_tag(self, address: int) -> tuple[dict[int, int], int]:
         block = address >> self.block_bits
-        return block & self.set_mask, block >> self.set_bits
+        return self._sets[block & self.set_mask], block >> self.set_bits
 
     def block_address(self, address: int) -> int:
         """Block-aligned address containing *address*."""
@@ -100,52 +87,44 @@ class Cache:
     # ------------------------------------------------------------------
     def probe(self, address: int) -> bool:
         """Non-destructive lookup: True on hit.  No LRU update, no stats."""
-        index, tag = self._index_tag(address)
-        return any(line.tag == tag for line in self._sets[index])
+        lines, tag = self._set_tag(address)
+        return tag in lines
 
     def access(self, address: int, is_write: bool = False,
-               is_prefetch: bool = False) -> AccessResult:
-        """Perform one access: lookup, LRU update, fill + eviction on miss."""
-        index, tag = self._index_tag(address)
-        lines = self._sets[index]
-        stats = self.stats
+               is_prefetch: bool = False) -> bool:
+        """Perform one access: lookup, LRU update, fill + eviction on miss.
 
+        Returns True on a hit.
+        """
+        block = address >> self.block_bits
+        lines = self._sets[block & self.set_mask]
+        tag = block >> self.set_bits
+        stats = self.stats
         if is_prefetch:
             stats.prefetch_accesses += 1
         else:
             stats.demand_accesses += 1
 
-        for pos, line in enumerate(lines):
-            if line.tag == tag:
-                if pos:
-                    lines.insert(0, lines.pop(pos))
-                if is_write:
-                    line.dirty = True
-                if not is_prefetch and line.prefetched:
-                    stats.useful_prefetch_hits += 1
-                    line.prefetched = False
-                return AccessResult(hit=True)
+        flags = lines.pop(tag, None)
+        if flags is not None:
+            if not is_prefetch and flags & PREFETCHED:
+                stats.useful_prefetch_hits += 1
+                flags ^= PREFETCHED
+            lines[tag] = (flags | DIRTY) if is_write else flags
+            return True
 
         # Miss: allocate (write-allocate policy covers stores too).
         if is_prefetch:
             stats.prefetch_misses += 1
         else:
             stats.demand_misses += 1
-
-        writeback = None
         if len(lines) >= self.config.ways:
-            victim = lines.pop()
             stats.evictions += 1
-            if victim.dirty:
+            if lines.pop(next(iter(lines))) & DIRTY:
                 stats.writebacks += 1
-                victim_block = (victim.tag << self.set_bits) | index
-                writeback = victim_block << self.block_bits
-        lines.insert(0, _Line(tag=tag, dirty=is_write, prefetched=is_prefetch))
-        return AccessResult(hit=False, writeback_address=writeback)
-
-    def invalidate_all(self) -> None:
-        """Drop every line (between benchmark runs)."""
-        self._sets = [[] for _ in range(self.config.sets)]
+        lines[tag] = ((DIRTY if is_write else 0)
+                      | (PREFETCHED if is_prefetch else 0))
+        return False
 
     def invalidate_block(self, address: int) -> bool:
         """Drop the line containing *address* if resident; True if dropped.
@@ -156,13 +135,8 @@ class Cache:
         No statistics are charged; the re-fetch shows up as an ordinary
         miss.
         """
-        index, tag = self._index_tag(address)
-        lines = self._sets[index]
-        for pos, line in enumerate(lines):
-            if line.tag == tag:
-                del lines[pos]
-                return True
-        return False
+        lines, tag = self._set_tag(address)
+        return lines.pop(tag, None) is not None
 
     # ------------------------------------------------------------------
     def occupancy(self) -> int:
@@ -171,9 +145,5 @@ class Cache:
 
     def resident_blocks(self) -> set[int]:
         """Set of block-aligned addresses currently cached (for tests)."""
-        out = set()
-        for index, lines in enumerate(self._sets):
-            for line in lines:
-                block = (line.tag << self.set_bits) | index
-                out.add(block << self.block_bits)
-        return out
+        return {((tag << self.set_bits) | index) << self.block_bits
+                for index, lines in enumerate(self._sets) for tag in lines}

@@ -399,6 +399,11 @@ class Machine:
             # never splice into a stale "\r" line.
             if self._heartbeat is not None:
                 self._heartbeat.finish()
+            # A machine runs once.  Drop the cores' back-references so its
+            # window state is freed when the caller lets go, not at the
+            # next full cyclic collection (which peak RSS would wait for).
+            for core in self.cores:
+                core.machine = None
 
     def _run_loop(self, max_cycles: int | None) -> RunResult:
         if max_cycles is None:

@@ -71,14 +71,6 @@ class MemoryHierarchy:
             del self._inflight[block]
             self._inflight_prefetch.discard(block)
 
-    def _miss_latency(self, address: int, is_write: bool, is_prefetch: bool) -> int:
-        """Charge the L2 (and memory) for an L1 miss; updates L2 state."""
-        latency = self.l2.config.latency
-        l2_result = self.l2.access(address, is_write=False, is_prefetch=is_prefetch)
-        if not l2_result.hit:
-            latency += self.memory_latency
-        return latency
-
     # ------------------------------------------------------------------
     def access(self, address: int, is_write: bool, now: int,
                is_prefetch: bool = False) -> int:
@@ -98,7 +90,7 @@ class MemoryHierarchy:
 
         block = self.l1.block_address(address)
         inflight_ready = self._inflight.get(block)
-        result = self.l1.access(address, is_write=is_write, is_prefetch=is_prefetch)
+        hit = self.l1.access(address, is_write, is_prefetch)
 
         if inflight_ready is not None:
             # The line's fill is still in flight (its tag may already be
@@ -113,18 +105,18 @@ class MemoryHierarchy:
                                   {"block": block, "prefetch": is_prefetch})
             return max(self.l1.config.latency, inflight_ready - now)
 
-        if result.hit:
+        if hit:
             return self.l1.config.latency
 
-        latency = self.l1.config.latency + self._miss_latency(
-            address, is_write, is_prefetch
-        )
+        latency = self.l1.config.latency + self.l2.config.latency
+        if not self.l2.access(address, False, is_prefetch):
+            latency += self.memory_latency
         self._inflight[block] = now + latency
         if is_prefetch:
             self._inflight_prefetch.add(block)
         if self.faults is not None:
             # May stretch the latency (delay/drop-and-retry) or discard the
-            # just-allocated line (corrupt_line pops the in-flight entry).
+            # just-allocated line (corrupt_line calls reject_fill).
             latency = self.faults.on_fill(self, block, latency, now)
             if block in self._inflight:
                 self._inflight[block] = now + latency
@@ -136,61 +128,25 @@ class MemoryHierarchy:
             )
         return latency
 
-    def prefetch(self, address: int, now: int) -> int:
-        """CMP prefetch: fills L1/L2, returns completion latency."""
-        return self.access(address, is_write=False, now=now, is_prefetch=True)
-
     # ------------------------------------------------------------------
     def warm_many(self, events: Iterable[tuple[int, bool]]) -> None:
         """Timing-free functional warming (sampled fast-forward) over
         ``(address, is_write)`` pairs.
 
-        Updates L1/L2 tag, LRU, dirty and prefetched-flag state exactly as
-        a demand access would, but charges no latency and touches neither
-        the MSHR table nor any statistics counter (functional warming
-        always precedes a measurement window, which resets statistics
-        anyway).  Inlined over both levels with no per-access result
-        objects: this loop is the fast-forward inner loop of sampled
-        simulation — its speed sets the ceiling on the sampled-vs-full
-        speedup.
+        Each event is a demand access through :meth:`Cache.access` (L1,
+        then L2 on a miss), so tag, LRU, dirty and prefetched-flag state
+        end exactly as the timing path would leave them.  It charges no
+        latency, touches no MSHR entry and discards what it counts:
+        warming is never measured, and a window with no warm-up prefix
+        never resets the statistics it starts with.
         """
-        from .cache import _Line
-
         l1, l2 = self.l1, self.l2
-        l1_sets, l2_sets = l1._sets, l2._sets
-        l1_bb, l2_bb = l1.block_bits, l2.block_bits
-        l1_sb, l2_sb = l1.set_bits, l2.set_bits
-        l1_mask, l2_mask = l1.set_mask, l2.set_mask
-        l1_ways, l2_ways = l1.config.ways, l2.config.ways
+        kept = l1.stats, l2.stats
+        l1.stats, l2.stats = CacheStats(), CacheStats()
         for address, is_write in events:
-            block = address >> l1_bb
-            lines = l1_sets[block & l1_mask]
-            tag = block >> l1_sb
-            for pos, line in enumerate(lines):
-                if line.tag == tag:
-                    if pos:
-                        lines.insert(0, lines.pop(pos))
-                    if is_write:
-                        line.dirty = True
-                    line.prefetched = False
-                    break
-            else:
-                if len(lines) >= l1_ways:
-                    lines.pop()
-                lines.insert(0, _Line(tag=tag, dirty=is_write))
-                block2 = address >> l2_bb
-                lines2 = l2_sets[block2 & l2_mask]
-                tag2 = block2 >> l2_sb
-                for pos, line in enumerate(lines2):
-                    if line.tag == tag2:
-                        if pos:
-                            lines2.insert(0, lines2.pop(pos))
-                        line.prefetched = False
-                        break
-                else:
-                    if len(lines2) >= l2_ways:
-                        lines2.pop()
-                    lines2.insert(0, _Line(tag=tag2))
+            if not l1.access(address, is_write):
+                l2.access(address)
+        l1.stats, l2.stats = kept
 
     def settle(self) -> None:
         """Drain in-flight fill state between detailed intervals.
@@ -203,15 +159,18 @@ class MemoryHierarchy:
         self._inflight.clear()
         self._inflight_prefetch.clear()
 
+    def reject_fill(self, block: int) -> None:
+        """Discard the L1 line at *block* and its in-flight fill, so the
+        next access re-misses (a fill whose data ECC rejected)."""
+        self.l1.invalidate_block(block)
+        self._inflight.pop(block, None)
+        self._inflight_prefetch.discard(block)
+
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:
         self.stats = HierarchyStats()
         self.l1.stats = CacheStats()
         self.l2.stats = CacheStats()
-
-    def demand_miss_rate(self) -> float:
-        """L1 demand miss rate (the quantity in the paper's Figure 9)."""
-        return self.l1.stats.demand_miss_rate
 
     def outstanding_misses(self, now: int | None = None) -> int:
         """Fills currently in flight (for occupancy sampling)."""

@@ -92,18 +92,14 @@ def profile_cache(
     for i in trace.positions(decoded, "is_mem").tolist():
         addr = addrs[i]
         pc = pcs[i]
-        result = l1.access(addr, is_write=is_store[pc])
-        l2_hit = True
-        if not result.hit:
-            l2_hit = l2.access(addr, is_write=False).hit
         prof = per_pc.get(pc)
         if prof is None:
             prof = per_pc[pc] = PcProfile()
         prof.accesses += 1
-        profile.total_accesses += 1
-        if not result.hit:
+        if not l1.access(addr, is_store[pc]):
             prof.misses += 1
-            profile.total_misses += 1
-            if not l2_hit:
+            if not l2.access(addr):
                 prof.l2_misses += 1
+    profile.total_accesses = l1.stats.demand_accesses
+    profile.total_misses = l1.stats.demand_misses
     return profile

@@ -16,14 +16,14 @@ def make_cache(sets=4, block=32, ways=2):
 class TestBasics:
     def test_cold_miss_then_hit(self):
         c = make_cache()
-        assert not c.access(0x100).hit
-        assert c.access(0x100).hit
+        assert not c.access(0x100)
+        assert c.access(0x100)
 
     def test_same_block_offsets_hit(self):
         c = make_cache(block=32)
         c.access(0x100)
-        assert c.access(0x11F).hit
-        assert not c.access(0x120).hit
+        assert c.access(0x11F)
+        assert not c.access(0x120)
 
     def test_block_address(self):
         c = make_cache(block=32)
@@ -32,15 +32,17 @@ class TestBasics:
     def test_probe_does_not_fill(self):
         c = make_cache()
         assert not c.probe(0x100)
-        assert not c.access(0x100).hit
+        assert not c.access(0x100)
         assert c.probe(0x100)
 
-    def test_invalidate_all(self):
+    def test_invalidate_block(self):
         c = make_cache()
         c.access(0x100)
-        c.invalidate_all()
+        assert c.invalidate_block(0x11F)
         assert not c.probe(0x100)
+        assert not c.invalidate_block(0x100)
         assert c.occupancy() == 0
+        assert c.stats.demand_accesses == 1  # no statistics charged
 
 
 class TestLru:
@@ -68,21 +70,24 @@ class TestWriteback:
     def test_dirty_eviction_reports_writeback(self):
         c = make_cache(sets=1, ways=1, block=32)
         c.access(0x000, is_write=True)
-        result = c.access(0x020)
-        assert result.writeback_address == 0x000
+        c.access(0x020)
+        assert c.stats.evictions == 1
         assert c.stats.writebacks == 1
 
     def test_clean_eviction_no_writeback(self):
         c = make_cache(sets=1, ways=1, block=32)
         c.access(0x000)
-        result = c.access(0x020)
-        assert result.writeback_address is None
+        c.access(0x020)
+        assert c.stats.evictions == 1
+        assert c.stats.writebacks == 0
 
     def test_write_hit_sets_dirty(self):
         c = make_cache(sets=1, ways=1, block=32)
         c.access(0x000)                     # clean fill
         c.access(0x008, is_write=True)      # dirty the same line
-        assert c.access(0x020).writeback_address == 0x000
+        c.access(0x020)
+        assert c.stats.evictions == 1
+        assert c.stats.writebacks == 1
 
 
 class TestStats:
@@ -110,15 +115,6 @@ class TestStats:
         c.access(0x200)
         assert c.stats.demand_miss_rate == pytest.approx(2 / 3)
 
-    def test_merge(self):
-        from repro.sim.cache import CacheStats
-
-        a = CacheStats(demand_accesses=2, demand_misses=1)
-        b = CacheStats(demand_accesses=3, demand_misses=2, writebacks=1)
-        a.merge(b)
-        assert a.demand_accesses == 5 and a.demand_misses == 3
-        assert a.writebacks == 1
-
 
 @settings(max_examples=60)
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
@@ -138,7 +134,7 @@ def test_lru_matches_reference_model(block_ids):
         elif len(lru) >= ways:
             lru.pop()
         lru.insert(0, tag)
-        assert c.access(address).hit == expect_hit
+        assert c.access(address) == expect_hit
 
 
 @given(st.lists(st.integers(0, 255), max_size=150))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -89,6 +91,29 @@ class TestFingerprints:
         assert compile_key(FieldWorkload(n=500), config) == before
         monkeypatch.setattr(cache_mod, "_code_digest", "0" * 64)
         assert compile_key(FieldWorkload(n=500), config) != before
+
+    @pytest.mark.parametrize("module", ["experiments/runner.py", "utils.py",
+                                        "telemetry/cpi.py"])
+    def test_code_digest_covers_result_deciding_code(self, module, tmp_path,
+                                                     monkeypatch):
+        """Code outside the simulator proper decides results too (warm-up
+        positions, sign extension, CPI stacks): editing it must change
+        the digest."""
+        import repro
+        from repro.experiments import cache as cache_mod
+
+        package = tmp_path / "repro"
+        shutil.copytree(Path(repro.__file__).parent, package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        # code_digest hashes the package its own module sits in.
+        monkeypatch.setattr(cache_mod, "__file__",
+                            str(package / "experiments" / "cache.py"))
+        monkeypatch.setattr(cache_mod, "_code_digest", None)
+        before = cache_mod.code_digest()
+        with open(package / module, "a") as f:
+            f.write("# edited\n")
+        monkeypatch.setattr(cache_mod, "_code_digest", None)
+        assert cache_mod.code_digest() != before
 
     def test_workload_fingerprint_covers_scalars(self):
         a = workload_fingerprint(FieldWorkload(n=500, token=0x42))

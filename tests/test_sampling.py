@@ -156,8 +156,8 @@ class TestSampledRun:
 
     def test_zero_warmup_counts_only_measured_branches(self, paper_raytrace):
         """Without a warm-up prefix no measurement reset happens inside a
-        window, so the fast-forward replay's predictor lookups must not
-        reach the window's branch statistics."""
+        window, so the fast-forward replay's predictor lookups and cache
+        accesses must not reach the window's statistics."""
         config = MachineConfig()
         full = run_model(paper_raytrace, config, "superscalar")
         samp = run_model(paper_raytrace, config, "superscalar",
@@ -166,6 +166,8 @@ class TestSampledRun:
         assert not samp.sampling["exact"]
         assert samp.branch.lookups == pytest.approx(full.branch.lookups,
                                                     rel=0.05)
+        assert samp.l1.demand_accesses == pytest.approx(
+            full.l1.demand_accesses, rel=0.10)
 
     def test_sampling_spans_nest_under_run_model(self, paper_raytrace):
         tracer = spans.enable()
