@@ -14,9 +14,14 @@ a scenario missing from the run would silently hide a regression forever,
 and a scenario missing from the baseline is simply not gated yet (rebase
 with ``--update-baseline`` after adding one).
 
+``--out-dir DIR`` also appends the same run's snapshot (see
+``benchmarks/record.py``) to ``DIR/BENCH_<date>.json``, so CI takes its
+verdict and its snapshot artifact from one pass over the suite.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/check_regression.py                    # gate
+    PYTHONPATH=src python benchmarks/check_regression.py --out-dir .        # gate + snapshot
     PYTHONPATH=src python benchmarks/check_regression.py --update-baseline  # rebase
 
 """
@@ -28,7 +33,7 @@ import json
 import sys
 from pathlib import Path
 
-from record import run_benchmarks
+from record import append_snapshot, run_benchmarks, snapshot_from
 
 BASELINE_PATH = Path(__file__).resolve().parent / "baseline.json"
 DEFAULT_TOLERANCE = 0.25
@@ -105,9 +110,15 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed throughput drop (default 0.25)")
     parser.add_argument("-k", dest="keyword", default=None, metavar="EXPR",
                         help="pytest -k filter for a subset of scenarios")
+    parser.add_argument("--out-dir", default=None, metavar="DIR",
+                        help="also append this run's snapshot to "
+                             "DIR/BENCH_<date>.json")
     args = parser.parse_args(argv)
 
     raw = run_benchmarks(keyword=args.keyword)
+    if args.out_dir:
+        path = append_snapshot(snapshot_from(raw), Path(args.out_dir))
+        print(f"snapshot appended to {path}")
     current = _mins(raw)
     if args.update:
         BASELINE_PATH.write_text(

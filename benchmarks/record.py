@@ -1,17 +1,17 @@
-"""Record a performance snapshot of the simulator's own hot paths.
+"""Performance snapshots of the simulator's own hot paths.
 
-Runs the pytest-benchmark suite (``benchmarks/bench_simulator.py``) and
-appends one snapshot — commit, date, and per-scenario mean time plus the
+:func:`run_benchmarks` runs the pytest-benchmark suite
+(``benchmarks/bench_simulator.py``) once; :func:`snapshot_from` turns the
+run into one snapshot — commit, date, and per-scenario mean time plus the
 derived simulation rates (cycles/sec, instr/sec) and peak resident set
 size (``peak_rss_bytes``, a process high-water mark, so the lifecycle
-layer's memory cost is tracked next to its speed) — to ``BENCH_<date>.json``
-at the repository root.  The accumulated files track the perf trajectory
-across PRs; ``benchmarks/check_regression.py`` gates CI on the same
-numbers.
+layer's memory cost is tracked next to its speed) — and
+:func:`append_snapshot` appends it to ``BENCH_<date>.json``.  The
+accumulated files track the perf trajectory across PRs.
+``benchmarks/check_regression.py`` gates on the same run and records the
+snapshot with ``--out-dir DIR``::
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/record.py [-k EXPR] [--out-dir DIR]
+    PYTHONPATH=src python benchmarks/check_regression.py [-k EXPR] --out-dir .
 
 The snapshot file is a JSON array; re-running on the same day appends
 another entry to the same file.
@@ -19,7 +19,6 @@ another entry to the same file.
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import json
 import os
@@ -119,29 +118,3 @@ def append_snapshot(snapshot: dict, out_dir: Path | None = None) -> Path:
     history.append(snapshot)
     path.write_text(json.dumps(history, indent=1, sort_keys=True) + "\n")
     return path
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Run the simulator benchmarks and append a "
-                    "BENCH_<date>.json snapshot.")
-    parser.add_argument("-k", dest="keyword", default=None, metavar="EXPR",
-                        help="pytest -k filter for a subset of scenarios")
-    parser.add_argument("--out-dir", default=None, metavar="DIR",
-                        help="snapshot directory (default: repo root)")
-    args = parser.parse_args(argv)
-    raw = run_benchmarks(keyword=args.keyword)
-    snapshot = snapshot_from(raw)
-    path = append_snapshot(
-        snapshot, Path(args.out_dir) if args.out_dir else None)
-    for name, entry in sorted(snapshot["scenarios"].items()):
-        rate = entry.get("cycles_per_second")
-        rate_text = f"  {rate:>12,.0f} cycles/s" if rate else ""
-        print(f"{name:40s} {entry['mean_seconds'] * 1e3:9.2f} ms{rate_text}")
-    print(f"snapshot ({len(snapshot['scenarios'])} scenarios, commit "
-          f"{snapshot['commit']}) appended to {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

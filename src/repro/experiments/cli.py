@@ -55,6 +55,7 @@ cache and checkpoint traffic) as a Perfetto-loadable timeline.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -73,13 +74,14 @@ from ..telemetry import (
     Telemetry,
     critical_path_by_pc,
     diff_payloads,
-    lifecycle_to_chrome,
+    lifecycle_events,
     load_payload,
     metrics,
     render_critical_path,
     render_diff,
     spans,
     write_konata,
+    write_perfetto,
 )
 from ..workloads import WORKLOADS_BY_NAME, get_workload
 from . import interrupt as interrupt_mod
@@ -320,9 +322,7 @@ def _run_lifecycle(args, config, progress, cache, payload) -> int:
         write_konata(rows, out)
         hint = " — open in Konata (https://github.com/shioyadan/Konata)"
     elif fmt == "chrome":
-        sink = ChromeTraceSink(out)
-        lifecycle_to_chrome(rows, sink)
-        sink.close()
+        write_perfetto(lifecycle_events(rows), out)
         hint = " — open in https://ui.perfetto.dev or chrome://tracing"
     else:  # jsonl — already streamed by the collector at commit time
         hint = ""
@@ -682,8 +682,7 @@ def _run_jobs_trace(args, cache: RunCache, payload: dict) -> int:
     queue = JobQueue(cache.root / SERVICE_DIR)
     job_id = resolve_job_id(queue, args.job_id)
     records, lane_names = stitch_job_trace(queue, job_id)
-    count = spans.write_orchestration_trace(records, args.out,
-                                            lane_names=lane_names)
+    count = write_perfetto(spans.lane_events(records, lane_names), args.out)
     digest = spans.summarize(records)
     lanes = len(lane_names)
     print(f"job {job_id}: {count} events across {lanes} lanes "
@@ -1039,9 +1038,10 @@ def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
     snapshot = metrics.snapshot()
     span_summary = None
     if tracer is not None:
-        spans.disable()
-        count = spans.write_orchestration_trace(
-            tracer.records, args.orch_trace, main_pid=os.getpid())
+        lanes = {r.pid: f"hidisc worker {r.pid}" for r in tracer.records}
+        lanes[os.getpid()] = "hidisc orchestrator"
+        count = write_perfetto(spans.lane_events(tracer.records, lanes),
+                               args.orch_trace)
         span_summary = spans.summarize(tracer.records)
         if progress:
             progress(f"orchestration trace written to {args.orch_trace} "
@@ -1076,13 +1076,14 @@ def main(argv: list[str] | None = None) -> int:
     cache = None if args.no_cache else RunCache(args.cache_dir)
 
     metrics.reset()
-    tracer = spans.enable() if args.orch_trace else None
+    tracing = spans.tracing() if args.orch_trace else contextlib.nullcontext()
+    tracer = None
     run_id = new_run_id()
     start = time.perf_counter()
     payload: dict = {}
     outcome, code = "ok", 0
     try:
-        with GracefulInterrupt(enabled=args.interruptible):
+        with tracing as tracer, GracefulInterrupt(enabled=args.interruptible):
             code = args.handler(args, config, progress, cache, payload)
         if args.json:
             path = write_json(args.json, payload)

@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 
 from ..config import FIGURE10_LATENCIES, MachineConfig, SamplingPlan
 from ..errors import SimulationError
+from ..utils import format_table
 from .cache import RunCache, compile_key
 from .models import MODEL_LABELS, MODEL_ORDER, PAPER
 from .parallel import prepare_many, run_cells
-from .reporting import render_table
 from .runner import CompiledWorkload
 from .suite import ProgressFn
 
@@ -67,7 +67,7 @@ class Figure10:
                 note = (f"  (paper: superscalar -{paper_base * 100:.1f}%, "
                         f"HiDISC -{paper_hd * 100:.1f}%)")
             blocks.append(f"{name} — IPC vs L2/memory latency{note}\n"
-                          + render_table(header, rows))
+                          + format_table(header, rows))
         return ("Figure 10: latency tolerance for various memory latencies\n"
                 + "\n\n".join(blocks))
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..utils import format_table
 from ..workloads import WORKLOADS_BY_NAME
 from .models import MODEL_LABELS, MODEL_ORDER
-from .reporting import percent, render_bars, render_table
+from .reporting import percent, render_bars
 from .suite import SuiteResult
 
 
@@ -48,7 +49,7 @@ class Figure8:
         mean_row = ["MEAN"] + [
             f"{self.suite.mean_speedup(m):.3f}" for m in MODEL_ORDER
         ] + [""]
-        table = render_table(
+        table = format_table(
             ["Benchmark"] + [MODEL_LABELS[m] for m in MODEL_ORDER] + ["Best"],
             rows + [mean_row],
         )

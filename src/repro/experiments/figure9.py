@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..utils import format_table
 from ..workloads import WORKLOADS_BY_NAME
 from .models import MODEL_LABELS, PAPER
-from .reporting import render_bars, render_table
+from .reporting import render_bars
 from .suite import SuiteResult
 
 _MODES = ("cp_ap", "cp_cmp", "hidisc")
@@ -55,7 +56,7 @@ class Figure9:
                  f"{base.l1_demand_miss_rate:.4f}"]
                 + [f"{by_model[m]:.3f}" for m in _MODES]
             )
-        table = render_table(
+        table = format_table(
             ["Benchmark", "Baseline miss rate"]
             + [MODEL_LABELS[m] for m in _MODES],
             rows,

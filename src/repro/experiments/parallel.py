@@ -33,7 +33,6 @@ through this module, at any ``--jobs``:
 from __future__ import annotations
 
 import contextlib
-import functools
 import multiprocessing
 import os
 import time
@@ -113,36 +112,31 @@ def resolve_jobs(jobs: int | None) -> int:
 # ----------------------------------------------------------------------
 # Worker entry points (module-level so they pickle).
 
-def _observed(fn):
-    """Bracket a worker entry point with a per-task span tracer and
-    metrics scope (:func:`repro.telemetry.spans.begin_worker_task`), so
-    the task's observations ship back to the parent as ``host_spans`` /
-    ``host_metrics`` attributes on the result and re-merge onto the
-    orchestrator's timeline (see :func:`_absorb_observations`).
+def _pool_task(traced: bool, fn: Callable, args: tuple):
+    """Run one task in a pool worker.
 
-    When orchestration tracing is off (the default) the bracket resolves
-    to ``None`` immediately and the task runs exactly as before.
+    When the parent traces (*traced*), the task runs under its own
+    :func:`~repro.telemetry.spans.tracing` block and metrics scope, and
+    both ship back to the parent as ``host_spans`` / ``host_metrics``
+    attributes on the result, to re-merge onto the orchestrator's
+    timeline (see :func:`_absorb_observations`).
     """
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        tracer = spans.begin_worker_task()
-        if tracer is None:
-            return fn(*args, **kwargs)
-        scope = metrics.push_scope()
+    if not traced:
+        return fn(*args)
+    scope = metrics.push_scope()
+    with spans.tracing() as tracer:
         try:
             with tracer.span(fn.__name__, cat="pool"):
-                result = fn(*args, **kwargs)
+                result = fn(*args)
         finally:
             metrics.record_peak_rss()
             snap = metrics.pop_scope(scope)
-            records = spans.end_worker_task(tracer)
-        try:
-            result.host_spans = [r.as_dict() for r in records]
-            result.host_metrics = snap
-        except AttributeError:
-            pass
-        return result
-    return wrapper
+    try:
+        result.host_spans = [r.as_dict() for r in tracer.records]
+        result.host_metrics = snap
+    except AttributeError:
+        pass
+    return result
 
 
 def _absorb_observations(result, submitted_ns: int | None = None) -> None:
@@ -178,7 +172,6 @@ def _absorb_observations(result, submitted_ns: int | None = None) -> None:
         pass
 
 
-@_observed
 def prepare_task(workload: Workload, config: MachineConfig):
     """Worker: compile one benchmark (the parent owns the run cache)."""
     from .runner import prepare
@@ -186,7 +179,6 @@ def prepare_task(workload: Workload, config: MachineConfig):
     return prepare(workload, config)
 
 
-@_observed
 def run_model_task(compiled, config: MachineConfig, mode: str, cpi: bool,
                    verify: bool = False, sampling=None):
     """Worker: replay one compiled benchmark through one machine model.
@@ -222,6 +214,7 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
     queue-latency accounting.
     """
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+    traced = spans.current() is not None
     broken = False
     try:
         futures: dict[int, object] = {}
@@ -229,8 +222,9 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
             if submitted is not None:
                 submitted[index] = time.time_ns()
             try:
-                futures[index] = pool.submit(tasks[index].fn,
-                                             *tasks[index].args)
+                futures[index] = pool.submit(_pool_task, traced,
+                                             tasks[index].fn,
+                                             tasks[index].args)
             except BrokenProcessPool:
                 # A worker died before every task was submitted: collect
                 # what was, and let the next round resubmit the rest.

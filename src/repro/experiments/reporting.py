@@ -7,7 +7,7 @@ renderer gives a terminal-friendly visual of Figures 8 and 9.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from pathlib import Path
 
 from ..telemetry.cpi import render_cpi_stacks  # noqa: F401  (re-export)
@@ -43,12 +43,6 @@ def render_bars(series: Mapping[str, Mapping[str, float]],
                     bar += " "
             lines.append(f"  {label:<12s} {value_format.format(value)} {bar}")
     return "\n".join(lines)
-
-
-def render_table(headers: Sequence[str],
-                 rows: Sequence[Sequence[object]]) -> str:
-    """ASCII table (thin wrapper, re-exported for the figure modules)."""
-    return format_table(headers, rows)
 
 
 def write_json(path: str | Path, payload: object) -> Path:

@@ -40,7 +40,7 @@ from ..sim import (
 )
 from ..sim.decode import decode_program
 from ..sim.functional import DecoupledFunctionalSimulator, FunctionalSimulator
-from ..slicer import HidiscCompilation, compile_hidisc, validate_separation
+from ..slicer import HidiscCompilation, compile_hidisc
 from ..telemetry import Telemetry, spans
 from ..workloads import Workload, check_ap_executable
 from .cache import compile_key
@@ -127,7 +127,6 @@ def _prepare(workload: Workload, config: MachineConfig,
         workload.verify(seq_state)
 
     comp = compile_hidisc(program, config, trace=trace)
-    validate_separation(comp.separation)
     check_ap_executable(comp.decoupled, ap_has_fp=config.ap.has_fp)
 
     dtrace = Trace()

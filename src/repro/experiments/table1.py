@@ -7,13 +7,13 @@ defaults, so it can never drift from what the simulator actually uses.
 from __future__ import annotations
 
 from ..config import MachineConfig
-from .reporting import render_table
+from ..utils import format_table
 
 
 def table1(config: MachineConfig | None = None) -> str:
     """Render Table 1 for *config* (defaults reproduce the paper)."""
     config = config if config is not None else MachineConfig()
-    return render_table(["Parameter", "Value"], config.describe())
+    return format_table(["Parameter", "Value"], config.describe())
 
 
 def main() -> None:  # pragma: no cover - thin CLI shim

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..utils import format_table
 from .models import MODEL_CHARACTERISTICS, MODEL_LABELS, PAPER
-from .reporting import percent, render_table
+from .reporting import percent
 from .suite import SuiteResult
 
 
@@ -40,7 +41,7 @@ class Table2:
                 percent(mean),
                 percent(PAPER.table2_speedup[mode]),
             ])
-        table = render_table(
+        table = format_table(
             ["Configuration", "Characteristic", "Speed-up (measured)",
              "Speed-up (paper)"],
             rows,

@@ -16,6 +16,7 @@ import urllib.request
 from collections.abc import Iterator
 
 from ..errors import BackpressureError, ServiceError
+from .queue import POLL_SECONDS
 
 
 class ServiceClient:
@@ -130,8 +131,7 @@ class ServiceClient:
                     yield event
 
     # ------------------------------------------------------------------
-    def wait(self, job_id: str, timeout: float = 300.0,
-             poll: float = 0.2) -> dict:
+    def wait(self, job_id: str, timeout: float = 300.0) -> dict:
         """Poll until the job is terminal; returns the final record."""
         import time
         deadline = time.monotonic() + timeout
@@ -143,7 +143,7 @@ class ServiceClient:
                 raise ServiceError(
                     f"timed out after {timeout:.0f}s waiting for "
                     f"{job_id} (state: {record.get('state')})")
-            time.sleep(poll)
+            time.sleep(POLL_SECONDS)
 
 
 def _backpressure(detail: str) -> BackpressureError:

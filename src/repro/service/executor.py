@@ -12,9 +12,13 @@ how to survive interruptions:
   (:func:`repro.telemetry.diff.diff_payloads` ignores exactly those);
 * the suite's *on_cell* hook is where the service's liveness concerns
   meet the run: after every grid cell the executor records progress,
-  emits a job event, polls the cancellation marker, honours the process
-  interrupt flag (graceful drain), and aborts if the heartbeat thread
-  reports the lease lost.
+  emits a job event, polls the cancellation marker and aborts if the
+  heartbeat thread reports the lease lost.  Graceful drain needs no hook:
+  ``run_suite`` polls the process interrupt flag between cells itself.
+
+The job's spans are whatever the suite records on the worker's job
+tracer (:meth:`repro.service.worker.Worker.run_one`): each grid cell is
+one ``run_model`` span there, timed where it ran.
 
 The result payload is written atomically next to the spool
 (``results/<job_id>.json``) *before* the job record transitions to
@@ -67,9 +71,7 @@ def write_result(queue: JobQueue, job_id: str, payload: dict) -> str:
 
 
 def execute_job(queue: JobQueue, record: JobRecord, worker: str,
-                *, cache: RunCache | None = None,
-                should_stop=None, lease_lost=None,
-                progress=None, tracer=None) -> str:
+                *, cache: RunCache | None = None, lease_lost=None) -> str:
     """Run *record*'s suite and persist its payload; returns the path.
 
     Raises :class:`JobCancelled` when the job's cancel marker appears,
@@ -78,44 +80,35 @@ def execute_job(queue: JobQueue, record: JobRecord, worker: str,
     :class:`LeaseLost` when *lease_lost* (a ``threading.Event`` fed by
     the heartbeat thread) fires, and whatever the simulation raises on a
     genuinely broken spec.  The caller maps each to the right queue
-    transition.  *tracer* (a :class:`~repro.telemetry.spans.SpanTracer`)
-    gets one retro-recorded span per grid cell.
+    transition.
     """
     spec = record.spec
     config = MachineConfig()
     cache = cache if cache is not None else RunCache()
     cell_delay = float(spec.get("cell_delay", 0.0))
-    cell_start = [time.time_ns()]
+    last_landing = [time.monotonic()]
 
     def on_cell(benchmark: str, mode: str, resumed: bool) -> None:
         if lease_lost is not None and lease_lost.is_set():
             raise LeaseLost(f"lease on {record.job_id} lost mid-run")
-        now_ns = time.time_ns()
-        cell_ns = max(now_ns - cell_start[0], 0)
+        # job_cell_seconds is the wall time between consecutive cell
+        # landings (the first from the job's start): a serial suite
+        # prepares one benchmark at a time, so each benchmark's first
+        # cell also carries its prepare.
+        now = time.monotonic()
         metrics.inc("job_cells_completed")
-        metrics.observe("job_cell_seconds", cell_ns / 1e9)
-        if tracer is not None:
-            tracer.record_span(f"cell {benchmark}/{mode}",
-                               cell_start[0], cell_ns, cat="cell",
-                               benchmark=benchmark, mode=mode,
-                               resumed=resumed)
-        cell_start[0] = now_ns
+        metrics.observe("job_cell_seconds", now - last_landing[0])
+        last_landing[0] = now
         queue.record_cell(record.job_id, worker)
         queue.append_event(record.job_id, "cell", benchmark=benchmark,
                            mode=mode, resumed=resumed, worker=worker)
         if queue.cancel_marker(record.job_id).exists():
             raise JobCancelled(f"job {record.job_id} cancelled")
-        if should_stop is not None and should_stop():
-            # Graceful drain requested between cells: hand the job back
-            # attempt-neutrally (the caller catches InterruptedRun).
-            from ..errors import InterruptedRun
-            raise InterruptedRun("SIGTERM")
         if cell_delay > 0 and not resumed:
             # Test hook: slow the grid down so kill-timing is
             # deterministic (only for freshly computed cells — resumed
             # cells fly by so drained jobs finish fast).
-            import time as _time
-            _time.sleep(cell_delay)
+            time.sleep(cell_delay)
 
     suite = run_suite(
         config=config,
@@ -126,7 +119,6 @@ def execute_job(queue: JobQueue, record: JobRecord, worker: str,
         cache=cache,
         resume=True,
         verify=bool(spec.get("verify", False)),
-        progress=progress,
         on_cell=on_cell,
     )
     return write_result(queue, record.job_id, suite.to_payload())

@@ -190,8 +190,8 @@ def stitch_job_trace(queue: JobQueue, job_id: str
                      ) -> tuple[list[SpanRecord], dict]:
     """Reassemble one job's cross-process timeline.
 
-    Returns ``(records, lane_names)`` ready for
-    :func:`repro.telemetry.spans.write_orchestration_trace`:
+    Returns ``(records, lane_names)``, the arguments of
+    :func:`repro.telemetry.spans.lane_events`:
 
     * a **client** lane (when the record carries a trace context) with
       the submit span, linked as the parent of the job's root span;
@@ -200,8 +200,8 @@ def stitch_job_trace(queue: JobQueue, job_id: str
       reconstructed from the transition events, and one instant per
       raw event;
     * one **worker** lane per pid found in the persisted span file
-      (``job``/``execute``/per-cell spans, already parent-linked by the
-      worker's own tracer).
+      (``job``/``execute`` and the suite's spans, one ``run_model`` per
+      grid cell, already parent-linked by the worker's own tracer).
     """
     record = queue.get(job_id)
     if record is None:

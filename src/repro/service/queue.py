@@ -60,6 +60,10 @@ from .records import (
 
 __all__ = ["SERVICE_DIR", "JobQueue"]
 
+#: How long an idle worker, the ``hidisc serve`` supervisor and a client
+#: waiting on a job sleep before they look at the queue again.
+POLL_SECONDS = 0.2
+
 #: States whose records absorb duplicate submissions (a failed or
 #: quarantined job does *not* — resubmitting one is an explicit retry).
 _DEDUP_STATES = ("pending", "leased", "done")

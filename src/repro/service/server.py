@@ -46,7 +46,7 @@ from ..errors import BackpressureError, ConfigError, ServiceError
 from ..telemetry import metrics
 from ..telemetry.metrics import render_prometheus
 from .observability import fleet_metrics, read_worker_statuses
-from .queue import JobQueue
+from .queue import POLL_SECONDS, JobQueue
 
 #: Default TCP port ("HI" = 0x4849 is taken; pick something memorable).
 DEFAULT_PORT = 8203
@@ -223,7 +223,6 @@ class ServiceServer:
                  port: int = DEFAULT_PORT, workers: int = 2,
                  lease_ttl: float = 30.0, max_depth: int = 64,
                  max_attempts: int = 3, retry_backoff: float = 0.5,
-                 poll_interval: float = 0.2,
                  drain_grace: float = 30.0, stream=None) -> None:
         if workers < 0:
             raise ConfigError(f"workers must be >= 0, got {workers}")
@@ -234,7 +233,6 @@ class ServiceServer:
         self.host = host
         self.port = port
         self.workers = workers
-        self.poll_interval = poll_interval
         self.drain_grace = drain_grace
         self.stream = stream if stream is not None else sys.stderr
         self.stopped = threading.Event()
@@ -261,7 +259,6 @@ class ServiceServer:
                 "--lease-ttl", str(self.queue.lease_ttl),
                 "--max-attempts", str(self.queue.max_attempts),
                 "--retry-backoff", str(self.queue.retry_backoff),
-                "--poll-interval", str(self.poll_interval),
                 # The spool lives at <cache>/service, so the cache root
                 # is its parent — pinning it keeps worker results and
                 # ledger entries in the same store the server accounts.
@@ -338,7 +335,7 @@ class ServiceServer:
                 self.log(f"{interrupt_ctx.triggered} received; draining")
                 break
             self._supervise()
-            self.stopped.wait(self.poll_interval)
+            self.stopped.wait(POLL_SECONDS)
         return self.drain()
 
     def drain(self) -> int:

@@ -46,7 +46,7 @@ from ..telemetry import metrics, spans
 from ..telemetry.spans import SpanTracer
 from .executor import LeaseLost, execute_job
 from .observability import publish_worker_status
-from .queue import JobQueue
+from .queue import POLL_SECONDS, JobQueue
 from .records import JobRecord
 
 
@@ -95,11 +95,9 @@ class Worker:
     """The claim/execute loop for one worker process."""
 
     def __init__(self, queue: JobQueue, worker_id: str | None = None,
-                 *, poll_interval: float = 0.2, cache: RunCache | None = None,
-                 stream=None) -> None:
+                 *, cache: RunCache | None = None, stream=None) -> None:
         self.queue = queue
         self.worker_id = worker_id or f"worker-{os.getpid():x}"
-        self.poll_interval = poll_interval
         self.cache = cache if cache is not None else RunCache()
         self.stream = stream if stream is not None else sys.stderr
         self.jobs_run = 0
@@ -128,11 +126,10 @@ class Worker:
     def _dispose(self, record: JobRecord, keeper: LeaseKeeper) -> str:
         """The claim-to-transition core of :meth:`run_one` (exactly one
         queue transition per exceptional path)."""
-        tracer = spans.current()
         try:
             result_path = execute_job(
                 self.queue, record, self.worker_id, cache=self.cache,
-                lease_lost=keeper.lost, tracer=tracer)
+                lease_lost=keeper.lost)
         except JobCancelled:
             self.queue.cancel_job(record, worker=self.worker_id)
             self._log(f"job {record.job_id}: cancelled")
@@ -167,9 +164,10 @@ class Worker:
         Observability wrapper around :meth:`_dispose`: a metrics scope
         isolates the job's counters (merged back afterwards, and shipped
         both to the status file live and to the run ledger at the end),
-        and a per-job :class:`~repro.telemetry.spans.SpanTracer` records
-        the ``job``/``execute``/per-cell span tree, persisted to the
-        spool for ``hidisc jobs trace`` to stitch.
+        and a :func:`~repro.telemetry.spans.tracing` block records the
+        job's span tree (``job``/``execute`` and everything the suite
+        records under them, one ``run_model`` span per grid cell),
+        persisted to the spool for ``hidisc jobs trace`` to stitch.
         """
         self.publish_status("running", record.job_id)
         keeper = LeaseKeeper(
@@ -177,37 +175,34 @@ class Worker:
             interval=self.queue.lease_ttl / 3.0,
             on_renew=lambda: self.publish_status("running", record.job_id))
         scope = metrics.push_scope()
-        tracer = SpanTracer()
-        was_tracing = spans.current()
-        spans._TRACER = tracer
         parent_span = (record.trace or {}).get("span")
         started = time.time()
         disposition = "failed"
         keeper.start()
-        try:
-            with tracer.span(f"job {record.job_id}", cat="job",
-                             worker=self.worker_id,
-                             attempt=record.attempts + 1,
-                             parent_span=parent_span):
-                with tracer.span("execute", cat="job") as execute_span:
-                    disposition = self._dispose(record, keeper)
-                    execute_span.set(disposition=disposition)
-        finally:
-            keeper.stop()
-            spans._TRACER = was_tracing
-            elapsed = time.time() - started
-            metrics.observe("job_execution_seconds", elapsed)
-            metrics.inc("jobs_executed", disposition=disposition)
-            snapshot = metrics.pop_scope(scope)
-            metrics.merge(snapshot)
+        with spans.tracing() as tracer:
             try:
-                self.queue.append_spans(record.job_id, tracer.records)
-            except Exception:  # pragma: no cover - spans are advisory
-                pass
-            if disposition != "lost":
-                self._append_ledger(record, disposition, elapsed,
-                                    snapshot, tracer)
-            self.publish_status("idle")
+                with tracer.span(f"job {record.job_id}", cat="job",
+                                 worker=self.worker_id,
+                                 attempt=record.attempts + 1,
+                                 parent_span=parent_span):
+                    with tracer.span("execute", cat="job") as execute_span:
+                        disposition = self._dispose(record, keeper)
+                        execute_span.set(disposition=disposition)
+            finally:
+                keeper.stop()
+                elapsed = time.time() - started
+                metrics.observe("job_execution_seconds", elapsed)
+                metrics.inc("jobs_executed", disposition=disposition)
+                snapshot = metrics.pop_scope(scope)
+                metrics.merge(snapshot)
+                try:
+                    self.queue.append_spans(record.job_id, tracer.records)
+                except Exception:  # pragma: no cover - spans are advisory
+                    pass
+                if disposition != "lost":
+                    self._append_ledger(record, disposition, elapsed,
+                                        snapshot, tracer)
+                self.publish_status("idle")
         return disposition
 
     def _append_ledger(self, record: JobRecord, disposition: str,
@@ -238,22 +233,17 @@ class Worker:
             pass
 
     # ------------------------------------------------------------------
-    def run_forever(self, *, max_jobs: int | None = None,
-                    idle_exit: float | None = None) -> int:
-        """Claim/execute until drained (signal), *max_jobs*, or an idle
-        timeout.  Returns the process exit code (0 for a clean drain).
+    def run_forever(self) -> int:
+        """Claim/execute until drained by a signal.  Returns the process
+        exit code (0 for a clean drain).
         """
         self._log(f"worker up (pid {os.getpid()}, "
                   f"lease_ttl {self.queue.lease_ttl}s)")
         self.publish_status("idle")
-        idle_since = time.monotonic()
         with GracefulInterrupt(stream=self.stream) as gi:
             while True:
                 if gi.triggered is not None:
                     self._log(f"drained on {gi.triggered}; exiting")
-                    self.publish_status("stopped")
-                    return 0
-                if max_jobs is not None and self.jobs_run >= max_jobs:
                     self.publish_status("stopped")
                     return 0
                 try:
@@ -262,15 +252,9 @@ class Worker:
                     self._log(f"claim failed: {exc}")
                     record = None
                 if record is None:
-                    if idle_exit is not None and \
-                            time.monotonic() - idle_since > idle_exit:
-                        self._log("idle timeout; exiting")
-                        self.publish_status("stopped")
-                        return 0
                     self.publish_status("idle", min_interval=1.0)
-                    time.sleep(self.poll_interval)
+                    time.sleep(POLL_SECONDS)
                     continue
-                idle_since = time.monotonic()
                 self.jobs_run += 1
                 self._log(f"claimed {record.job_id} "
                           f"(attempt {record.attempts + 1}/"
@@ -290,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-ttl", type=float, default=30.0)
     parser.add_argument("--max-attempts", type=int, default=3)
     parser.add_argument("--retry-backoff", type=float, default=0.5)
-    parser.add_argument("--poll-interval", type=float, default=0.2)
-    parser.add_argument("--max-jobs", type=int, default=None)
-    parser.add_argument("--idle-exit", type=float, default=None)
     parser.add_argument("--cache-dir", default=None,
                         help="run-cache root (defaults to the env-derived "
                              "cache; the supervisor passes its own so "
@@ -304,10 +285,7 @@ def main(argv: list[str] | None = None) -> int:
                      retry_backoff=args.retry_backoff)
     queue.ensure_layout()
     cache = RunCache(args.cache_dir) if args.cache_dir else RunCache()
-    worker = Worker(queue, args.worker_id, poll_interval=args.poll_interval,
-                    cache=cache)
-    return worker.run_forever(max_jobs=args.max_jobs,
-                              idle_exit=args.idle_exit)
+    return Worker(queue, args.worker_id, cache=cache).run_forever()
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entrypoint

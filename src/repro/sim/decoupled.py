@@ -399,11 +399,15 @@ class Machine:
             # never splice into a stale "\r" line.
             if self._heartbeat is not None:
                 self._heartbeat.finish()
-            # A machine runs once.  Drop the cores' back-references so its
-            # window state is freed when the caller lets go, not at the
-            # next full cyclic collection (which peak RSS would wait for).
+            # A machine runs once.  Drop the cores' back-references and
+            # the entries a sampled window leaves unretired (each points
+            # back at its core), so the window state is freed when the
+            # caller lets go, not at the next full cyclic collection
+            # (which peak RSS would wait for).
             for core in self.cores:
                 core.machine = None
+                core.window.clear()
+                core.ready.clear()
 
     def _run_loop(self, max_cycles: int | None) -> RunResult:
         if max_cycles is None:

@@ -44,7 +44,7 @@ from .lifecycle import (
     LifecycleRecord,
     breakdown_row,
     critical_path_by_pc,
-    lifecycle_to_chrome,
+    lifecycle_events,
     render_critical_path,
 )
 from .sampler import Sample, Sampler, take_sample
@@ -55,6 +55,7 @@ from .sinks import (
     MemorySink,
     NullSink,
     Sink,
+    write_perfetto,
 )
 
 __all__ = [
@@ -81,7 +82,7 @@ __all__ = [
     "diff_payloads",
     "first_divergent_commit",
     "konata_lines",
-    "lifecycle_to_chrome",
+    "lifecycle_events",
     "load_payload",
     "metrics",
     "new_stack",
@@ -92,4 +93,5 @@ __all__ = [
     "stack_total",
     "take_sample",
     "write_konata",
+    "write_perfetto",
 ]

@@ -82,30 +82,11 @@ class Heartbeat:
         self._last_cycle = 0
         self._last_time = time.perf_counter()
 
-    @property
-    def stream(self):
-        return self._line.stream
-
-    @property
-    def live(self) -> bool:
-        return self._line.live
-
-    @property
-    def _open_width(self) -> int:
-        return self._line._open_width
-
-    @_open_width.setter
-    def _open_width(self, value: int) -> None:
-        self._line._open_width = value
-
     def snapshot(self, machine, now: int) -> dict:
         """Measure *machine* at cycle *now* as a JSON-ready dict.
 
-        The machine-readable twin of the rendered status line, sharing
-        its field names — the service's per-job event streams
-        (:mod:`repro.service`) emit their heartbeat records in this
-        shape, so a consumer can parse simulator and job heartbeats with
-        one schema.  Does not advance ``next_at`` or write anything.
+        The fields :meth:`emit` renders, under the names the status line
+        prints them with.  Does not advance ``next_at`` or write anything.
         """
         host_now = time.perf_counter()
         dt = host_now - self._last_time

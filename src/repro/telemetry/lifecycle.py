@@ -23,7 +23,7 @@ streaming JSONL sink for runs too long to hold in memory.
 Consumers:
 
 * :func:`repro.telemetry.konata.write_konata` — pipeline-viewer export;
-* :func:`lifecycle_to_chrome` — per-instruction Chrome/Perfetto spans;
+* :func:`lifecycle_events` — per-instruction Chrome/Perfetto spans;
 * :func:`critical_path_by_pc` / :func:`render_critical_path` — the
   commit-latency decomposition, summarized per static instruction.
 """
@@ -36,6 +36,7 @@ from pathlib import Path
 
 from ..isa.disasm import disassemble_instruction
 from ..utils import format_table
+from .sinks import sim_duration
 
 #: Commit-latency components (each committed instruction's
 #: ``commit - fetch`` interval decomposes exactly into these).
@@ -294,20 +295,23 @@ def render_critical_path(summary: list[dict], limit: int = 12) -> str:
 # ----------------------------------------------------------------------
 # Chrome trace export (per-instruction spans).
 # ----------------------------------------------------------------------
-def lifecycle_to_chrome(rows: list[dict], sink) -> int:
-    """Emit one fetch-to-commit span per committed instruction.
+def lifecycle_events(rows: list[dict]) -> list[tuple[str, str, dict]]:
+    """One fetch-to-commit span per committed instruction, for
+    :func:`~repro.telemetry.sinks.write_perfetto`.
 
-    Each span lands on a per-core ``<core> pipeline`` track and carries
+    Each span lands on a per-core ``<core> pipeline`` lane and carries
     the full stage timestamps plus the non-zero breakdown components in
     its args, so Perfetto's slice pane shows exactly where that dynamic
-    instruction's latency went.  Returns the number of spans emitted.
+    instruction's latency went.
     """
+    events = []
     for row in rows:
         args = {k: row[k] for k in ("gid", "pos", "pc", "fetch", "dispatch",
                                     "ready", "issue", "complete", "commit")}
         args["breakdown"] = {comp: cycles
                              for comp, cycles in breakdown_row(row).items()
                              if cycles}
-        sink.duration(f"{row['core']} pipeline", row["asm"], row["fetch"],
-                      max(row["commit"] - row["fetch"], 1), args)
-    return len(rows)
+        events.append(sim_duration(f"{row['core']} pipeline", row["asm"],
+                                   row["fetch"], row["commit"] - row["fetch"],
+                                   args))
+    return events

@@ -7,9 +7,11 @@ everything over time".  Every ``interval`` cycles it snapshots
 * LDQ/SDQ/SAQ occupancy (as tracked by the machine's issue-time counters),
 * outstanding misses in flight in the memory hierarchy,
 
-keeps the samples in memory (:attr:`Sampler.samples`) and mirrors them to
-the active sink as counter tracks, so a Chrome trace shows queue-depth
-timelines under the instruction lanes.
+keeps the samples in memory (:attr:`Sampler.samples`) and mirrors the
+window, instruction-queue and miss counts to the active sink as
+``occupancy/*`` and ``memory/*`` counter tracks, so a Chrome trace shows
+them under the instruction lanes.  The LDQ/SDQ/SAQ tracks need no
+sampling: the machine writes a ``queues/*`` point on every change.
 """
 
 from __future__ import annotations
@@ -79,8 +81,6 @@ class Sampler:
             for name, (window, iq) in sample.cores.items():
                 sink.counter("occupancy", f"{name} window", now, window)
                 sink.counter("occupancy", f"{name} iq", now, iq)
-            for name, value in sample.queues.items():
-                sink.counter("queues", name, now, value)
             sink.counter("memory", "outstanding_misses", now,
                          sample.outstanding_misses)
         return sample

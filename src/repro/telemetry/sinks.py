@@ -1,4 +1,4 @@
-"""Pluggable telemetry sinks.
+"""Pluggable telemetry sinks, and the one Perfetto trace builder.
 
 A sink receives the structured event stream of one simulation run.  Three
 event shapes cover everything the timing models emit:
@@ -12,20 +12,31 @@ event shapes cover everything the timing models emit:
 ``NullSink`` is the zero-overhead default: the machines test the class
 attribute :attr:`Sink.enabled` once at construction and skip every emit
 call when it is ``False``, so a run without telemetry never enters this
-module.  ``ChromeTraceSink`` writes the Chrome/Perfetto ``trace_event``
-JSON format (open the file at https://ui.perfetto.dev or in
-``chrome://tracing``; one simulated cycle is rendered as one microsecond)
-through :func:`write_trace_events`, the one writer of such files.
+module.
+
+Every Chrome/Perfetto ``trace_event`` file the package writes (open it at
+https://ui.perfetto.dev or in ``chrome://tracing``) comes from
+:func:`write_perfetto`: its producers hand it events on *named lanes*
+(``ChromeTraceSink`` for ``hidisc trace``,
+:func:`repro.telemetry.lifecycle.lifecycle_events`,
+:func:`repro.telemetry.spans.lane_events` for orchestration and job
+traces), and it numbers the lanes, names them and writes the file through
+:func:`write_trace_events`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from collections.abc import Iterable
 from pathlib import Path
 from typing import IO
 
+#: The process lane of the simulated machine's events.
+SIM_PROCESS = "hidisc-sim"
 
-def write_trace_events(events: list[dict], path: str | Path) -> int:
+
+def write_trace_events(events: Iterable[dict], path: str | Path) -> int:
     """Write *events* as a Chrome/Perfetto ``trace_event`` file at *path*.
 
     One event per line inside the ``traceEvents`` array, so the file is
@@ -34,13 +45,64 @@ def write_trace_events(events: list[dict], path: str | Path) -> int:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    count = 0
     with path.open("w") as fh:
-        fh.write('{"traceEvents": [\n')
-        for index, event in enumerate(events):
-            comma = "," if index + 1 < len(events) else ""
-            fh.write(json.dumps(event, separators=(",", ":")) + comma + "\n")
-        fh.write("]}\n")
+        fh.write('{"traceEvents": [')
+        for event in events:
+            fh.write(("," if count else "") + "\n"
+                     + json.dumps(event, separators=(",", ":")))
+            count += 1
+        fh.write("\n]}\n")
+    return count
+
+
+def write_perfetto(events: Iterable[tuple[str, str | None, dict]],
+                   path: str | Path) -> int:
+    """Write events on named lanes as one Perfetto trace at *path*.
+
+    Each item is ``(process, thread, event)``, where *event* is a
+    ``trace_event`` dict without ``pid`` or ``tid``.  Processes get pids
+    in order of first appearance from 0 (which is also their sort
+    order), threads get tids from 1, and every lane is named by a
+    metadata event.  A ``None`` thread marks a process-scoped event
+    (counter tracks, host spans) that carries no ``tid``.  Events keep
+    their order.  Returns the number of non-metadata events written.
+    """
+    events = list(events)
+    pids: dict[str, int] = {}
+    tids: dict[tuple[str, str], int] = {}
+    for process, thread, _ in events:
+        pids.setdefault(process, len(pids))
+        if thread is not None:
+            tids.setdefault((process, thread), len(tids) + 1)
+    meta = []
+    for process, pid in pids.items():
+        meta.append({"ph": "M", "pid": pid, "name": "process_name",
+                     "args": {"name": process}})
+        meta.append({"ph": "M", "pid": pid, "name": "process_sort_index",
+                     "args": {"sort_index": pid}})
+    for (process, thread), tid in tids.items():
+        meta.append({"ph": "M", "pid": pids[process], "tid": tid,
+                     "name": "thread_name", "args": {"name": thread}})
+
+    def placed(process: str, thread: str | None, event: dict) -> dict:
+        head = {"ph": event["ph"], "pid": pids[process]}
+        if thread is not None:
+            head["tid"] = tids[process, thread]
+        return head | event
+
+    write_trace_events(itertools.chain(
+        meta, itertools.starmap(placed, events)), path)
     return len(events)
+
+
+def sim_duration(track: str, name: str, ts: int, dur: int,
+                 args: dict | None = None) -> tuple[str, str, dict]:
+    """One simulated-machine span on *track*'s lane, in cycles (rendered
+    as microseconds) and at least one cycle long."""
+    return (SIM_PROCESS, track, {"ph": "X", "cat": "sim", "name": name,
+                                 "ts": ts, "dur": max(dur, 1),
+                                 "args": args or {}})
 
 
 class Sink:
@@ -178,57 +240,38 @@ class JsonlSink(Sink):
 
 
 class ChromeTraceSink(Sink):
-    """Chrome/Perfetto ``trace_event`` JSON (the "JSON Array Format").
+    """A run's events as a Chrome/Perfetto trace (see :func:`write_perfetto`).
 
-    Tracks map to threads of one process; counters become ``ph: "C"``
-    counter tracks.  Timestamps are in microseconds in the format, so one
-    simulated cycle displays as one microsecond.
+    Every track is a thread lane of the one ``hidisc-sim`` process, and
+    counters are process-scoped ``ph: "C"`` tracks.  One simulated cycle
+    displays as one microsecond.  :meth:`close` writes the file.
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._events: list[dict] = []
-        self._tids: dict[str, int] = {}
-
-    def _tid(self, track: str) -> int:
-        tid = self._tids.get(track)
-        if tid is None:
-            tid = len(self._tids) + 1
-            self._tids[track] = tid
-        return tid
+        self._events: list[tuple[str, str | None, dict]] = []
 
     @property
     def event_count(self) -> int:
         return len(self._events)
 
     def duration(self, track, name, ts, dur, args=None) -> None:
-        self._events.append({
-            "ph": "X", "pid": 0, "tid": self._tid(track), "cat": "sim",
-            "name": name, "ts": ts, "dur": max(dur, 1),
-            "args": args or {},
-        })
+        self._events.append(sim_duration(track, name, ts, dur, args))
 
     def instant(self, track, name, ts, args=None) -> None:
-        self._events.append({
-            "ph": "i", "pid": 0, "tid": self._tid(track), "cat": "sim",
-            "name": name, "ts": ts, "s": "t", "args": args or {},
-        })
+        self._events.append((SIM_PROCESS, track, {
+            "ph": "i", "cat": "sim", "name": name, "ts": ts, "s": "t",
+            "args": args or {},
+        }))
 
     def counter(self, track, name, ts, value) -> None:
         # Counter tracks are identified by (pid, name); `track` becomes a
         # prefix so e.g. "queues/LDQ" groups next to "queues/SDQ".
-        self._events.append({
-            "ph": "C", "pid": 0, "cat": "sim",
+        self._events.append((SIM_PROCESS, None, {
+            "ph": "C", "cat": "sim",
             "name": f"{track}/{name}" if track else name,
             "ts": ts, "args": {"value": value},
-        })
+        }))
 
     def close(self) -> None:
-        meta = [
-            {"ph": "M", "pid": 0, "name": "process_name",
-             "args": {"name": "hidisc-sim"}},
-        ]
-        for track, tid in sorted(self._tids.items(), key=lambda kv: kv[1]):
-            meta.append({"ph": "M", "pid": 0, "tid": tid,
-                         "name": "thread_name", "args": {"name": track}})
-        write_trace_events(meta + self._events, self.path)
+        write_perfetto(self._events, self.path)

@@ -1,21 +1,21 @@
 """Host-side orchestration span tracer.
 
-The simulated machine has had structured telemetry since PR 1; the *host*
-orchestration around it (process-pool grid, compilation cache, suite
-checkpoints, retry/backoff, fault campaigns) only emitted ad-hoc progress
-strings.  This module gives that layer the same treatment: hierarchical
-**spans** (context-manager API, monotonic durations, parent/child nesting,
-process-safe ids) plus point **instants**, exportable as Chrome/Perfetto
-``trace_event`` JSON so a whole ``hidisc suite --jobs N`` renders as one
-timeline — the orchestrator and every worker process on their own lanes.
+The simulated machine reports through structured telemetry; this module
+gives the *host* orchestration around it (process-pool grid, compilation
+cache, suite checkpoints, retry/backoff, fault campaigns, service jobs)
+the same treatment: hierarchical **spans** (context-manager API,
+monotonic durations, parent/child nesting, process-safe ids) plus point
+**instants**, exported as Perfetto lanes (:func:`lane_events`, written by
+:func:`repro.telemetry.sinks.write_perfetto`) so a whole
+``hidisc suite --jobs N`` renders as one timeline — the orchestrator and
+every worker process on their own lanes.
 
 Zero overhead when off (the default): the module-level :func:`span` /
 :func:`instant` helpers check one global and return a shared no-op context
-manager, so an untraced run never allocates a record.  Enabling
-(:func:`enable`) also sets :data:`ENV_FLAG` in ``os.environ``, which pool
-workers inherit; the worker entry points bracket each task with
-:func:`begin_worker_task` / :func:`end_worker_task` so the task's spans
-travel back to the parent inside the task result (see
+manager, so an untraced run never allocates a record.  :func:`tracing` is
+the one way to turn tracing on: ``hidisc --orch-trace``, each task of a
+traced process pool and each service job wrap their work in it.  A pool
+task's spans travel back to the parent inside the task result (see
 :mod:`repro.experiments.parallel`) and are re-merged onto the parent's
 timeline with their worker pid intact.
 
@@ -28,16 +28,10 @@ collide.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-
-from .sinks import write_trace_events
-
-#: Environment variable propagating "orchestration tracing is on" to pool
-#: workers (set by :func:`enable`, cleared by :func:`disable`).
-ENV_FLAG = "HIDISC_ORCH_TRACE"
 
 
 @dataclass
@@ -147,27 +141,6 @@ class SpanTracer:
             t0_ns=time.time_ns(), dur_ns=None, args=args,
         ))
 
-    def record_span(self, name: str, t0_ns: int, dur_ns: int,
-                    cat: str = "orch", parent: str | None = None,
-                    **args) -> SpanRecord:
-        """Retro-record a span that already happened.
-
-        For callers that learn a span's bounds after the fact (the service
-        executor timing a grid cell inside a callback, the trace stitcher
-        reconstructing queue-state residency from persisted events) —
-        *t0_ns* is a ``time.time_ns`` stamp and *dur_ns* a plain
-        difference of such stamps.  The span nests under the currently
-        open span unless *parent* is given explicitly.
-        """
-        record = SpanRecord(
-            name=name, cat=cat, pid=self.pid, sid=self._new_id(),
-            parent=parent if parent is not None
-            else (self._stack[-1] if self._stack else None),
-            t0_ns=t0_ns, dur_ns=dur_ns, args=args,
-        )
-        self.records.append(record)
-        return record
-
     def adopt(self, records) -> None:
         """Merge spans shipped back from a worker process.
 
@@ -184,28 +157,24 @@ class SpanTracer:
 _TRACER: SpanTracer | None = None
 
 
-def enable() -> SpanTracer:
-    """Install a fresh tracer and flag worker processes to trace too."""
-    global _TRACER
-    _TRACER = SpanTracer()
-    os.environ[ENV_FLAG] = "1"
-    return _TRACER
+@contextlib.contextmanager
+def tracing():
+    """Record this process's spans on a fresh :class:`SpanTracer` for the
+    block, and reinstall whatever tracer was there before when it ends.
 
-
-def disable() -> None:
-    """Drop the tracer and clear the worker flag (records survive on the
-    tracer object :func:`enable` returned)."""
+    Yields the tracer; its records outlive the block.
+    """
     global _TRACER
-    _TRACER = None
-    os.environ.pop(ENV_FLAG, None)
+    previous = _TRACER
+    _TRACER = tracer = SpanTracer()
+    try:
+        yield tracer
+    finally:
+        _TRACER = previous
 
 
 def current() -> SpanTracer | None:
     return _TRACER
-
-
-def active() -> bool:
-    return _TRACER is not None
 
 
 def span(name: str, cat: str = "orch", **args):
@@ -224,97 +193,29 @@ def instant(name: str, cat: str = "orch", **args) -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker-side bracketing (see repro.experiments.parallel).
-
-def begin_worker_task() -> SpanTracer | None:
-    """Install a fresh per-task tracer in a pool worker.
-
-    Returns ``None`` when this process is already the tracing parent (the
-    inline/serial path — its spans land on the parent tracer directly) or
-    when orchestration tracing is off.  A fork-inherited parent tracer is
-    recognised by its pid and replaced, never appended to: each task ships
-    exactly its own spans back.
-    """
-    global _TRACER
-    if _TRACER is not None and _TRACER.pid == os.getpid():
-        return None
-    if os.environ.get(ENV_FLAG) != "1":
-        _TRACER = None
-        return None
-    _TRACER = SpanTracer()
-    return _TRACER
-
-
-def end_worker_task(tracer: SpanTracer | None):
-    """Uninstall a :func:`begin_worker_task` tracer; return its records."""
-    global _TRACER
-    if tracer is None:
-        return None
-    if _TRACER is tracer:
-        _TRACER = None
-    return tracer.records
-
-
-# ----------------------------------------------------------------------
 # Export & summary.
 
-def to_trace_events(records, main_pid: int | None = None,
-                    lane_names: dict | None = None) -> list[dict]:
-    """Chrome/Perfetto ``trace_event`` dicts for *records*.
+def lane_events(records, lanes: dict[int, str]) -> list[tuple]:
+    """*records* as events for :func:`~repro.telemetry.sinks.write_perfetto`.
 
-    Each pid becomes its own process lane (the orchestrator plus one lane
-    per worker); timestamps are microseconds since the earliest span in
-    the set, so the whole run starts at t=0.  *lane_names* overrides the
-    default lane title for specific pids (``{pid: "label"}``) — the
-    service's job-trace stitcher uses it to label the client, queue and
-    worker lanes.
+    Each pid is one process lane, titled ``lanes[pid]``; timestamps are
+    microseconds since the earliest record, so the set starts at t=0.
+    Spans carry their id and parent id in their args.
     """
-    records = list(records)
-    if not records:
-        return []
-    epoch = min(r.t0_ns for r in records)
-    pids: dict[int, None] = {}
-    events: list[dict] = []
-    for r in sorted(records, key=lambda r: (r.t0_ns, r.sid)):
-        pids.setdefault(r.pid)
+    records = sorted(records, key=lambda r: (r.t0_ns, r.sid))
+    epoch = records[0].t0_ns if records else 0
+    events = []
+    for r in records:
         ts = (r.t0_ns - epoch) / 1000.0
         if r.dur_ns is None:
-            events.append({
-                "ph": "i", "pid": r.pid, "tid": 0, "cat": r.cat,
-                "name": r.name, "ts": ts, "s": "p", "args": dict(r.args),
-            })
+            event = {"ph": "i", "cat": r.cat, "name": r.name, "ts": ts,
+                     "s": "p", "args": dict(r.args)}
         else:
-            events.append({
-                "ph": "X", "pid": r.pid, "tid": 0, "cat": r.cat,
-                "name": r.name, "ts": ts,
-                "dur": max(r.dur_ns / 1000.0, 0.001),
-                "args": dict(r.args, sid=r.sid, parent=r.parent),
-            })
-    meta: list[dict] = []
-    for index, pid in enumerate(sorted(pids)):
-        if lane_names and pid in lane_names:
-            name = lane_names[pid]
-            sort_index = list(lane_names).index(pid)
-        else:
-            name = ("hidisc orchestrator" if main_pid is not None
-                    and pid == main_pid else f"hidisc worker {pid}")
-            sort_index = 0 if name.endswith("orchestrator") else index + 1
-        meta.append({"ph": "M", "pid": pid, "name": "process_name",
-                     "args": {"name": name}})
-        meta.append({"ph": "M", "pid": pid, "name": "process_sort_index",
-                     "args": {"sort_index": sort_index}})
-    return meta + events
-
-
-def write_orchestration_trace(records, path: str | Path,
-                              main_pid: int | None = None,
-                              lane_names: dict | None = None) -> int:
-    """Write *records* as a Perfetto-loadable trace at *path* (see
-    :func:`~repro.telemetry.sinks.write_trace_events`).  Returns the number
-    of events written."""
-    return write_trace_events(
-        to_trace_events(records, main_pid=main_pid, lane_names=lane_names),
-        path)
+            event = {"ph": "X", "cat": r.cat, "name": r.name, "ts": ts,
+                     "dur": max(r.dur_ns / 1000.0, 0.001),
+                     "args": dict(r.args, sid=r.sid, parent=r.parent)}
+        events.append((lanes[r.pid], None, event))
+    return events
 
 
 def summarize(records) -> dict:

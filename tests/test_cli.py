@@ -1,6 +1,7 @@
 """CLI tests (argument handling plus one end-to-end table)."""
 
 import ast
+import hashlib
 import json
 import re
 import shlex
@@ -301,6 +302,55 @@ class TestExecution:
                        for line in out_path.read_text().splitlines()]
             assert payload["events"] == len(records)
             assert {"duration", "counter"} <= {r["ev"] for r in records}
+
+    @pytest.mark.parametrize("command, count, digest, threads", [
+        ("trace", 14244,
+         "13303acb23898d38c9941c36c8d89d2913afd5357cfa6ea1f0dbb5eb8f598754",
+         ["CMP", "CP", "AP", "frontend", "memory"]),
+        ("lifecycle", 11219,
+         "ecf7820d50602b1f0b47bb5cdf5ead75f5624e7f50d3a87b3691c6e07eb3a9bc",
+         ["CP pipeline", "AP pipeline", "CMP pipeline"]),
+    ])
+    def test_chrome_trace_events_are_pinned(self, command, count, digest,
+                                            threads, capsys, tmp_path):
+        """The quick pointer/hidisc ``trace`` and ``lifecycle --format
+        chrome`` files, sampler off: the same non-metadata events in the
+        same order (by digest), on the same named lanes."""
+        out_path = tmp_path / "trace.json"
+        assert main([command, "--quick", "--no-progress", "--no-cache",
+                     "--bench", "pointer", "--model", "hidisc",
+                     "--format", "chrome", "--occupancy-interval", "0",
+                     "--out", str(out_path)]) == 0
+        capsys.readouterr()
+        events, lanes = read_perfetto_trace(out_path)
+        body = [e for e in events if e["ph"] != "M"]
+        text = "\n".join(json.dumps(e, sort_keys=True) for e in body)
+        assert len(body) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert lanes == {0: "hidisc-sim"}
+        named = {e["tid"]: e["args"]["name"] for e in events
+                 if e["ph"] == "M" and e["name"] == "thread_name"}
+        assert named == dict(enumerate(threads, start=1))
+
+    def test_sampler_adds_only_its_own_counters(self, capsys, tmp_path):
+        """Turning the occupancy sampler on adds ``occupancy/*`` and
+        ``memory/*`` counter points and nothing else: the queue counters
+        already carry every LDQ/SDQ/SAQ change."""
+        bodies = []
+        for interval in ("0", "128"):
+            out_path = tmp_path / f"trace{interval}.json"
+            assert main(["trace", "--quick", "--no-progress", "--no-cache",
+                         "--bench", "pointer", "--model", "hidisc",
+                         "--occupancy-interval", interval,
+                         "--out", str(out_path)]) == 0
+            events, _ = read_perfetto_trace(out_path)
+            bodies.append([e for e in events if e["ph"] != "M"])
+        capsys.readouterr()
+        off, on = bodies
+        added = [e for e in on if e["ph"] == "C"
+                 and e["name"].split("/")[0] in ("occupancy", "memory")]
+        assert added
+        assert [e for e in on if e not in added] == off
 
     def test_lifecycle_quick_kanata(self, capsys, tmp_path):
         out_path = tmp_path / "run.kanata"

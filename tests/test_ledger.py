@@ -33,10 +33,8 @@ _SRC = str(Path(repro.__file__).resolve().parents[1])
 
 @pytest.fixture(autouse=True)
 def _clean_observability():
-    spans.disable()
     metrics.reset()
     yield
-    spans.disable()
     metrics.reset()
 
 
@@ -277,7 +275,7 @@ class TestRunsCli:
         assert main(self._stats_argv(
             cache_dir, ["--orch-trace", str(trace_path)])) == 0
         capsys.readouterr()
-        assert not spans.active(), "tracer must be disabled after the run"
+        assert spans.current() is None, "the run's tracer is uninstalled"
 
         events, _ = read_perfetto_trace(trace_path)
         names = {e["name"] for e in events}

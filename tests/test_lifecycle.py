@@ -27,16 +27,15 @@ from repro.telemetry import (
     LIFECYCLE_COMPONENTS,
     Heartbeat,
     LifecycleCollector,
-    MemorySink,
     Telemetry,
     breakdown_row,
     critical_path_by_pc,
     konata_lines,
-    lifecycle_to_chrome,
+    lifecycle_events,
     render_critical_path,
     write_konata,
+    write_perfetto,
 )
-from repro.telemetry.sinks import ChromeTraceSink
 
 from .conftest import (
     build_load_compute_store,
@@ -258,24 +257,17 @@ class TestChromeLifecycleExport:
         _, life = _run_with_lifecycle(config, program, "superscalar")
         rows = life.rows()
         path = tmp_path / "spans.json"
-        sink = ChromeTraceSink(path)
-        emitted = lifecycle_to_chrome(rows, sink)
-        sink.close()
+        emitted = write_perfetto(lifecycle_events(rows), path)
         assert emitted == len(rows)
-        events, _ = read_perfetto_trace(path)
+        events, lanes = read_perfetto_trace(path)
         spans = [e for e in events if e["ph"] == "X"]
         assert len(spans) == len(rows)
         first = spans[0]["args"]
         assert {"gid", "fetch", "commit", "breakdown"} <= first.keys()
         assert all(v for v in first["breakdown"].values())
-
-    def test_memory_sink_receives_spans(self, config):
-        program = build_store_loop(32)
-        _, life = _run_with_lifecycle(config, program, "superscalar")
-        sink = MemorySink()
-        lifecycle_to_chrome(life.rows(), sink)
-        tracks = sink.tracks()
-        assert "main pipeline" in tracks
+        threads = {e["args"]["name"] for e in events
+                   if e["name"] == "thread_name"}
+        assert lanes == {0: "hidisc-sim"} and threads == {"main pipeline"}
 
 
 class TestHeartbeat:
@@ -311,7 +303,7 @@ class TestHeartbeat:
             Heartbeat(0)
 
     def test_live_autodetect_is_off_for_test_streams(self):
-        assert Heartbeat(5, stream=io.StringIO()).live is False
+        assert Heartbeat(5, stream=io.StringIO())._line.live is False
 
     def test_live_mode_rewrites_in_place_and_clears_on_finish(self, config):
         program = build_load_compute_store(64)
@@ -326,7 +318,7 @@ class TestHeartbeat:
         assert "\n" not in text, "live mode stays on one line"
         assert text.count("\r") >= hb.emitted
         # the run loop called finish(): the line is wiped and closed
-        assert hb._open_width == 0
+        assert hb._line._open_width == 0
         assert text.endswith("\r")
         tail = text.rsplit("\r", 2)[-2]
         assert tail.strip() == "", "finish() blanks the status line"
@@ -342,7 +334,7 @@ class TestHeartbeat:
             Machine(limited, program.copy(), trace, mode="superscalar",
                     telemetry=tel).run()
         assert hb.emitted > 0
-        assert hb._open_width == 0, \
+        assert hb._line._open_width == 0, \
             "an aborted run must not leave a torn \\r line"
         assert stream.getvalue().endswith("\r")
 
@@ -351,7 +343,7 @@ class TestHeartbeat:
         hb = Heartbeat(interval=5, stream=stream, live=True)
         hb.finish()
         assert stream.getvalue() == ""
-        hb._open_width = 4
+        hb._line._open_width = 4
         hb.finish()
         hb.finish()
         assert stream.getvalue() == "\r    \r"
@@ -359,9 +351,9 @@ class TestHeartbeat:
     def test_telemetry_close_finishes_heartbeat(self):
         stream = io.StringIO()
         hb = Heartbeat(interval=5, stream=stream, live=True)
-        hb._open_width = 3
+        hb._line._open_width = 3
         Telemetry(cpi=False, heartbeat=hb).close()
-        assert hb._open_width == 0
+        assert hb._line._open_width == 0
         assert stream.getvalue() == "\r   \r"
 
     def test_non_tty_stream_never_sees_carriage_returns(self, config):
@@ -379,9 +371,8 @@ class TestHeartbeat:
         assert text.endswith("\n")
 
     def test_snapshot_shares_the_status_line_schema(self, config):
-        """snapshot() is the machine-readable twin of the rendered line
-        (the service's job heartbeats reuse this schema) and must neither
-        write nor reschedule."""
+        """snapshot() measures the fields the rendered line prints, under
+        the same names, and must neither write nor reschedule."""
         program = build_load_compute_store(64)
         trace, _ = generate_trace(program)
         stream = io.StringIO()

@@ -5,6 +5,7 @@ run ledger reports."""
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -17,7 +18,7 @@ from repro.experiments import (
     run_tasks,
 )
 from repro.experiments.parallel import prepare_many, prepare_task
-from repro.telemetry import metrics, spans
+from repro.telemetry import metrics, spans, write_perfetto
 from repro.workloads import FieldWorkload
 
 from .conftest import read_perfetto_trace
@@ -25,10 +26,8 @@ from .conftest import read_perfetto_trace
 
 @pytest.fixture(autouse=True)
 def _clean_observability():
-    spans.disable()
     metrics.reset()
     yield
-    spans.disable()
     metrics.reset()
 
 
@@ -59,13 +58,12 @@ def _crash_until_marker(parent_pid, marker):
 
 class TestRetryAndFallbackCounters:
     def test_retry_recovers_and_counts(self, tmp_path):
-        tracer = spans.enable()
         parent = os.getpid()
         marker = str(tmp_path / "crashed")
         tasks = [Task(label=f"t{i}", fn=_crash_until_marker,
                       args=(parent, marker)) for i in range(4)]
-        assert run_tasks(tasks, jobs=2, backoff=0.01) == ["ok"] * 4
-        spans.disable()
+        with spans.tracing() as tracer:
+            assert run_tasks(tasks, jobs=2, backoff=0.01) == ["ok"] * 4
         counters = metrics.snapshot()["counters"]
         assert counters["pool_retries"] == 1
         assert counters["pool_worker_failures"] >= 1
@@ -78,13 +76,12 @@ class TestRetryAndFallbackCounters:
                                     if r.dur_ns is None]
 
     def test_exhausted_retries_fall_back_serially(self):
-        tracer = spans.enable()
         parent = os.getpid()
         tasks = [Task(label=f"t{i}", fn=_crash_in_worker, args=(parent,))
                  for i in range(3)]
-        assert run_tasks(tasks, jobs=2, retries=1, backoff=0.01) == \
-            ["ok"] * 3
-        spans.disable()
+        with spans.tracing() as tracer:
+            assert run_tasks(tasks, jobs=2, retries=1, backoff=0.01) == \
+                ["ok"] * 3
         counters = metrics.snapshot()["counters"]
         assert counters["pool_retries"] == 1
         assert counters["pool_fallback_tasks"] == 3
@@ -99,7 +96,7 @@ class TestRetryAndFallbackCounters:
         tasks = [Task(label=f"t{i}", fn=_crash_in_worker, args=(parent,))
                  for i in range(2)]
         assert run_tasks(tasks, jobs=2, retries=0) == ["ok"] * 2
-        assert not spans.active()
+        assert spans.current() is None
         counters = metrics.snapshot()["counters"]
         assert counters["pool_fallback_tasks"] == 2
 
@@ -115,13 +112,12 @@ class TestRetryAndFallbackCounters:
 
 class TestWorkerObservations:
     def test_worker_spans_and_metrics_travel_back(self, config):
-        tracer = spans.enable()
         workloads = [FieldWorkload(n=500, seed=1),
                      FieldWorkload(n=500, seed=2)]
         tasks = [Task(label=w.name, fn=prepare_task, args=(w, config))
                  for w in workloads]
-        results = run_tasks(tasks, jobs=2)
-        spans.disable()
+        with spans.tracing() as tracer:
+            results = run_tasks(tasks, jobs=2)
 
         assert all(cw.work > 0 for cw in results)
         # transport attributes are stripped after absorption, so the
@@ -158,13 +154,12 @@ class TestCacheTraffic:
         """The parent owns the run cache: one probe and one store per
         fresh compilation, counted on the caller's cache and the metrics
         registry alike, at any jobs and with or without tracing."""
-        if traced:
-            spans.enable()
         workloads = [FieldWorkload(n=500, seed=1),
                      FieldWorkload(n=500, seed=2)]
         cache = RunCache(tmp_path)
-        compiled = prepare_many(workloads, config, jobs=jobs, cache=cache)
-        spans.disable()
+        with spans.tracing() if traced else contextlib.nullcontext():
+            compiled = prepare_many(workloads, config, jobs=jobs,
+                                    cache=cache)
 
         n = len(workloads)
         assert [cw.fingerprint for cw in compiled] == \
@@ -177,11 +172,10 @@ class TestCacheTraffic:
 
 class TestSuiteCounters:
     def test_parallel_suite_counters_and_trace(self, config, tmp_path):
-        tracer = spans.enable()
-        suite = run_suite(config, quick=True,
-                          workloads=[FieldWorkload(n=500)], jobs=2,
-                          cache=RunCache(tmp_path / "cache"))
-        spans.disable()
+        with spans.tracing() as tracer:
+            suite = run_suite(config, quick=True,
+                              workloads=[FieldWorkload(n=500)], jobs=2,
+                              cache=RunCache(tmp_path / "cache"))
         assert suite.benchmarks["field"].baseline.cycles > 0
 
         counters = metrics.snapshot()["counters"]
@@ -191,10 +185,12 @@ class TestSuiteCounters:
         assert counters["cache_stores"] == 1
 
         out = tmp_path / "orch.json"
-        count = spans.write_orchestration_trace(tracer.records, out,
-                                                main_pid=os.getpid())
-        events, _ = read_perfetto_trace(out)
-        assert len(events) == count > 0
+        lanes = {r.pid: f"hidisc worker {r.pid}" for r in tracer.records}
+        lanes[os.getpid()] = "hidisc orchestrator"
+        count = write_perfetto(spans.lane_events(tracer.records, lanes), out)
+        events, names_by_pid = read_perfetto_trace(out)
+        assert count == len([e for e in events if e["ph"] != "M"]) > 0
+        assert sorted(names_by_pid.values()) == sorted(lanes.values())
         names = {e["name"] for e in events}
         assert {"run_suite", "run_tasks", "run_model",
                 "checkpoint_store"} <= names

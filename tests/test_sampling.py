@@ -10,6 +10,7 @@ large-workload family's >= 50x scale guarantee.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import pickle
 from pathlib import Path
@@ -169,13 +170,29 @@ class TestSampledRun:
         assert samp.l1.demand_accesses == pytest.approx(
             full.l1.demand_accesses, rel=0.10)
 
-    def test_sampling_spans_nest_under_run_model(self, paper_raytrace):
-        tracer = spans.enable()
+    @pytest.mark.parametrize("mode", ["superscalar", "hidisc"])
+    def test_window_machines_leave_no_reference_cycles(self, paper_raytrace,
+                                                       mode):
+        """A sampled window ends with entries still in flight, and each
+        points back at its core: ``Machine.run`` must release them, or
+        every window's state waits for the cyclic collector."""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
         try:
+            result = run_model(paper_raytrace, MachineConfig(), mode,
+                               sampling=GRID_PLAN)
+            gc.collect()
+            leaked = {type(o).__name__ for o in gc.garbage}
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert not result.sampling["exact"]
+        assert not leaked & {"WindowEntry", "TimingCore"}, leaked
+
+    def test_sampling_spans_nest_under_run_model(self, paper_raytrace):
+        with spans.tracing() as tracer:
             result = run_model(paper_raytrace, MachineConfig(), "hidisc",
                                sampling=GRID_PLAN)
-        finally:
-            spans.disable()
         by_name: dict[str, list] = {}
         for record in tracer.records:
             by_name.setdefault(record.name, []).append(record)

@@ -19,6 +19,7 @@ Three layers of coverage:
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import re
@@ -40,7 +41,7 @@ from repro.errors import (
     JobCancelled,
     ServiceError,
 )
-from repro.experiments import MODEL_ORDER, RunCache, run_suite
+from repro.experiments import MODEL_ORDER, RunCache, interrupt, run_suite
 from repro.service import (
     JobQueue,
     ServiceClient,
@@ -372,30 +373,30 @@ class TestExecutor:
         assert report["identical"], report
 
     def test_drain_resume_round_trip(self, tmp_path):
-        """InterruptedRun mid-job -> release -> re-claim resumes from the
-        checkpoint and the final payload matches an undisturbed run."""
+        """A SIGTERM mid-job (the GracefulInterrupt flag) -> release ->
+        re-claim resumes from the checkpoint and the final payload matches
+        an undisturbed run."""
         cache = RunCache(tmp_path / "cache")
         queue = make_queue(tmp_path)
         record, _ = queue.submit(POINTER_SPEC)
         claimed = queue.claim("w0")
 
         cells = []
-
-        def stop_after_first_cell():
-            return len(cells) >= 1
-
         real_append = queue.append_event
 
         def tracking_append(job_id, kind, **fields):
             if kind == "cell":
                 cells.append((fields["benchmark"], fields["mode"],
                               fields["resumed"]))
+                if len(cells) == 1:
+                    os.kill(os.getpid(), signal.SIGTERM)
             real_append(job_id, kind, **fields)
 
         queue.append_event = tracking_append
-        with pytest.raises(InterruptedRun):
-            execute_job(queue, claimed, "w0", cache=cache,
-                        should_stop=stop_after_first_cell)
+        with interrupt.GracefulInterrupt(stream=io.StringIO()) as gi:
+            assert interrupt.current() is gi, "SIGTERM needs the handler"
+            with pytest.raises(InterruptedRun):
+                execute_job(queue, claimed, "w0", cache=cache)
         queue.release(claimed, worker="w0")
         assert cells == [("pointer", "superscalar", False)]
         mid = queue.get(record.job_id)

@@ -53,7 +53,7 @@ from repro.service import (
     run_top,
     stitch_job_trace,
 )
-from repro.telemetry import StatusLine, metrics, spans
+from repro.telemetry import StatusLine, metrics, spans, write_perfetto
 from repro.telemetry.metrics import (
     MetricsRegistry,
     parse_key,
@@ -380,7 +380,9 @@ class TestJobTrace:
         persisted = queue.read_spans(record.job_id)
         names = {s["name"] for s in persisted}
         assert f"job {record.job_id}" in names and "execute" in names
-        assert any(s["cat"] == "cell" for s in persisted)
+        cells = [s for s in persisted if s["name"] == "run_model"]
+        assert [(s["args"]["benchmark"], s["args"]["mode"])
+                for s in cells] == [("pointer", "superscalar")]
         job_span = next(s for s in persisted
                         if s["name"] == f"job {record.job_id}")
         assert job_span["args"]["parent_span"] == trace["span"]
@@ -413,17 +415,19 @@ class TestJobTrace:
         assert worker_root.parent == root.sid
         assert by_sid[worker_root.sid] is worker_root
 
-        # 4. write_orchestration_trace emits one valid JSON trace whose
-        #    every event parses and whose lanes are named.
+        # 4. write_perfetto emits one valid JSON trace whose every event
+        #    parses and whose lanes are named, in client, queue, worker
+        #    order.
         out = tmp_path / "trace.json"
-        count = spans.write_orchestration_trace(records, out,
-                                                lane_names=lane_names)
+        count = write_perfetto(spans.lane_events(records, lane_names), out)
         events, lanes = read_perfetto_trace(out)
-        assert count == len(events) > 0
-        assert lanes == lane_names
-        # Residency spans reconstructed from the event stream.
+        assert count == len([e for e in events if e["ph"] != "M"]) > 0
+        assert list(lanes.values()) == list(lane_names.values())
+        # Residency spans reconstructed from the event stream, and the
+        # worker's per-cell spans.
         cats = {e.get("cat") for e in events if e.get("ph") == "X"}
-        assert "queue-state" in cats and "cell" in cats
+        assert "queue-state" in cats
+        assert sum(e["name"] == "run_model" for e in events) == 1
 
 
 # ----------------------------------------------------------------------

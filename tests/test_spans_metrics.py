@@ -6,23 +6,33 @@ from __future__ import annotations
 
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from repro.telemetry import metrics, spans
+from repro.experiments import Task, run_tasks
+from repro.experiments.parallel import _pool_task
+from repro.telemetry import metrics, spans, write_perfetto
 
 from .conftest import read_perfetto_trace
 
 
 @pytest.fixture(autouse=True)
 def _clean_observability():
-    """Both modules hold process-global state; give every test a clean
-    slate and never leak an enabled tracer into other tests."""
-    spans.disable()
+    """Both modules hold process-global state: every test starts and ends
+    with no tracer installed and an empty registry."""
+    assert spans.current() is None
     metrics.reset()
     yield
-    spans.disable()
+    assert spans.current() is None, "a tracing block leaked its tracer"
     metrics.reset()
+
+
+def _spanning_task():
+    """A pool task that records one span of its own."""
+    with spans.span("task-work", cat="t"):
+        pass
+    return SimpleNamespace()
 
 
 # ----------------------------------------------------------------------
@@ -31,9 +41,7 @@ def _clean_observability():
 
 class TestSpanTracer:
     def test_disabled_by_default_and_zero_alloc(self):
-        assert not spans.active()
         assert spans.current() is None
-        assert spans.ENV_FLAG not in os.environ
         # the module-level helpers hand back the one shared no-op object
         assert spans.span("anything") is spans.NULL_SPAN
         with spans.span("nested", cat="x", a=1) as sp:
@@ -41,12 +49,11 @@ class TestSpanTracer:
         spans.instant("nothing", cat="x")
 
     def test_enable_records_nested_spans(self):
-        tracer = spans.enable()
-        assert spans.active() and os.environ[spans.ENV_FLAG] == "1"
-        with spans.span("outer", cat="t", k=1):
-            with spans.span("inner", cat="t") as sp:
-                sp.set(found=True)
-        spans.disable()
+        with spans.tracing() as tracer:
+            assert spans.current() is tracer
+            with spans.span("outer", cat="t", k=1):
+                with spans.span("inner", cat="t") as sp:
+                    sp.set(found=True)
         assert [r.name for r in tracer.records] == ["inner", "outer"]
         inner, outer = tracer.records
         assert inner.parent == outer.sid and outer.parent is None
@@ -54,36 +61,45 @@ class TestSpanTracer:
         assert inner.dur_ns >= 0 and outer.dur_ns >= inner.dur_ns
         assert outer.pid == os.getpid()
 
+    def test_tracing_blocks_nest_and_restore(self):
+        with spans.tracing() as outer:
+            with spans.tracing() as inner:
+                spans.instant("inner-only", cat="t")
+            assert spans.current() is outer
+            spans.instant("outer-only", cat="t")
+        assert [r.name for r in inner.records] == ["inner-only"]
+        assert [r.name for r in outer.records] == ["outer-only"]
+
     def test_exception_annotates_span_and_pops_stack(self):
-        tracer = spans.enable()
-        with pytest.raises(ValueError):
-            with spans.span("doomed", cat="t"):
-                raise ValueError("boom")
-        with spans.span("after", cat="t"):
-            pass
+        with spans.tracing() as tracer:
+            with pytest.raises(ValueError):
+                with spans.span("doomed", cat="t"):
+                    raise ValueError("boom")
+            with spans.span("after", cat="t"):
+                pass
         doomed, after = tracer.records
         assert doomed.args["error"] == "ValueError"
         assert after.parent is None, "exception must unwind the stack"
 
     def test_instants_carry_parent_and_no_duration(self):
-        tracer = spans.enable()
-        with spans.span("outer", cat="t"):
-            spans.instant("ping", cat="t", n=3)
+        with spans.tracing() as tracer:
+            with spans.span("outer", cat="t"):
+                spans.instant("ping", cat="t", n=3)
         ping = tracer.records[0]
         assert ping.dur_ns is None and ping.args == {"n": 3}
         assert ping.parent == tracer.records[1].sid
 
     def test_span_ids_are_pid_prefixed_and_unique(self):
-        tracer = spans.enable()
-        for _ in range(5):
-            with spans.span("s", cat="t"):
-                pass
+        with spans.tracing() as tracer:
+            for _ in range(5):
+                with spans.span("s", cat="t"):
+                    pass
         sids = [r.sid for r in tracer.records]
         assert len(set(sids)) == 5
         assert all(sid.startswith(f"{os.getpid():x}.") for sid in sids)
 
     def test_adopt_keeps_foreign_pids(self):
-        tracer = spans.enable()
+        tracer = spans.SpanTracer()
         foreign = spans.SpanRecord(name="w", cat="pool", pid=424242,
                                    sid="678f2.1", parent=None,
                                    t0_ns=1, dur_ns=5, args={})
@@ -98,27 +114,31 @@ class TestSpanTracer:
 
 
 class TestWorkerBracketing:
+    """A pool task runs under its own tracer only when its parent
+    traces (:func:`repro.experiments.parallel._pool_task`)."""
+
     def test_parent_process_traces_inline(self):
-        spans.enable()
-        assert spans.begin_worker_task() is None, \
+        with spans.tracing() as tracer:
+            [result] = run_tasks([Task("t", _spanning_task, ())], jobs=1)
+        assert not hasattr(result, "host_spans"), \
             "the tracing parent keeps its own tracer on the inline path"
+        assert [r.name for r in tracer.records] == ["task-work",
+                                                    "run_tasks"]
 
     def test_off_means_none(self):
-        assert spans.begin_worker_task() is None
-        assert spans.end_worker_task(None) is None
+        result = _pool_task(False, _spanning_task, ())
+        assert vars(result) == {}, "an untraced task ships nothing"
 
     def test_fork_inherited_tracer_is_replaced(self):
-        stale = spans.enable()
-        # simulate a fork-inherited tracer: same object, foreign pid
-        stale.pid = os.getpid() + 1
-        fresh = spans.begin_worker_task()
-        assert fresh is not None and fresh is not stale
-        assert spans.current() is fresh
-        with spans.span("task-work", cat="t"):
-            pass
-        records = spans.end_worker_task(fresh)
-        assert [r.name for r in records] == ["task-work"]
-        assert spans.current() is None, "worker tracer uninstalled"
+        with spans.tracing() as stale:
+            # a fork-inherited copy of the parent's tracer: foreign pid
+            stale.pid = os.getpid() + 1
+            result = _pool_task(True, _spanning_task, ())
+            assert spans.current() is stale
+        assert stale.records == [], "the task never records on the copy"
+        assert [d["name"] for d in result.host_spans] == \
+            ["task-work", "_spanning_task"]
+        assert "peak_rss_bytes" in result.host_metrics["gauges"]
 
 
 # ----------------------------------------------------------------------
@@ -140,28 +160,35 @@ def _sample_records():
     ]
 
 
+_LANES = {os.getpid(): "hidisc orchestrator", 999: "hidisc worker 999"}
+
+
 class TestTraceExport:
-    def test_to_trace_events_lanes_and_epoch(self):
-        events = spans.to_trace_events(_sample_records(),
-                                       main_pid=os.getpid())
-        meta = [e for e in events if e["ph"] == "M"]
-        names = {(e["pid"], e["args"].get("name")) for e in meta
-                 if e["name"] == "process_name"}
-        assert (os.getpid(), "hidisc orchestrator") in names
-        assert (999, "hidisc worker 999") in names
-        xs = [e for e in events if e["ph"] == "X"]
+    def test_lane_events_lanes_and_epoch(self):
+        events = spans.lane_events(_sample_records(), _LANES)
+        assert [(lane, thread) for lane, thread, _ in events] == [
+            ("hidisc orchestrator", None), ("hidisc orchestrator", None),
+            ("hidisc worker 999", None)]
+        xs = [e for _, _, e in events if e["ph"] == "X"]
         assert min(e["ts"] for e in xs) == 0.0, "epoch-relative timestamps"
-        assert any(e["ph"] == "i" for e in events)
+        assert xs[0]["args"] == {"sid": f"{os.getpid():x}.1",
+                                 "parent": None}
+        assert any(e["ph"] == "i" for _, _, e in events)
 
     def test_empty_records(self):
-        assert spans.to_trace_events([]) == []
+        assert spans.lane_events([], {}) == []
 
     def test_write_is_json_and_line_consumable(self, tmp_path):
         out = tmp_path / "orch.json"
-        count = spans.write_orchestration_trace(_sample_records(), out,
-                                                main_pid=os.getpid())
-        events, _ = read_perfetto_trace(out)
-        assert len(events) == count > 0
+        count = write_perfetto(spans.lane_events(_sample_records(), _LANES),
+                               out)
+        events, lanes = read_perfetto_trace(out)
+        assert count == len([e for e in events if e["ph"] != "M"]) == 3
+        assert lanes == {0: "hidisc orchestrator", 1: "hidisc worker 999"}
+        sort = {e["pid"]: e["args"]["sort_index"] for e in events
+                if e["name"] == "process_sort_index"}
+        assert sort == {0: 0, 1: 1}
+        assert all("tid" not in e for e in events), "process-scoped lanes"
 
     def test_summarize(self):
         digest = spans.summarize(_sample_records())
