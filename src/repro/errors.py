@@ -69,10 +69,11 @@ class DeadlockError(SimulationError):
 
 
 class VerificationError(SimulationError):
-    """Timing-mode execution diverged from the functional oracle.
+    """A decoupled functional run diverged from the sequential one, or a
+    timing run's commit stream from its trace.
 
-    Carries the individual *mismatches* (register, memory page, store
-    order or commit-stream violations) found by
+    Carries the individual *mismatches* (queue drain, register, memory
+    page, store order or commit-stream violations) found by
     :mod:`repro.resilience.oracle`.
     """
 

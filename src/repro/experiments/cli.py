@@ -747,9 +747,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scaled-down inputs (seconds instead of minutes)")
     verify = _flags()
     verify.add_argument("--verify", action="store_true",
-                        help="referee every timing run with the "
-                             "co-simulation oracle (commit-stream "
-                             "integrity + functional state diff)")
+                        help="check every timing run's commit stream "
+                             "with the co-simulation oracle (every "
+                             "compilation is refereed functionally when "
+                             "it is prepared, with or without this flag)")
     run = _flags(cache_dir, seed)
     run.add_argument("--no-cache", action="store_true",
                      help="disable the persistent compilation cache")

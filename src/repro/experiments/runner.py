@@ -1,9 +1,12 @@
 """Benchmark orchestration: compile once, simulate every model.
 
 :func:`prepare` runs the expensive, latency-independent work for one
-benchmark — functional execution (with verification against the workload's
-reference), HiDISC compilation (with separation validation), decoupled
-trace generation (verified again) and queue/CMAS planning.  The resulting
+benchmark — functional execution (verified against the workload's
+reference), HiDISC compilation (with separation validation), the
+decoupled functional run, and queue/CMAS planning.  It is the one
+functional referee: the decoupled run must compute what the sequential
+run computed (:func:`repro.resilience.oracle.check_equivalence`), so every
+compilation is refereed once, when it is prepared.  The resulting
 :class:`CompiledWorkload` can then be replayed through any machine model at
 any memory-latency point with :func:`run_model`, which is what the
 Figure 10 sweep exploits.
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 
 from ..config import MachineConfig, SamplingPlan
 from ..errors import SamplingError, SimulationError
+from ..resilience.oracle import check_equivalence, verified_run
 from ..sim import (
     CmasPlan,
     Machine,
@@ -108,36 +112,33 @@ def _warmup_positions(workload: Workload, program, dprogram,
     return int(mems[k]), int(dmems[k])
 
 
-def prepare(workload: Workload, config: MachineConfig,
-            verify: bool = True) -> CompiledWorkload:
-    """Compile and functionally validate one benchmark."""
+def prepare(workload: Workload, config: MachineConfig) -> CompiledWorkload:
+    """Compile and functionally validate one benchmark.
+
+    Raises :class:`~repro.errors.WorkloadError` if the sequential run
+    misses the workload's reference, and
+    :class:`~repro.errors.VerificationError` listing every way the
+    decoupled run differs from it.
+    """
     with spans.span("prepare", cat="compile", benchmark=workload.name):
-        return _prepare(workload, config, verify)
+        return _prepare(workload, config)
 
 
-def _prepare(workload: Workload, config: MachineConfig,
-             verify: bool) -> CompiledWorkload:
+def _prepare(workload: Workload, config: MachineConfig) -> CompiledWorkload:
     start = time.perf_counter()
     program = workload.program
 
     trace = Trace()
     seq = FunctionalSimulator(program)
-    seq_state = seq.run(trace=trace)
-    if verify:
-        workload.verify(seq_state)
+    workload.verify(seq.run(trace=trace))
 
     comp = compile_hidisc(program, config, trace=trace)
     check_ap_executable(comp.decoupled, ap_has_fp=config.ap.has_fp)
 
     dtrace = Trace()
     dec = DecoupledFunctionalSimulator(comp.decoupled)
-    dec_state = dec.run(trace=dtrace)
-    if verify:
-        workload.verify(dec_state)
-        if not dec.queues.ldq.empty or not dec.queues.sdq.empty:
-            raise SimulationError(
-                f"{workload.name}: queues not drained after decoupled run"
-            )
+    dec.run(trace=dtrace)
+    check_equivalence(seq, trace, dec, dtrace)
 
     warm_orig, warm_dec = _warmup_positions(
         workload, comp.original, comp.decoupled, trace, dtrace
@@ -209,8 +210,8 @@ def run_model(cw: CompiledWorkload, config: MachineConfig, mode: str,
     """Replay one compiled benchmark through one machine model.
 
     ``verify=True`` runs under the co-simulation oracle
-    (:func:`repro.resilience.verified_run`): commit-stream integrity plus
-    the functional state diff, raising
+    (:func:`repro.resilience.verified_run`), which checks the run's commit
+    stream (:func:`prepare` already refereed *cw* functionally), raising
     :class:`~repro.errors.VerificationError` on any divergence.  *faults*
     attaches a :class:`~repro.resilience.FaultInjector`; *max_cycles*
     overrides ``config.max_cycles`` for this run only.  *sampling* runs the
@@ -237,8 +238,6 @@ def run_model(cw: CompiledWorkload, config: MachineConfig, mode: str,
                                telemetry=telemetry, max_cycles=max_cycles,
                                **model_pieces(cw, mode))
         if verify:
-            from ..resilience.oracle import verified_run
-
             return verified_run(cw, config, mode, telemetry=telemetry,
                                 faults=faults, max_cycles=max_cycles)
         machine = build_machine(cw, config, mode, telemetry=telemetry,

@@ -8,15 +8,16 @@
    program, then on the compiled decoupled program, where the queue
    closures run.  Traces, every register file, memory and queue stats
    must be bit-identical.
-2. the **sequential vs decoupled** functional models via the standard
-   :func:`repro.experiments.runner.prepare` pipeline plus
-   :func:`repro.resilience.verify_compiled` (separation soundness,
-   store order, queue drain),
+2. the **sequential vs decoupled** functional models: the verdict of
+   :func:`repro.experiments.runner.prepare`, which referees every
+   compilation (queue drain, memory, registers, store order),
 3. all four **timing models** under the co-simulation oracle
-   (``verify=True`` raises on any commit-stream or final-state
-   divergence),
+   (``verify=True`` raises on any commit-stream divergence),
 
 and reports the first divergence it finds as a :class:`Divergence`.
+Stage 1 on the decoupled program needs its compilation, so it runs after
+``prepare``, but its verdict comes first: a broken step table that makes
+``prepare`` refuse the compilation is still reported as stage 1's.
 Stage 1 failures are bisected to the first divergent committed
 instruction with :func:`repro.telemetry.diff.first_divergent_commit`
 (control/address divergence straight from the trace columns; pure value
@@ -37,9 +38,9 @@ from ..errors import SimulationError, VerificationError, WorkloadError
 from ..experiments.models import MODEL_ORDER
 from ..experiments.runner import prepare, run_model
 from ..isa import Op
-from ..resilience import verify_compiled
 from ..sim.functional import DecoupledFunctionalSimulator, FunctionalSimulator
 from ..sim.trace import Trace
+from ..slicer import compile_hidisc
 from ..telemetry.diff import first_divergent_commit
 from ..workloads.base import Workload
 
@@ -52,7 +53,7 @@ class FuzzWorkload(Workload):
 
     ``expected_outputs`` is empty — the fuzzer has no reference
     implementation; correctness *is* the agreement of the execution
-    paths, checked by :func:`verify_compiled` and the oracle.
+    paths, checked by ``prepare``'s referee and the oracle.
     """
 
     name = "fuzz"
@@ -219,17 +220,20 @@ def check_program(fuzz_prog, config: MachineConfig | None = None,
     if found is not None:
         return found
 
-    workload = FuzzWorkload(program, seed=seed)
     try:
-        cw = prepare(workload, config, verify=True)
+        cw = prepare(FuzzWorkload(program, seed=seed), config)
+        decoupled, problems = cw.compilation.decoupled, []
+    except VerificationError as exc:
+        # Compilation is deterministic: rebuild the refused one so that
+        # stage 1 on its decoupled program can claim the divergence.
+        decoupled = compile_hidisc(program, config).decoupled
+        problems = exc.mismatches
     except (SimulationError, WorkloadError) as exc:
         return Divergence("separation", f"{type(exc).__name__}: {exc}",
                           seed=seed)
-    found = _check_functional(cw.compilation.decoupled, seed,
-                              DecoupledFunctionalSimulator)
+    found = _check_functional(decoupled, seed, DecoupledFunctionalSimulator)
     if found is not None:
         return found
-    problems = verify_compiled(cw)
     if problems:
         return Divergence("cosim", "sequential vs decoupled functional "
                           "state differs", seed=seed, problems=problems)

@@ -10,9 +10,10 @@ Three pillars (ISSUE 3):
   structured replacement for the old "nudge one cycle" deadlock
   workaround; raises :class:`~repro.errors.DeadlockError` with a forensic
   occupancy dump.
-* :mod:`~repro.resilience.oracle` — the co-simulation referee behind
-  ``--verify``: commit-stream integrity plus a direct functional state
-  diff (memory, registers, store order).
+* :mod:`~repro.resilience.oracle` — the functional referee that
+  ``prepare`` runs on every compilation (queue drain, memory, registers,
+  store order), and the commit-stream check that ``--verify`` adds to
+  every timing run.
 
 :mod:`~repro.resilience.campaign` composes them into fault-injection
 campaigns proving graceful degradation (``hidisc faults``).
@@ -22,11 +23,8 @@ from .campaign import CampaignOutcome, run_fault_campaign
 from .faults import FAULT_KINDS, FaultInjector, FaultPlan, FaultSite
 from .oracle import (
     check_commit_stream,
-    diff_memory,
-    diff_registers,
-    diff_store_order,
+    check_equivalence,
     verified_run,
-    verify_compiled,
 )
 from .watchdog import ProgressWatchdog, forensic_dump
 
@@ -38,11 +36,8 @@ __all__ = [
     "FaultSite",
     "ProgressWatchdog",
     "check_commit_stream",
-    "diff_memory",
-    "diff_registers",
-    "diff_store_order",
+    "check_equivalence",
     "forensic_dump",
     "run_fault_campaign",
     "verified_run",
-    "verify_compiled",
 ]

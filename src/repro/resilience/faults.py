@@ -24,8 +24,8 @@ Fault kinds and the layer they act on:
                     dump — never a silently-wrong cycle count.
 ``corrupt_transfer``functional: the k-th queue push's payload is bit-
                     flipped (see :meth:`ArchQueue.schedule_faults`); the
-                    run must fail workload verification or the oracle's
-                    state diff with a typed error.
+                    faulted functional run must raise a typed error or
+                    fail workload verification.
 ``suppress_trigger``timing: the k-th CMAS fork is suppressed — pure
                     graceful degradation (fewer prefetches, same result).
 ==================  ======================================================

@@ -1,74 +1,46 @@
-"""Co-simulation oracle: check timing runs against the functional model.
+"""The functional referee and the co-simulation oracle.
 
 The timing machines are trace-driven, so they cannot *invent* wrong data —
-but a queue-protocol or slicing bug can silently commit instructions out
-of order, twice, or not at all, and a fault-injection campaign needs an
-independent referee.  The oracle checks two things:
+but a slicing bug can make the decoupled program compute something else,
+and a queue-protocol bug can silently commit instructions out of order,
+twice, or not at all.  Two checks referee them:
 
+* **Functional equivalence** (per compilation):
+  :func:`check_equivalence` diffs the sequential golden run against the
+  split-register-file decoupled run — queue drain, final memory, register
+  survival and dynamic *store order* (a stronger check than the
+  symbol-level ``workload.verify``).
+  :func:`~repro.experiments.runner.prepare` calls it on the two runs it
+  makes, so every compilation is refereed once, when it is prepared.
 * **Commit-stream integrity** (per timing run): with
   ``record_commits=True`` the machine logs every retirement; the oracle
   asserts that every trace position commits exactly once, in program
   order per core, with gid/pos agreement — the timing-mode analogue of
   "architectural state matches".
-* **Functional state diff** (per compiled workload): the sequential golden
-  model and the split-register-file decoupled executor are re-run and
-  their final memories, final register files and dynamic *store order*
-  are diffed directly (a stronger check than the symbol-level
-  ``workload.verify``), and both are verified against the workload
-  reference.
 
-:func:`verified_run` bundles both behind the CLI's ``--verify`` flag:
-run the timing model with commit recording, then referee.  Any mismatch
-raises a typed :class:`~repro.errors.VerificationError` listing every
-violation — a silent divergence cannot survive it.
+:func:`verified_run` is the CLI's ``--verify``: run the timing model with
+commit recording, then check the commit stream.  Either check raises a
+typed :class:`~repro.errors.VerificationError` listing every violation —
+a silent divergence cannot survive it.
 """
 
 from __future__ import annotations
 
-from ..errors import ReproError, VerificationError
+from ..errors import VerificationError
 from ..sim.decode import decode_program
-from ..sim.functional import DecoupledFunctionalSimulator, FunctionalSimulator
 from ..sim.trace import Trace
 
-#: Attribute used to memoize the functional diff on a CompiledWorkload
-#: (the diff depends only on the compilation, not on the machine mode).
-_MEMO_ATTR = "_oracle_mismatches"
-
 
 # ----------------------------------------------------------------------
-# State diffing.
+# Functional equivalence (per compilation).
 # ----------------------------------------------------------------------
 
-def diff_memory(expected, actual, limit: int = 8) -> list[str]:
-    """Byte-level diff of two :class:`MainMemory` contents."""
-    from ..sim.memory import PAGE_BITS, PAGE_SIZE
-
-    mismatches: list[str] = []
-    zero = bytes(PAGE_SIZE)
-    indices = sorted(set(expected._pages) | set(actual._pages))
-    for index in indices:
-        a = bytes(expected._pages.get(index, b"")) or zero
-        b = bytes(actual._pages.get(index, b"")) or zero
-        if a == b:
-            continue
-        offset = next(i for i in range(PAGE_SIZE) if a[i] != b[i])
-        address = (index << PAGE_BITS) + offset
-        mismatches.append(
-            f"memory differs at 0x{address:x}: expected byte "
-            f"0x{a[offset]:02x}, got 0x{b[offset]:02x}"
-        )
-        if len(mismatches) >= limit:
-            mismatches.append("... further memory mismatches suppressed")
-            break
-    return mismatches
-
-
-def diff_registers(seq_regs, cp_regs, ap_regs, limit: int = 8) -> list[str]:
+def diff_registers(seq_regs, cp_regs, ap_regs) -> list[str]:
     """Check every sequential register value survives in CP or AP.
 
     Register liveness is split across the two files (CS values live on the
     CP, AS values on the AP), so the sequential final value must appear in
-    at least one of them.
+    at least one of them.  Reports at most eight registers.
     """
     mismatches: list[str] = []
     for reg in range(1, len(seq_regs)):
@@ -80,7 +52,7 @@ def diff_registers(seq_regs, cp_regs, ap_regs, limit: int = 8) -> list[str]:
             f"register {name}: sequential {want!r}, "
             f"CP {cp_regs[reg]!r}, AP {ap_regs[reg]!r}"
         )
-        if len(mismatches) >= limit:
+        if len(mismatches) == 8:
             mismatches.append("... further register mismatches suppressed")
             break
     return mismatches
@@ -92,13 +64,13 @@ def store_order(program, trace: Trace) -> list[int]:
     return [trace.addr[i] for i in stores.tolist()]
 
 
-def diff_store_order(cw) -> list[str]:
+def diff_store_order(program, trace: Trace, dprogram,
+                     dtrace: Trace) -> list[str]:
     """The decoupled trace must store to the same addresses in the same
     order as the sequential trace (decoupling may never reorder memory
     writes — the SAQ/SDQ protocol serializes them)."""
-    comp = cw.compilation
-    seq = store_order(comp.original, cw.trace)
-    dec = store_order(comp.decoupled, cw.decoupled_trace)
+    seq = store_order(program, trace)
+    dec = store_order(dprogram, dtrace)
     if seq == dec:
         return []
     if len(seq) != len(dec):
@@ -113,50 +85,34 @@ def diff_store_order(cw) -> list[str]:
     ]
 
 
-# ----------------------------------------------------------------------
-# Functional oracle (per compiled workload).
-# ----------------------------------------------------------------------
+def check_equivalence(seq, trace: Trace, dec, dtrace: Trace) -> None:
+    """Referee one compilation: did the decoupled run compute what the
+    sequential run computed?
 
-def verify_compiled(cw) -> list[str]:
-    """Re-run both functional models and diff their final states.
-
-    Returns the list of mismatches (empty = the compilation is sound).
-    Results are memoized on *cw* — the diff is mode-independent, so a
-    four-model ``--verify`` suite pays for it once per benchmark.
+    *seq* (a :class:`~repro.sim.functional.FunctionalSimulator`) and *dec*
+    (a :class:`~repro.sim.functional.DecoupledFunctionalSimulator`) have
+    run to HALT, recording *trace* and *dtrace*.  The decoupled run must
+    drain its LDQ and SDQ, leave the same memory, keep every sequential
+    register value in its CP or AP file, and store to the same addresses
+    in the same order.  Raises one
+    :class:`~repro.errors.VerificationError` listing every mismatch.
     """
-    memo = getattr(cw, _MEMO_ATTR, None)
-    if memo is not None:
-        return list(memo)
-    comp = cw.compilation
     mismatches: list[str] = []
-
-    seq = FunctionalSimulator(comp.original)
-    seq_state = seq.run()
-    dec = DecoupledFunctionalSimulator(comp.decoupled)
-    dec_state = dec.run()
-
-    if not dec.queues.ldq.empty:
-        mismatches.append(
-            f"LDQ not drained: {len(dec.queues.ldq)} residual entries"
-        )
-    if not dec.queues.sdq.empty:
-        mismatches.append(
-            f"SDQ not drained: {len(dec.queues.sdq)} residual entries"
-        )
-    mismatches += diff_memory(seq_state.memory, dec_state.memory)
-    mismatches += diff_registers(seq_state.regs, dec.cp_state.regs,
+    for queue in (dec.queues.ldq, dec.queues.sdq):
+        if not queue.empty:
+            mismatches.append(
+                f"{queue.name} not drained: {len(queue)} residual entries"
+            )
+    mismatches += seq.state.memory.differences(dec.ap_state.memory)
+    mismatches += diff_registers(seq.state.regs, dec.cp_state.regs,
                                  dec.ap_state.regs)
-    mismatches += diff_store_order(cw)
-    for label, state in (("sequential", seq_state), ("decoupled", dec_state)):
-        try:
-            cw.workload.verify(state)
-        except ReproError as exc:
-            mismatches.append(f"{label} run fails workload reference: {exc}")
-    try:
-        setattr(cw, _MEMO_ATTR, tuple(mismatches))
-    except AttributeError:  # slots/frozen safety — memoization is optional
-        pass
-    return mismatches
+    mismatches += diff_store_order(seq.program, trace, dec.program, dtrace)
+    if mismatches:
+        raise VerificationError(
+            f"{seq.program.name}: the decoupled functional run diverged "
+            f"from the sequential run",
+            mismatches,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -215,12 +171,15 @@ def check_commit_stream(machine) -> list[str]:
 
 def verified_run(cw, config, mode, telemetry=None, faults=None,
                  max_cycles: int | None = None):
-    """Run one timing model under the oracle; raise on any divergence.
+    """Run one timing model and check its commit stream; raise on any
+    divergence.
 
-    Returns the :class:`~repro.sim.RunResult` with ``verified=True`` set.
-    Raises :class:`~repro.errors.VerificationError` listing every
-    mismatch; watchdog/cycle-limit errors from the run itself propagate
-    unchanged (they are already typed and forensic).
+    *cw* passed :func:`check_equivalence` when it was prepared, so only
+    the run itself is checked here.  Returns the
+    :class:`~repro.sim.RunResult` with ``verified=True`` set.  Raises
+    :class:`~repro.errors.VerificationError` listing every mismatch;
+    watchdog/cycle-limit errors from the run itself propagate unchanged
+    (they are already typed and forensic).
     """
     from ..experiments.runner import build_machine
 
@@ -228,7 +187,6 @@ def verified_run(cw, config, mode, telemetry=None, faults=None,
                             faults=faults, record_commits=True)
     result = machine.run(max_cycles=max_cycles)
     mismatches = check_commit_stream(machine)
-    mismatches += verify_compiled(cw)
     if mismatches:
         raise VerificationError(
             f"{cw.name}/{mode}: timing run diverged from the functional "

@@ -33,7 +33,10 @@ large win when all cores sit behind a 120-cycle memory access.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterable
 from heapq import heappop, heappush
+from itertools import groupby
 
 from ..asm.program import Program
 from ..config import MachineConfig
@@ -208,6 +211,17 @@ class Machine:
         self._stop_at_fetch_end = (
             end_pos is not None and end_pos < len(trace)
         )
+        # The separator's cursor: CMAS threads in firing order, grouped by
+        # trigger position, from the window's first trigger at or after
+        # start_pos.  (-1, ()) once none is left.
+        self._next_trigger, self._next_threads = -1, ()
+        if self.cmp_enabled:
+            order = self.cmas_plan.firing_order
+            trigger_of = self.cmas_plan.trigger_pos.__getitem__
+            k = bisect_left(order, start_pos, key=trigger_of)
+            self._triggers = groupby(order[k:], key=trigger_of)
+            self._next_trigger, self._next_threads = next(self._triggers,
+                                                          (-1, ()))
         if self.cmp_enabled and start_pos > 0:
             # Windowed replay: re-establish the CMP's steady-state backlog.
             # Threads triggered before the window whose covered miss lands
@@ -266,7 +280,7 @@ class Machine:
         route = self.queue_plan.route if separated else None
         cp = self.cp if separated else self.main
         ap = self.ap if separated else None
-        by_trigger = self.cmas_plan.by_trigger if self.cmp_enabled else None
+        next_trigger = self._next_trigger
         resolve = self.predictor.resolve
         in_warmup = self._in_warmup
         life = self._life
@@ -277,8 +291,11 @@ class Machine:
             iq = core.instr_queue
             if len(iq) >= core.instr_queue_capacity:
                 break
-            if by_trigger is not None and pos in by_trigger:
-                self._fork_threads(by_trigger[pos], now)
+            if pos == next_trigger:
+                self._fork_threads(self._next_threads, now)
+                next_trigger, self._next_threads = next(self._triggers,
+                                                        (-1, ()))
+                self._next_trigger = next_trigger
             iq.append((pos, pos, min_ready, ()))
             if life is not None:
                 life.on_fetch(pos, pos, core.name, now)
@@ -334,7 +351,7 @@ class Machine:
                 # cover exactly the measurement window.
                 core.reset_cpi()
 
-    def _fork_threads(self, thread_indices: list[int], now: int) -> None:
+    def _fork_threads(self, thread_indices: Iterable[int], now: int) -> None:
         max_contexts = self.config.cmas.max_contexts
         faults = self.faults
         fetch_end = self._fetch_end

@@ -52,10 +52,9 @@ class ArchState:
         self.halted = False
 
 
-def load_program(program: Program, memory: MainMemory | None = None) -> ArchState:
+def load_program(program: Program) -> ArchState:
     """Create an architectural state with the program's data image loaded."""
-    if memory is None:
-        memory = MainMemory(MEMORY_BYTES)
+    memory = MainMemory(MEMORY_BYTES)
     if program.data:
         memory.write_bytes(DATA_BASE, bytes(program.data))
     state = ArchState(memory)
@@ -143,9 +142,9 @@ def _run(table: list, pc: int, max_steps: int, trace, limit: str,
 class FunctionalSimulator:
     """Sequential golden-model executor."""
 
-    def __init__(self, program: Program, state: ArchState | None = None):
+    def __init__(self, program: Program):
         self.program = program
-        self.state = state if state is not None else load_program(program)
+        self.state = load_program(program)
         self.instructions_executed = 0
 
     # ------------------------------------------------------------------
@@ -176,6 +175,11 @@ class FunctionalSimulator:
         return state
 
 
+#: The functional model's queues are unbounded (their capacity is a
+#: timing-model parameter).
+_QUEUE_CAPACITY = 10**9
+
+
 class DecoupledFunctionalSimulator:
     """Execute an annotated program on split CP/AP register files.
 
@@ -184,16 +188,15 @@ class DecoupledFunctionalSimulator:
     model.  Architectural memory is shared (only the AP touches it).
     """
 
-    def __init__(self, program: Program, queue_capacity: int = 10**9):
+    def __init__(self, program: Program):
         self.program = program
-        memory = MainMemory(MEMORY_BYTES)
-        if program.data:
-            memory.write_bytes(DATA_BASE, bytes(program.data))
-        self.ap_state = ArchState(memory)
-        self.cp_state = ArchState(memory)  # shares memory, never accesses it
-        self.ap_state.regs[NAME_TO_REG["sp"]] = STACK_TOP - 64
-        self.cp_state.regs[NAME_TO_REG["sp"]] = STACK_TOP - 64
-        self.queues = QueueSet(queue_capacity, queue_capacity, queue_capacity)
+        self.ap_state = load_program(program)
+        # The CP starts from the same registers and shares the AP's memory,
+        # which it never accesses.
+        self.cp_state = ArchState(self.ap_state.memory)
+        self.cp_state.regs = list(self.ap_state.regs)
+        self.queues = QueueSet(_QUEUE_CAPACITY, _QUEUE_CAPACITY,
+                               _QUEUE_CAPACITY)
         self.instructions_executed = 0
 
     def run(self, max_steps: int = 50_000_000, trace=None,

@@ -190,13 +190,24 @@ class MainMemory:
         """Immutable copy of every touched page (for equivalence checks)."""
         return {index: bytes(page) for index, page in self._pages.items()}
 
-    def equal_contents(self, other: "MainMemory") -> bool:
-        """Compare logical contents with *other* (zero pages are equal)."""
+    def differences(self, other: "MainMemory") -> list[str]:
+        """Where *other*'s contents differ from these: the first differing
+        byte of each differing page, in address order, at most eight (then
+        one "suppressed" line).  Empty when equal; an untouched page equals
+        a zero page."""
+        mismatches: list[str] = []
         zero = bytes(PAGE_SIZE)
-        indices = set(self._pages) | set(other._pages)
-        for index in indices:
+        for index in sorted(set(self._pages) | set(other._pages)):
             a = bytes(self._pages.get(index, b"")) or zero
             b = bytes(other._pages.get(index, b"")) or zero
-            if a != b:
-                return False
-        return True
+            if a == b:
+                continue
+            offset = next(i for i in range(PAGE_SIZE) if a[i] != b[i])
+            mismatches.append(
+                f"memory differs at 0x{(index << PAGE_BITS) + offset:x}: "
+                f"expected byte 0x{a[offset]:02x}, got 0x{b[offset]:02x}"
+            )
+            if len(mismatches) == 8:
+                mismatches.append("... further memory mismatches suppressed")
+                break
+        return mismatches

@@ -273,7 +273,9 @@ class CmasPlan:
     the probable-miss instance at ``miss_pos[i]`` and replays the trace
     positions ``cmas_positions[lo[i]:hi[i]]`` on the CMP.  Threads are
     ordered by (strictly ascending) ``miss_pos``; their slices are
-    disjoint, ascending runs of ``cmas_positions``.
+    disjoint, ascending runs of ``cmas_positions``.  Under one trigger
+    distance ``trigger_pos`` ascends too; per-pc distances
+    (``distance_for``) can make a later miss trigger earlier.
     """
 
     #: ascending trace positions of every CMAS-annotated instance.
@@ -285,7 +287,7 @@ class CmasPlan:
     #: derived views, built on first use and never pickled (plans are
     #: built once and reused across many Machine constructions — windowed
     #: sampling builds one machine per interval).
-    _by_trigger: dict[int, list[int]] | None = field(
+    _firing_order: range | list[int] | None = field(
         default=None, repr=False, compare=False)
     _total_prefetch: int | None = field(default=None, repr=False,
                                         compare=False)
@@ -299,7 +301,7 @@ class CmasPlan:
     def __setstate__(self, state) -> None:
         (self.cmas_positions, self.trigger_pos, self.miss_pos,
          self.lo, self.hi) = state
-        self._by_trigger = None
+        self._firing_order = None
         self._total_prefetch = None
         self._max_distance = None
 
@@ -318,14 +320,18 @@ class CmasPlan:
         return self._total_prefetch
 
     @property
-    def by_trigger(self) -> dict[int, list[int]]:
-        """Trigger trace position -> indices of the threads firing there."""
-        if self._by_trigger is None:
-            by_trigger: dict[int, list[int]] = {}
-            for index, pos in enumerate(self.trigger_pos):
-                by_trigger.setdefault(pos, []).append(index)
-            self._by_trigger = by_trigger
-        return self._by_trigger
+    def firing_order(self) -> range | list[int]:
+        """Thread indices in the order the separator forks them: by
+        ``trigger_pos``, threads sharing a trigger in index order.  When
+        the triggers ascend already this is ``range(num_threads)``."""
+        if self._firing_order is None:
+            trigger_pos = np.asarray(self.trigger_pos, dtype=np.int64)
+            if np.all(trigger_pos[:-1] <= trigger_pos[1:]):
+                self._firing_order = range(len(trigger_pos))
+            else:
+                self._firing_order = np.argsort(trigger_pos,
+                                                kind="stable").tolist()
+        return self._firing_order
 
     def pending_at(self, pos: int) -> list[int]:
         """Thread indices triggered before *pos* whose covered miss is at

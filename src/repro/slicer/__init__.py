@@ -23,12 +23,7 @@ from .communication import DecoupledProgram, insert_communication
 from .dataflow import ENTRY_DEF, DefUse, compute_def_use
 from .pfg import ProgramFlowGraph
 from .separation import SeparationResult, separate
-from .validate import (
-    EquivalenceReport,
-    validate_decoupled_dynamic,
-    validate_decoupled_static,
-    validate_separation,
-)
+from .validate import validate_decoupled_static, validate_separation
 
 
 @dataclass
@@ -112,7 +107,6 @@ __all__ = [
     "DecoupledProgram",
     "DefUse",
     "ENTRY_DEF",
-    "EquivalenceReport",
     "HidiscCompilation",
     "ProgramFlowGraph",
     "SeparationResult",
@@ -121,7 +115,6 @@ __all__ = [
     "extract_cmas",
     "insert_communication",
     "separate",
-    "validate_decoupled_dynamic",
     "validate_decoupled_static",
     "validate_separation",
 ]

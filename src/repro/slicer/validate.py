@@ -1,6 +1,5 @@
-"""Validation of separated and decoupled programs (DESIGN.md invariants).
-
-Three layers of checking, from cheap/static to thorough/dynamic:
+"""Static validation of separated and decoupled programs (DESIGN.md
+invariants).
 
 * :func:`validate_separation` — on the *original* program: the Access
   Stream is closed under the chased register dependences, and the
@@ -8,15 +7,16 @@ Three layers of checking, from cheap/static to thorough/dynamic:
 * :func:`validate_decoupled_static` — structural sanity of the decoupled
   program: every instruction has a stream, communication opcodes sit in
   the right stream, SDQ flags appear only on stores, control stays in AS.
-* :func:`validate_decoupled_dynamic` — the soundness proof: execute the
-  original sequentially and the decoupled program on split CP/AP register
-  files connected by live queues; final memories must be identical and all
-  queues must drain to empty.
+
+The dynamic soundness proof runs when a compilation is prepared:
+:func:`repro.experiments.runner.prepare` executes the original
+sequentially and the decoupled program on split CP/AP register files
+connected by live queues, and
+:func:`repro.resilience.oracle.check_equivalence` requires drained queues,
+identical memories, surviving registers and the same store order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..asm.program import Program
 from ..errors import ValidationError
@@ -87,55 +87,3 @@ def validate_decoupled_static(program: Program) -> None:
             raise ValidationError(f"pc {pc}: store/control marked CMAS")
         if ann.probable_miss and not instr.is_load:
             raise ValidationError(f"pc {pc}: probable_miss on a non-load")
-
-
-@dataclass
-class EquivalenceReport:
-    """Result of the dynamic equivalence check."""
-
-    sequential_instructions: int
-    decoupled_instructions: int
-    ldq_transfers: int
-    sdq_transfers: int
-
-    @property
-    def communication_overhead(self) -> float:
-        """Extra dynamic instructions per original instruction."""
-        if self.sequential_instructions == 0:
-            return 0.0
-        extra = self.decoupled_instructions - self.sequential_instructions
-        return extra / self.sequential_instructions
-
-
-def validate_decoupled_dynamic(
-    original: Program,
-    decoupled: Program,
-    max_steps: int = 50_000_000,
-) -> EquivalenceReport:
-    """Run both programs; raise unless they agree. Returns statistics."""
-    from ..sim.functional import DecoupledFunctionalSimulator, FunctionalSimulator
-
-    seq = FunctionalSimulator(original)
-    seq_state = seq.run(max_steps=max_steps)
-
-    dec = DecoupledFunctionalSimulator(decoupled)
-    dec_state = dec.run(max_steps=max_steps)
-
-    if not dec.queues.ldq.empty:
-        raise ValidationError(
-            f"LDQ not drained: {len(dec.queues.ldq)} residual entries"
-        )
-    if not dec.queues.sdq.empty:
-        raise ValidationError(
-            f"SDQ not drained: {len(dec.queues.sdq)} residual entries"
-        )
-    if not seq_state.memory.equal_contents(dec_state.memory):
-        raise ValidationError(
-            "final memory of the decoupled run differs from the sequential run"
-        )
-    return EquivalenceReport(
-        sequential_instructions=seq.instructions_executed,
-        decoupled_instructions=dec.instructions_executed,
-        ldq_transfers=dec.queues.ldq.stats.pops,
-        sdq_transfers=dec.queues.sdq.stats.pops,
-    )

@@ -53,6 +53,27 @@ def read_perfetto_trace(path) -> tuple[list[dict], dict]:
     return events, lanes
 
 
+def referee(program, decoupled):
+    """Run *program* sequentially and *decoupled* on split CP/AP register
+    files, then referee the pair as ``prepare`` does
+    (:func:`repro.resilience.check_equivalence` raises on any mismatch).
+    Returns the two finished simulators."""
+    from repro.resilience import check_equivalence
+    from repro.sim.functional import (
+        DecoupledFunctionalSimulator,
+        FunctionalSimulator,
+    )
+    from repro.sim.trace import Trace
+
+    seq = FunctionalSimulator(program)
+    dec = DecoupledFunctionalSimulator(decoupled)
+    trace, dtrace = Trace(), Trace()
+    seq.run(trace=trace)
+    dec.run(trace=dtrace)
+    check_equivalence(seq, trace, dec, dtrace)
+    return seq, dec
+
+
 def build_counting_loop(iterations: int = 10) -> "Program":
     """sum = 0 + 1 + ... + (iterations-1), stored to `out`."""
     b = ProgramBuilder("counting")

@@ -2,15 +2,22 @@
 
 import pytest
 
-from repro.config import MachineConfig
-from repro.sim import Machine, build_cmas_plan, generate_trace, profile_cache
+from repro.config import MachineConfig, SamplingPlan
+from repro.experiments.runner import prepare
+from repro.sim import (
+    Machine,
+    build_cmas_plan,
+    generate_trace,
+    profile_cache,
+    run_sampled,
+)
 from repro.slicer import compile_hidisc
 from repro.slicer.adaptive import (
     MAX_DISTANCE,
     MIN_DISTANCE,
     adaptive_trigger_distances,
 )
-from repro.workloads import PointerWorkload
+from repro.workloads import PointerWorkload, get_workload
 
 from tests.test_cmas import build_chase
 
@@ -102,4 +109,37 @@ class TestPlanIntegration:
             config, comp.original, trace, mode="cp_cmp", cmas_plan=plan,
             benchmark="pointer",
         ).run().cycles
-        assert run(adaptive_plan) <= run(starved_plan) * 1.02
+        adaptive = run(adaptive_plan)
+        assert adaptive <= run(starved_plan) * 1.02
+        # Per-pc distances reorder the triggers; the separator forks in
+        # firing order, and the cycle count is pinned.
+        assert adaptive_plan.trigger_pos != sorted(adaptive_plan.trigger_pos)
+        assert adaptive == 7_153
+
+    def test_paper_dm_cycles_pinned(self):
+        """Adaptive plans fire out of thread-index order (paper-scale dm:
+        8,126 descending steps).  Pinned cp_cmp cycles, full detail from
+        trace position 0 and sampled from mid-trace windows (whose
+        separator cursor starts at the window's first trigger)."""
+        config = MachineConfig()
+        cw = prepare(get_workload("dm"), config)
+        comp = cw.compilation
+        profile = profile_cache(comp.original, cw.trace, config)
+        plan = build_cmas_plan(
+            comp.original, cw.trace, config.cmas.trigger_distance,
+            distance_for=adaptive_trigger_distances(
+                profile, config, comp.selection.probable_miss_pcs))
+        steps = zip(plan.trigger_pos, plan.trigger_pos[1:])
+        assert sum(b < a for a, b in steps) == 8_126
+        full = Machine(config, comp.original, cw.trace, mode="cp_cmp",
+                       cmas_plan=plan, benchmark="dm").run()
+        assert full.cycles == 139_243
+        sampled = run_sampled(
+            config, SamplingPlan(interval_length=4000, detail_length=1000,
+                                 warmup_length=500, error_budget=0.9),
+            program=comp.original, trace=cw.trace, mode="cp_cmp",
+            cmas_plan=plan, work_instructions=cw.work, benchmark="dm",
+            warmup_pos=cw.warmup_pos_original)
+        assert not sampled.sampling["exact"]
+        assert sampled.sampling["intervals"] == 12
+        assert sampled.cycles == 57_262

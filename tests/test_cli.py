@@ -480,7 +480,7 @@ class TestExecution:
 
         import repro.experiments.runner as runner_mod
 
-        def forbidden(workload, config, verify=True):
+        def forbidden(workload, config):
             raise AssertionError("prepare() called despite a warm cache")
 
         monkeypatch.setattr(runner_mod, "prepare", forbidden)

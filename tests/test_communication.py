@@ -3,10 +3,10 @@
 import pytest
 
 from repro.isa import Op, Stream
+from repro.errors import VerificationError
 from repro.slicer import (
     insert_communication,
     separate,
-    validate_decoupled_dynamic,
     validate_decoupled_static,
 )
 from repro.sim.functional import DecoupledFunctionalSimulator
@@ -16,6 +16,7 @@ from .conftest import (
     build_fp_kernel,
     build_load_compute_store,
     build_store_loop,
+    referee,
 )
 
 ALL_BUILDERS = (build_counting_loop, build_store_loop,
@@ -95,9 +96,11 @@ class TestDynamicEquivalence:
     def test_decoupled_matches_sequential(self, builder):
         program = builder()
         dp = insert_communication(separate(program))
-        report = validate_decoupled_dynamic(program, dp.program)
-        assert report.ldq_transfers >= 0
-        assert report.communication_overhead < 0.7
+        seq, dec = referee(program, dp.program)
+        assert dec.queues.ldq.empty and dec.queues.sdq.empty
+        # Extra dynamic instructions per original instruction.
+        extra = dec.instructions_executed - seq.instructions_executed
+        assert extra / seq.instructions_executed < 0.7
 
     def test_split_register_files_really_split(self):
         """The CP must receive values only through the queues."""
@@ -112,11 +115,12 @@ class TestDynamicEquivalence:
 
     def test_detects_broken_annotation(self):
         """Flipping one stream annotation must break validation."""
-        from repro.errors import ReproError
-
         program = build_load_compute_store()
         dp = insert_communication(separate(program))
         victim = next(i for i in dp.program.text if i.ann.sdq_data)
         victim.ann.sdq_data = False
-        with pytest.raises(ReproError):
-            validate_decoupled_dynamic(program, dp.program)
+        with pytest.raises(VerificationError) as exc_info:
+            referee(program, dp.program)
+        mismatches = exc_info.value.mismatches
+        assert any(m.startswith("SDQ not drained") for m in mismatches)
+        assert any(m.startswith("memory differs at") for m in mismatches)

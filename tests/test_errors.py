@@ -8,8 +8,6 @@ neither the offending object nor the fix is a regression.
 
 from __future__ import annotations
 
-import copy
-
 import pytest
 
 from repro.asm import ProgramBuilder, assemble
@@ -32,8 +30,21 @@ from repro.errors import (
 from repro.experiments import prepare
 from repro.experiments.runner import build_machine
 from repro.isa.encoding import decode_instruction
-from repro.resilience import FaultInjector, FaultPlan, FaultSite, verified_run
-from repro.sim import ArchQueue, FunctionalSimulator, MainMemory, Trace
+from repro.resilience import (
+    FaultInjector,
+    FaultPlan,
+    FaultSite,
+    check_equivalence,
+    oracle,
+    verified_run,
+)
+from repro.sim import (
+    ArchQueue,
+    DecoupledFunctionalSimulator,
+    FunctionalSimulator,
+    MainMemory,
+    Trace,
+)
 from repro.slicer import extract_cmas, separate, validate_decoupled_static
 from repro.workloads import FieldWorkload
 from tests.conftest import build_counting_loop
@@ -109,26 +120,36 @@ def test_deadlock_error_carries_forensic_dump(field_cw, config):
     assert "deadlocked at cycle" in str(err)
 
 
-def test_verification_error_lists_mismatches(field_cw, config):
-    """A decoupled trace whose stores reorder must fail --verify with the
-    diverging store named in the message."""
-    cw = copy.copy(field_cw)
-    dtrace = field_cw.decoupled_trace
-    cw.decoupled_trace = Trace(list(dtrace.pc), list(dtrace.addr))
-    addr = cw.decoupled_trace.addr
-    text = cw.compilation.decoupled.text
+def test_verification_error_lists_mismatches(field_cw, config, monkeypatch):
+    """A decoupled trace whose stores reorder must fail the functional
+    referee with the diverging store named in the message; --verify
+    raises the same type for a commit-stream violation."""
+    comp = field_cw.compilation
+    seq = FunctionalSimulator(comp.original)
+    dec = DecoupledFunctionalSimulator(comp.decoupled)
+    seq.run()
+    dec.run()
+    dtrace = Trace(list(field_cw.decoupled_trace.pc),
+                   list(field_cw.decoupled_trace.addr))
+    addr = dtrace.addr
+    text = comp.decoupled.text
     stores = [i for i, pc in enumerate(dtrace.pc) if text[pc].is_store]
     a = stores[0]
     b = next(i for i in stores[1:] if addr[i] != addr[a])
     addr[a], addr[b] = addr[b], addr[a]
-    if hasattr(cw, "_oracle_mismatches"):
-        del cw._oracle_mismatches
     with pytest.raises(VerificationError) as exc_info:
-        verified_run(cw, config, "superscalar")
+        check_equivalence(seq, field_cw.trace, dec, dtrace)
     err = exc_info.value
     assert err.mismatches
     assert any("store" in m for m in err.mismatches)
-    assert "diverged from the functional oracle" in str(err)
+    assert "diverged from the sequential run" in str(err)
+
+    monkeypatch.setattr(oracle, "check_commit_stream",
+                        lambda machine: ["position 3 committed twice"])
+    with pytest.raises(VerificationError) as exc_info:
+        verified_run(field_cw, config, "superscalar")
+    assert exc_info.value.mismatches == ["position 3 committed twice"]
+    assert "diverged from the functional oracle" in str(exc_info.value)
 
 
 def test_memory_fault_out_of_range_and_misaligned():

@@ -27,6 +27,8 @@ from repro.sim.functional import (
 from repro.slicer import compile_hidisc
 from repro.workloads import quick_workloads
 
+from .conftest import referee
+
 SEED = 2003
 
 
@@ -67,7 +69,8 @@ def assert_parity(program, decoupled: bool = False,
         assert (fstate.pc, fstate.halted) == (rstate.pc, rstate.halted)
     assert fsim.instructions_executed == rsim.instructions_executed
     assert ftrace == rtrace
-    assert _states(fsim)[-1].memory.equal_contents(_states(rsim)[-1].memory)
+    assert _states(fsim)[-1].memory.differences(_states(rsim)[-1].memory) \
+        == []
     if decoupled:
         for name in ("ldq", "sdq", "saq"):
             assert (getattr(fsim.queues, name).stats
@@ -90,15 +93,10 @@ def test_decoupled_equivalence(name, program):
 
 @pytest.mark.parametrize("name,program", _quick_programs())
 def test_fast_path_matches_decoupled_golden_memory(name, program):
-    """Fast sequential and fast decoupled runs still agree on memory —
-    the separation-soundness check, now through the dispatch table."""
-    config = MachineConfig()
-    annotated = compile_hidisc(program, config).decoupled
-    seq = FunctionalSimulator(program)
-    seq_state = seq.run()
-    dec = DecoupledFunctionalSimulator(annotated)
-    dec_state = dec.run()
-    assert seq_state.memory.equal_contents(dec_state.memory), name
+    """Fast sequential and fast decoupled runs still agree — the
+    separation-soundness check, now through the dispatch table."""
+    annotated = compile_hidisc(program, MachineConfig()).decoupled
+    referee(program, annotated)
 
 
 def test_max_steps_error_identical(counting_loop):

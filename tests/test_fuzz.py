@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.config import MachineConfig
+from repro.errors import VerificationError
 from repro.fuzz import (
     FAULTS,
     FuzzProgram,
@@ -138,6 +139,36 @@ class TestHarness:
                 assert found.kind == "fast_vs_legacy", found.summary()
                 return
         pytest.fail(f"fault {fault!r} never produced a divergence")
+
+    def test_prepare_referees_dropped_sdq_data(self):
+        """A decoupled store that drops its SDQ data leaves memory the
+        sequential run does not: ``prepare`` must refuse the compilation
+        and name the memory mismatch."""
+        program = generate_program(6000).to_program()
+        with injected_fault("sdq-store-drops-data"):
+            with pytest.raises(VerificationError) as exc_info:
+                prepare(FuzzWorkload(program), MachineConfig())
+        assert any(m.startswith("memory differs at")
+                   for m in exc_info.value.mismatches), exc_info.value
+
+    def test_miscompilation_is_reported_as_cosim(self, monkeypatch):
+        """A decoupled program that both step tables run alike, but that
+        computes something else, is ``prepare``'s verdict: kind ``cosim``
+        with the referee's mismatches."""
+        import repro.experiments.runner as runner
+        import repro.fuzz.harness as harness
+
+        def miscompile(program, config, **kwargs):
+            comp = compile_hidisc(program, config, **kwargs)
+            store = next(i for i in comp.decoupled.text if i.ann.sdq_data)
+            store.ann.sdq_data = False
+            return comp
+
+        monkeypatch.setattr(runner, "compile_hidisc", miscompile)
+        monkeypatch.setattr(harness, "compile_hidisc", miscompile)
+        found = check_program(generate_program(6000))
+        assert found is not None and found.kind == "cosim", found
+        assert any(p.startswith("SDQ not drained") for p in found.problems)
 
     def test_fault_restores_dispatch_entry(self):
         from repro.sim import functional

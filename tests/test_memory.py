@@ -117,17 +117,24 @@ class TestBlocks:
 
 class TestEquality:
     def test_equal_fresh(self):
-        assert MainMemory(1 << 20).equal_contents(MainMemory(1 << 20))
+        assert MainMemory(1 << 20).differences(MainMemory(1 << 20)) == []
 
     def test_zero_page_equals_untouched(self):
         a, b = MainMemory(1 << 20), MainMemory(1 << 20)
         a.store(0x100, 0, 8)  # touches a page but stays zero
-        assert a.equal_contents(b) and b.equal_contents(a)
+        assert a.differences(b) == [] and b.differences(a) == []
 
     def test_difference_detected(self):
         a, b = MainMemory(1 << 20), MainMemory(1 << 20)
         a.store(0x100, 1, 8)
-        assert not a.equal_contents(b)
+        assert a.differences(b) == [
+            "memory differs at 0x100: expected byte 0x01, got 0x00"]
+        for page in range(10):  # the first byte of each differing page
+            b.store(page << 16 | 0x18, 2, 8)
+        assert b.differences(a) == [
+            f"memory differs at 0x{page << 16 | 0x18:x}: expected byte "
+            f"0x02, got 0x00" for page in range(8)
+        ] + ["... further memory mismatches suppressed"]
 
     def test_snapshot(self):
         a = MainMemory(1 << 20)

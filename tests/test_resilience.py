@@ -29,7 +29,6 @@ from repro.resilience import (
     check_commit_stream,
     run_fault_campaign,
     verified_run,
-    verify_compiled,
 )
 from repro.sim import MODES, ArchQueue, DecoupledFunctionalSimulator
 from repro.telemetry import Telemetry, check_stack
@@ -304,10 +303,24 @@ class TestOracle:
         assert result.verified
         assert result.cycles == run_model(field_cw, config, mode).cycles
 
-    def test_verify_compiled_memoizes(self, field_cw):
-        assert verify_compiled(field_cw) == []
-        assert field_cw._oracle_mismatches == ()
-        assert verify_compiled(field_cw) == []
+    def test_verify_suite_runs_each_functional_model_once(self,
+                                                          monkeypatch):
+        """``prepare`` referees each compilation, so ``--verify`` adds
+        only the commit-stream check: one sequential and one decoupled
+        functional run per benchmark."""
+        from repro.experiments import run_suite
+        from repro.sim import FunctionalSimulator
+
+        calls = {}
+        for cls in (FunctionalSimulator, DecoupledFunctionalSimulator):
+            def counted(self, *args, _run=cls.run, _name=cls.__name__,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _run(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "run", counted)
+        run_suite(quick=True, verify=True, cache=None)
+        assert calls == {"FunctionalSimulator": 9,
+                         "DecoupledFunctionalSimulator": 9}
 
     def test_commit_stream_requires_recording(self, field_cw, config):
         machine = build_machine(field_cw, config, "superscalar")

@@ -51,9 +51,9 @@ def _count_prepares(monkeypatch):
     calls = []
     real = runner_mod.prepare
 
-    def counting(workload, config, verify=True):
+    def counting(workload, config):
         calls.append(workload.name)
-        return real(workload, config, verify=verify)
+        return real(workload, config)
 
     monkeypatch.setattr(runner_mod, "prepare", counting)
     return calls
@@ -347,7 +347,7 @@ class TestParallelSuite:
         # Warm run: any prepare() call in the parent is a test failure.
         import repro.experiments.runner as runner_mod
 
-        def forbidden(workload, config, verify=True):
+        def forbidden(workload, config):
             raise AssertionError("prepare() called on a warm cache")
 
         monkeypatch.setattr(runner_mod, "prepare", forbidden)

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 from repro.asm.builder import ProgramBuilder
 from repro.config import MachineConfig
-from repro.slicer import compile_hidisc, validate_decoupled_dynamic
+from repro.slicer import compile_hidisc
+
+from .conftest import referee
 
 # Register pool used by generated code (avoid sp/ra).
 REGS = ["t0", "t1", "t2", "t3", "t4", "t5", "s0", "s1"]
@@ -93,9 +95,10 @@ def build_random_program(spec) -> "Program":
 def test_random_programs_separate_soundly(spec):
     program = build_random_program(spec)
     comp = compile_hidisc(program, MachineConfig(), probable_miss_pcs=set())
-    # validate_decoupled_dynamic raises on any memory or queue divergence.
-    report = validate_decoupled_dynamic(program, comp.decoupled)
-    assert report.sequential_instructions > 0
+    # The referee raises on any queue, memory, register or store-order
+    # divergence.
+    seq, _ = referee(program, comp.decoupled)
+    assert seq.instructions_executed > 0
 
 
 @settings(max_examples=15, deadline=None)

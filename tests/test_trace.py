@@ -100,11 +100,15 @@ class TestCmasPlan:
             assert miss - trigger <= 16
 
     def test_by_trigger_index(self, compiled):
+        """The separator forks threads in firing order: by trigger
+        position, threads sharing one in index order."""
         comp, trace = compiled
         plan = build_cmas_plan(comp.original, trace, trigger_distance=16)
-        for pos, indices in plan.by_trigger.items():
-            for idx in indices:
-                assert plan.trigger_pos[idx] == pos
+        by_trigger: dict[int, list[int]] = {}
+        for index, pos in enumerate(plan.trigger_pos):
+            by_trigger.setdefault(pos, []).append(index)
+        assert list(plan.firing_order) == [
+            index for pos in sorted(by_trigger) for index in by_trigger[pos]]
 
     def test_positions_are_cmas_instances(self, compiled):
         comp, trace = compiled

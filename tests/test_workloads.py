@@ -15,7 +15,7 @@ from repro.experiments.cache import compile_key
 from repro.isa.encoding import encode_program_text
 from repro.sim import generate_trace, profile_cache
 from repro.sim.functional import FunctionalSimulator
-from repro.slicer import compile_hidisc, validate_decoupled_dynamic
+from repro.slicer import compile_hidisc
 from repro.workloads import (
     DmWorkload,
     FieldWorkload,
@@ -33,6 +33,8 @@ from repro.workloads import (
     quick_workloads,
 )
 
+from .conftest import referee
+
 QUICK = {w.name: w for w in quick_workloads()}
 
 
@@ -47,7 +49,7 @@ class TestEveryWorkload:
         w = QUICK[name]
         comp = compile_hidisc(w.program, MachineConfig(),
                               probable_miss_pcs=set())
-        validate_decoupled_dynamic(w.program, comp.decoupled)
+        referee(w.program, comp.decoupled)
 
     def test_no_fp_in_access_stream(self, name):
         w = QUICK[name]
