@@ -33,7 +33,6 @@ through this module, at any ``--jobs``:
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import time
 from collections.abc import Callable, Iterable, Sequence
@@ -52,37 +51,29 @@ ProgressFn = Callable[[str], None]
 #: Slot marker for "not computed yet" (``None`` is a legal task result).
 _UNSET = object()
 
-#: Parent-side registry of compiled workloads, inherited by forked pool
-#: workers.  Shipping a ``CompiledWorkload`` (multi-megabyte traces) to a
-#: worker per grid cell would make the quick grid IPC-bound; with the
-#: ``fork`` start method the children see this dict for free, so tasks
-#: carry only a string key.  On platforms without ``fork`` the object
-#: itself is passed (see :func:`share_compiled`).
+#: Registry of compiled workloads that grid tasks name by key.  Shipping a
+#: ``CompiledWorkload`` (multi-megabyte traces) to a worker per grid cell
+#: would make the quick grid IPC-bound, so every pool hands each worker
+#: the registry once, through its initializer (:func:`_adopt_shared`):
+#: under ``fork`` the worker inherits it without pickling, under
+#: ``spawn`` or ``forkserver`` it is pickled once per worker.
 _SHARED_COMPILED: dict[str, object] = {}
 
 
-def _fork_available() -> bool:
-    return "fork" in multiprocessing.get_all_start_methods() and \
-        multiprocessing.get_start_method(allow_none=True) in (None, "fork")
+def share_compiled(compiled) -> str:
+    """Register *compiled* and return the key a task names it by.
 
-
-def share_compiled(compiled) -> object:
-    """Return a task-argument reference for *compiled*.
-
-    With a fork-based pool, registers the object in the parent and
-    returns its key (workers inherit the registry at fork time — register
-    **before** :func:`run_tasks` submits anything).  Otherwise returns the
-    object itself, to be pickled per task.
+    Register **before** :func:`run_tasks` starts its pool: workers receive
+    the registry as it stands then.
     """
-    if not _fork_available():
-        return compiled
     key = compiled.fingerprint or f"anon-{id(compiled):x}"
     _SHARED_COMPILED[key] = compiled
     return key
 
 
-def _resolve_compiled(ref):
-    return _SHARED_COMPILED[ref] if isinstance(ref, str) else ref
+def _adopt_shared(registry: dict[str, object]) -> None:
+    """Pool initializer: install the parent's registry in this worker."""
+    _SHARED_COMPILED.update(registry)
 
 
 def clear_shared() -> None:
@@ -179,12 +170,12 @@ def prepare_task(workload: Workload, config: MachineConfig):
     return prepare(workload, config)
 
 
-def run_model_task(compiled, config: MachineConfig, mode: str, cpi: bool,
+def run_model_task(key: str, config: MachineConfig, mode: str, cpi: bool,
                    verify: bool = False, sampling=None):
     """Worker: replay one compiled benchmark through one machine model.
 
-    *compiled* is a :class:`CompiledWorkload` or a :func:`share_compiled`
-    key resolved against the fork-inherited registry.  A fresh
+    *key* names a :class:`CompiledWorkload` registered with
+    :func:`share_compiled`.  A fresh
     :class:`Telemetry` is built in-process when CPI stacks are requested;
     the stacks return inside the :class:`RunResult`.  ``verify=True``
     referees the run with the co-simulation oracle (see
@@ -194,7 +185,7 @@ def run_model_task(compiled, config: MachineConfig, mode: str, cpi: bool,
     from .runner import run_model
 
     telemetry = Telemetry(cpi=True) if cpi else None
-    return run_model(_resolve_compiled(compiled), config, mode,
+    return run_model(_SHARED_COMPILED[key], config, mode,
                      telemetry=telemetry, verify=verify, sampling=sampling)
 
 
@@ -213,7 +204,9 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
     (if given) records each index's submission wall-stamp for
     queue-latency accounting.
     """
-    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
+                               initializer=_adopt_shared,
+                               initargs=(_SHARED_COMPILED,))
     traced = spans.current() is not None
     broken = False
     try:

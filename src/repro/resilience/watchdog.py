@@ -44,7 +44,7 @@ def forensic_dump(machine, now: int) -> dict:
                 "gid": head.gid,
                 "pos": head.pos,
                 "pc": machine.trace.pc[head.pos],
-                "op": head.instr.op.mnemonic,
+                "op": head.d.mnemonic,
                 "issued": head.issued,
                 "min_ready": head.min_ready,
                 "deps": [

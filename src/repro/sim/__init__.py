@@ -24,8 +24,6 @@ from .profiler import CacheProfile, PcProfile, profile_cache
 from .queues import ArchQueue, QueueSet, QueueStats
 from .sampling import WarmupProbe, build_schedule, run_sampled
 from .trace import (
-    ROUTE_AP,
-    ROUTE_CP,
     CmasPlan,
     QueuePlan,
     Trace,
@@ -57,8 +55,6 @@ __all__ = [
     "QueuePlan",
     "QueueSet",
     "QueueStats",
-    "ROUTE_AP",
-    "ROUTE_CP",
     "RunResult",
     "Trace",
     "WarmupProbe",

@@ -6,8 +6,13 @@ One :class:`TimingCore` models one processor (superscalar, CP, AP or CMP):
   the scheduling window (the RUU in SimpleScalar terms), computing the
   dependence edges at that moment: register dependences via a per-core
   last-writer map, memory dependences via a last-store map, and queue
-  dependences (LDQ/SDQ matching and capacity) from the machine's
-  :class:`~repro.sim.trace.QueuePlan`.
+  dependences (LDQ/SDQ matching and capacity).  Queue endpoints pair by
+  order, as in the hardware FIFOs: dispatch numbers each endpoint kind
+  (LDQ push, LDQ pop, SDQ push, SDQ pop) with the machine's counter for
+  it, and pop *k* waits on the position of push *k* in the machine's
+  :class:`~repro.sim.trace.QueuePlan`, push *k* on pop *k - capacity*.
+  One core dispatches every endpoint of a kind (the plan refuses anything
+  else), so dispatch order is trace order and the count is exact.
 * **issue** — oldest-first wakeup/select, limited by issue width,
   functional-unit issue bandwidth and memory ports.  Memory operations
   access the shared :class:`~repro.sim.hierarchy.MemoryHierarchy` at issue
@@ -43,7 +48,6 @@ from collections import deque
 from heapq import heappop, heappush
 
 from ..config import CoreConfig
-from ..isa.instruction import Instruction
 from ..telemetry.cpi import new_stack
 from .fu import FuPools
 
@@ -51,26 +55,30 @@ _STORE_GRANULE = ~7  # memory dependences tracked at 8-byte granularity
 
 
 class WindowEntry:
-    """One in-flight instruction in a core's scheduling window."""
+    """One in-flight instruction in a core's scheduling window.
 
-    __slots__ = ("gid", "seq", "pos", "instr", "addr", "deps", "min_ready",
-                 "issued", "is_prefetch", "wait_class", "pending",
-                 "block_class", "owner", "d")
+    It holds only dynamic state: everything static about the instruction
+    (its FU, latency, queue flags, stall class) is read from its decode
+    record ``d``, and whether it prefetches from its owning core.
+    """
 
-    def __init__(self, gid: int, pos: int, instr: Instruction, addr: int,
-                 deps: list[int], min_ready: int, is_prefetch: bool,
-                 seq: int = 0):
+    __slots__ = ("gid", "seq", "pos", "d", "addr", "deps", "min_ready",
+                 "issued", "wait_class", "pending", "owner")
+
+    def __init__(self, gid: int, pos: int, d, addr: int, deps: list[int],
+                 min_ready: int, seq: int = 0, owner=None):
         self.gid = gid
         #: per-core dispatch sequence number — the age order the ready pool
         #: and issue arbitration preserve.
         self.seq = seq
         self.pos = pos
-        self.instr = instr
+        #: the static :class:`~repro.sim.decode.DecodedOp` record for this
+        #: instruction.
+        self.d = d
         self.addr = addr
         self.deps = deps
         self.min_ready = min_ready
         self.issued = False
-        self.is_prefetch = is_prefetch
         #: CPI-stack bucket to charge while this entry stalls retirement
         #: after issue ('mem_l1'/'mem_l2'/'mem_mem'; None means 'execute').
         #: Only filled in when CPI telemetry is on.
@@ -78,17 +86,9 @@ class WindowEntry:
         #: number of producers whose completion has not yet landed; the
         #: entry enters the ready pool when this reaches zero.
         self.pending = 0
-        #: dependence-stall classification ('ldq_empty', 'queue_full',
-        #: 'sdq_empty' or 'data_dep'), copied at dispatch from the static
-        #: ``DecodedOp.block_class``.
-        self.block_class: str | None = None
-        #: owning TimingCore (set at dispatch; the machine's completion
-        #: landing uses it to route woken entries into the right pool).
-        self.owner = None
-        #: the static :class:`~repro.sim.decode.DecodedOp` record for this
-        #: instruction (set at dispatch; issue and telemetry read the
-        #: pre-resolved FU index, latency and queue flags from it).
-        self.d = None
+        #: owning TimingCore (the machine's completion landing uses it to
+        #: route woken entries into the right pool).
+        self.owner = owner
 
 
 class CoreStats:
@@ -194,6 +194,10 @@ class TimingCore:
         # CMAS copies on the CMP run outside the LDQ/SDQ protocol (the CMP
         # only updates cache state) and carry no memory-order edges.
         use_plan = plan is not None and not is_prefetch
+        if use_plan:
+            queue_seq = machine.queue_seq
+            ldq_push_pos, ldq_pop_pos = plan.ldq_push_pos, plan.ldq_pop_pos
+            sdq_push_pos, sdq_pop_pos = plan.sdq_push_pos, plan.sdq_pop_pos
         track_mem = not is_prefetch
         q_track = self._q_track
         life = self._life
@@ -216,19 +220,27 @@ class TimingCore:
                 if producer is not None:
                     deps.append(producer)
             if use_plan and d.has_queue:
-                if d.reads_ldq_any:
-                    first = plan.ldq_pop_seq[pos]
-                    deps.extend(plan.ldq_push_pos[first:first + d.ldq_pops])
+                # queue_seq: the sequence numbers of the next LDQ push [0],
+                # LDQ pop [1], SDQ push [2] and SDQ pop [3].
+                pops = d.ldq_pops
+                if pops:
+                    k = queue_seq[1]
+                    deps.extend(ldq_push_pos[k:k + pops])
+                    queue_seq[1] = k + pops
                 elif d.ldq_push:
-                    slot = plan.ldq_push_seq[pos] - ldq_cap
-                    if slot >= 0:
-                        deps.append(plan.ldq_pop_pos[slot])
+                    k = queue_seq[0]
+                    if k >= ldq_cap:
+                        deps.append(ldq_pop_pos[k - ldq_cap])
+                    queue_seq[0] = k + 1
                 if d.sdq_push:
-                    slot = plan.sdq_push_seq[pos] - sdq_cap
-                    if slot >= 0:
-                        deps.append(plan.sdq_pop_pos[slot])
+                    k = queue_seq[2]
+                    if k >= sdq_cap:
+                        deps.append(sdq_pop_pos[k - sdq_cap])
+                    queue_seq[2] = k + 1
                 elif d.sdq_pop:
-                    deps.append(plan.sdq_match[pos])
+                    k = queue_seq[3]
+                    deps.append(sdq_push_pos[k])
+                    queue_seq[3] = k + 1
             if q_track and d.sdq_pop:
                 # The store's address sits in the SAQ from dispatch until
                 # the SDQ data arrives and the store issues.
@@ -244,11 +256,8 @@ class TimingCore:
             dest = d.dest
             if dest is not None:
                 lw[dest] = gid
-            entry = WindowEntry(gid, pos, d.instr, addr, deps, min_ready,
-                                is_prefetch, seq)
-            entry.owner = self
-            entry.d = d
-            entry.block_class = d.block_class
+            entry = WindowEntry(gid, pos, d, addr, deps, min_ready, seq,
+                                self)
             seq += 1
             # Wakeup registration: count producers whose completion has not
             # landed; each one holds a reference back to this entry.
@@ -299,7 +308,8 @@ class TimingCore:
         cpi_on = self._cpi_on
         tel_issue = self._tel_issue
         lat_l1 = self._lat_l1
-        faults = self._faults if not self.is_prefetch_core else None
+        is_prefetch = self.is_prefetch_core
+        faults = self._faults if not is_prefetch else None
         self.fu.new_cycle()
         fu_take = self.fu.take_idx
         issued = 0
@@ -322,7 +332,7 @@ class TimingCore:
                 is_store = d.is_store
                 latency = access(
                     entry.addr, is_write=is_store, now=now,
-                    is_prefetch=entry.is_prefetch,
+                    is_prefetch=is_prefetch,
                 )
                 if is_store:
                     # Stores drain through a store buffer: the pipeline does
@@ -421,13 +431,12 @@ class TimingCore:
         """Classify why the window head has not retired (LoD accounting).
 
         The head's ``pending`` counter already says whether a producer's
-        completion is outstanding, and the blocked-reason is the static
-        ``block_class`` dispatch copied from the decode table — no
-        dependence re-polling.
+        completion is outstanding, and the blocked-reason is its decode
+        record's static ``block_class`` — no dependence re-polling.
         """
         if head.issued or not head.pending:
             return
-        reason = head.block_class
+        reason = head.d.block_class
         if reason == "ldq_empty":
             self.stats.ldq_empty_stalls += 1
         elif reason == "queue_full":
@@ -473,6 +482,6 @@ class TimingCore:
             elif not head.pending:
                 bucket = "fu_contention"
             else:
-                bucket = head.block_class
+                bucket = head.d.block_class
         self.cpi[bucket] += 1
         self._last_bucket = bucket

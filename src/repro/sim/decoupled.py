@@ -20,15 +20,18 @@ model             separated   cmp_enabled
 
 The machine owns the shared front end (fetch + separator + branch
 predictor), the shared memory hierarchy, the global ``complete_at`` array,
-the **completion calendar** and the simulation loop.  Scheduling is
-event-driven: when an instruction issues, its completion is bucketed on the
-calendar (cycle -> gids); at the top of every simulated cycle the machine
-*lands* all due buckets, waking the consumers registered on each gid's
-wakeup list (see :mod:`repro.sim.core`).  The loop is cycle-stepped but
-*skips dead time*: when a cycle makes no progress (every core stalled on
-outstanding fills), the clock jumps to the next completion or fetch event
-— read straight off the calendar instead of re-scanning every window — a
-large win when all cores sit behind a 120-cycle memory access.
+the **completion calendar**, the LDQ/SDQ sequence counters dispatch pairs
+queue endpoints by (see :mod:`repro.sim.core`) and the simulation loop.
+The separator sends each position to the AP or CP by its decode record's
+stream.  Scheduling is event-driven: when an instruction issues, its
+completion is bucketed on the calendar (cycle -> gids); at the top of
+every simulated cycle the machine *lands* all due buckets, waking the
+consumers registered on each gid's wakeup list.  The loop is
+cycle-stepped but *skips dead time*: when a cycle makes no progress (every
+core stalled on outstanding fills), the clock jumps to the next
+completion or fetch event — read straight off the calendar instead of
+re-scanning every window — a large win when all cores sit behind a
+120-cycle memory access.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from itertools import groupby
 from ..asm.program import Program
 from ..config import MachineConfig
 from ..errors import CycleLimitError, SimulationError
+from ..isa.instruction import Stream
 from ..resilience.watchdog import ProgressWatchdog
 from ..telemetry import Telemetry
 from .branch import BranchPredictor
@@ -48,7 +52,7 @@ from .core import TimingCore
 from .decode import CTRL_COND, CTRL_INDIRECT, decode_program
 from .hierarchy import MemoryHierarchy
 from .machine import RunResult
-from .trace import ROUTE_AP, CmasPlan, QueuePlan, Trace
+from .trace import CmasPlan, QueuePlan, Trace
 
 MODES = ("superscalar", "cp_ap", "cp_cmp", "hidisc")
 
@@ -103,10 +107,9 @@ class Machine:
         # [start_pos, end_pos).  The memory hierarchy and branch predictor
         # may be *injected* so that a sampling driver can carry their warm
         # micro-architectural state across fast-forward gaps, and so may
-        # the ``complete_at`` buffer (which must then read None over the
-        # window and the CMAS gids, 0 elsewhere) and the decode table, so
-        # that it builds neither per window (see repro.sim.sampling); full
-        # runs build their own.
+        # the ``complete_at`` buffer and the decode table, so that it
+        # builds neither per window (see repro.sim.sampling); full runs
+        # build their own.
         self._fetch_end = len(trace) if end_pos is None else end_pos
         if not (0 <= start_pos <= self._fetch_end <= len(trace)):
             raise SimulationError(
@@ -156,12 +159,29 @@ class Machine:
         if self._tel_events:
             self.hierarchy.sink = self.sink
 
+        #: the window this machine opened in an adopted ``complete_at``
+        #: buffer, which run() closes again; None when it owns its buffer.
+        self._opened: tuple[int, int] | None = None
         if complete_at is None:
             cmas_extra = (cmas_plan.total_prefetch_instructions
                           if self.cmp_enabled else 0)
             complete_at = [None] * (len(trace) + cmas_extra)
+        else:
+            # Between windows an adopted buffer reads 0 (complete) over the
+            # trace and None over the CMAS gids: open this window in it.
+            complete_at[start_pos:self._fetch_end] = (
+                [None] * (self._fetch_end - start_pos))
+            self._opened = (start_pos, self._fetch_end)
         self.complete_at = complete_at
         self._next_cmas_gid = len(trace)
+        #: sequence number of the next LDQ push, LDQ pop, SDQ push and SDQ
+        #: pop that dispatch meets: the count of each kind's positions
+        #: before the window (see repro.sim.core.TimingCore.dispatch).
+        self.queue_seq: list[int] = (
+            [bisect_left(column, start_pos) for column in (
+                queue_plan.ldq_push_pos, queue_plan.ldq_pop_pos,
+                queue_plan.sdq_push_pos, queue_plan.sdq_pop_pos)]
+            if self.separated else [])
 
         #: static decode table indexed by PC (see repro.sim.decode) — every
         #: per-instruction property the scheduler needs, resolved once.
@@ -277,7 +297,7 @@ class Machine:
         fetch_width = self.config.fetch_width
         pos = self._fetch_pos
         separated = self.separated
-        route = self.queue_plan.route if separated else None
+        access_stream = Stream.AS
         cp = self.cp if separated else self.main
         ap = self.ap if separated else None
         next_trigger = self._next_trigger
@@ -287,7 +307,8 @@ class Machine:
         min_ready = now + 1
         while fetched < fetch_width and pos < n:
             pc = pcs[pos]
-            core = ap if separated and route[pos] == ROUTE_AP else cp
+            d = decoded[pc]
+            core = ap if separated and d.stream is access_stream else cp
             iq = core.instr_queue
             if len(iq) >= core.instr_queue_capacity:
                 break
@@ -306,7 +327,7 @@ class Machine:
                 self._begin_measurement(now)
                 in_warmup = False
 
-            kind = decoded[pc].ctrl_kind
+            kind = d.ctrl_kind
             if kind:
                 # The trace's next pc is the branch oracle (`pos` already
                 # points past this instruction).
@@ -425,6 +446,18 @@ class Machine:
                 core.machine = None
                 core.window.clear()
                 core.ready.clear()
+            if self._opened is not None:
+                self._close_window()
+
+    def _close_window(self) -> None:
+        """Return an adopted ``complete_at`` buffer to its between-window
+        state: 0 over this window, None over the CMAS gids it used."""
+        start, end = self._opened
+        complete_at = self.complete_at
+        complete_at[start:end] = [0] * (end - start)
+        first = len(self.trace)
+        complete_at[first:self._next_cmas_gid] = (
+            [None] * (self._next_cmas_gid - first))
 
     def _run_loop(self, max_cycles: int | None) -> RunResult:
         if max_cycles is None:

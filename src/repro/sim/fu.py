@@ -49,12 +49,3 @@ class FuPools:
             return False
         used[idx] += 1
         return True
-
-    # Enum-keyed conveniences (tests / diagnostics; not on the hot path).
-    def available(self, fu: FuClass) -> bool:
-        idx = FU_INDEX[fu]
-        return self._used[idx] < self.limits[idx]
-
-    def take(self, fu: FuClass) -> bool:
-        """Claim one issue slot; returns False if the pool is exhausted."""
-        return self.take_idx(FU_INDEX[fu])

@@ -84,7 +84,17 @@ class RunResult:
         return self.l1_demand_miss_rate / base
 
     def loss_of_decoupling_cycles(self) -> int:
-        """Cycles any core's retirement was blocked on cross-stream sync."""
+        """Simulated cycles any core's retirement was blocked on
+        cross-stream sync: the LDQ/SDQ stall counters of ``core_stats``.
+
+        Only cycles the loop simulates count here; a dead-time skip (no
+        core can progress, so the clock jumps to the next event) adds
+        nothing.  The CPI stacks' ``ldq_empty``, ``sdq_empty`` and
+        ``queue_full`` components charge every cycle, skipped ones too, so
+        the two disagree for a core that waits across skips: on the quick
+        grid the CP's counts differ 2.0–39× (field cp_ap: 38 here, 1,469
+        in its CPI stack), while the AP's agree.
+        """
         total = 0
         for stats in self.core_stats.values():
             total += stats.get("ldq_empty_stalls", 0)

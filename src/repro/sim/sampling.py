@@ -297,9 +297,10 @@ def run_sampled(
     # forward past it — queue-slot reuse ignores fetch order) read as
     # complete at cycle 0: the standard sampling approximation, whose
     # dropped cross-window stalls the detailed-warmup prefix
-    # re-establishes.  Invariant between windows: 0 over the trace range,
-    # None over the CMAS gid range (extended in place: one large
-    # allocation, not three).
+    # re-establishes.  Between windows the buffer reads 0 over the trace
+    # range and None over the CMAS gid range (extended in place: one large
+    # allocation, not three); each window machine opens its own range and
+    # restores the buffer when it finishes.
     complete_at: list[int | None] = [0] * len(trace)
     if cmas_plan is not None:
         complete_at.extend(repeat(None, cmas_plan.total_prefetch_instructions))
@@ -325,7 +326,6 @@ def run_sampled(
             # warm-up prefix never resets the stats it starts with.
             predictor.stats = BranchStats()
             with spans.span("sample_window", cat="simulate"):
-                complete_at[w_start:d_end] = [None] * (d_end - w_start)
                 machine = Machine(config, program, trace, mode,
                                   queue_plan=queue_plan, cmas_plan=cmas_plan,
                                   work_instructions=d_end - d_start,
@@ -335,9 +335,6 @@ def run_sampled(
                                   hierarchy=hierarchy, predictor=predictor,
                                   complete_at=complete_at, decoded=decoded)
                 intervals.append(machine.run(max_cycles))
-                complete_at[w_start:d_end] = [0] * (d_end - w_start)
-                used = machine._next_cmas_gid - len(trace)
-                complete_at[len(trace):len(trace) + used] = [None] * used
             # Detach the stats objects the interval result now owns: the
             # next probe replay and interval mutate fresh ones instead.
             hierarchy.reset_stats()

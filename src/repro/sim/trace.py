@@ -20,10 +20,12 @@ pipeline models then replay it.  This module computes, once per
 * :func:`generate_trace` — run the golden model and capture the trace.
 * :class:`QueuePlan` — FIFO matching for the LDQ and SDQ.  Because both
   streams are carved out of one sequential instruction stream, the k-th pop
-  of a queue always corresponds to the k-th push; the plan resolves those
-  sequence numbers to trace positions so the timing cores can treat queue
-  communication as ordinary dependence edges (including *capacity* edges:
-  push *s* may not issue before pop *s - capacity* has freed a slot).
+  of a queue always takes the k-th push.  The plan is four columns, the
+  trace positions of each queue's pushes and pops in order; the timing
+  cores count each endpoint kind as they dispatch it, and index the
+  columns with that count to turn queue communication into ordinary
+  dependence edges (including *capacity* edges: push *s* may not issue
+  before pop *s - capacity* has freed a slot).
 * :class:`CmasPlan` — trigger points and the dynamic CMAS slice each
   trigger forks onto the CMP.  A trigger fires when the separator reaches
   the trace position ``trigger_distance`` instructions ahead of a dynamic
@@ -33,8 +35,10 @@ pipeline models then replay it.  This module computes, once per
   row per thread, whose slice is ``cmas_positions[lo:hi]`` of a single
   shared ascending position list.
 
-Traces and plans pickle as a handful of flat ``int`` lists, which is what
-keeps run-cache entries, checkpoints and pool transport cheap.
+Both plans are plain dataclasses whose every field is computed when they
+are built, so traces and plans pickle as a handful of flat ``int`` lists
+and nothing is rebuilt on load: that keeps run-cache entries, checkpoints
+and pool transport cheap.
 """
 
 from __future__ import annotations
@@ -49,10 +53,6 @@ from ..errors import SimulationError
 from ..isa.instruction import Stream
 from .decode import decode_program, flag_table
 from .functional import ArchState, DynInstr, FunctionalSimulator
-
-#: Routing codes used in :class:`QueuePlan.route`.
-ROUTE_CP = 0
-ROUTE_AP = 1
 
 
 class Trace:
@@ -158,15 +158,13 @@ def generate_decoupled_trace(
 
 @dataclass
 class QueuePlan:
-    """Stream routing and queue matching for one annotated trace.
+    """FIFO matching for one annotated trace: each queue's endpoints.
 
-    Only the routing column and the four position columns are stored
-    (and pickled); the per-position lookups the timing cores index are
-    rebuilt from them on construction and after unpickling.
+    Endpoint *k* of a kind pairs with endpoint *k* of its partner kind;
+    dispatch counts each kind in order and indexes these columns with the
+    count (see :meth:`repro.sim.core.TimingCore.dispatch`).
     """
 
-    #: route[i] in {ROUTE_CP, ROUTE_AP} for each trace position.
-    route: list[int]
     #: trace position of the k-th LDQ push / pop (an instruction with both
     #: operands "$LDQ"-flagged pops twice, so appears twice in a row).
     ldq_push_pos: list[int] = field(default_factory=list)
@@ -174,46 +172,12 @@ class QueuePlan:
     #: same for the SDQ; "pops" are the SDQ-consuming stores.
     sdq_push_pos: list[int] = field(default_factory=list)
     sdq_pop_pos: list[int] = field(default_factory=list)
-    #: pop position -> sequence number of its (first) pop; the pushes it
-    #: matches are ``ldq_push_pos[seq:seq + pops]``.
-    ldq_pop_seq: dict[int, int] = field(init=False, repr=False,
-                                        compare=False)
-    #: push position -> its sequence number (for capacity edges).
-    ldq_push_seq: dict[int, int] = field(init=False, repr=False,
-                                         compare=False)
-    #: SDQ-consuming store position -> matching push position.
-    sdq_match: dict[int, int] = field(init=False, repr=False, compare=False)
-    sdq_push_seq: dict[int, int] = field(init=False, repr=False,
-                                         compare=False)
-
-    def __post_init__(self) -> None:
-        pops = self.ldq_pop_pos
-        # Inserted last-to-first, so a two-pop position keeps its first seq.
-        self.ldq_pop_seq = dict(zip(reversed(pops),
-                                    range(len(pops) - 1, -1, -1)))
-        self.ldq_push_seq = dict(zip(self.ldq_push_pos,
-                                     range(len(self.ldq_push_pos))))
-        self.sdq_match = dict(zip(self.sdq_pop_pos, self.sdq_push_pos))
-        self.sdq_push_seq = dict(zip(self.sdq_push_pos,
-                                     range(len(self.sdq_push_pos))))
-
-    def __getstate__(self):
-        return (self.route, self.ldq_push_pos, self.ldq_pop_pos,
-                self.sdq_push_pos, self.sdq_pop_pos)
-
-    def __setstate__(self, state) -> None:
-        (self.route, self.ldq_push_pos, self.ldq_pop_pos,
-         self.sdq_push_pos, self.sdq_pop_pos) = state
-        self.__post_init__()
 
     @property
     def balanced(self) -> bool:
         """True iff every push has a pop and vice versa."""
         return (len(self.ldq_push_pos) == len(self.ldq_pop_pos)
                 and len(self.sdq_push_pos) == len(self.sdq_pop_pos))
-
-
-_ROUTES = {Stream.AS: ROUTE_AP, Stream.CS: ROUTE_CP}
 
 
 def _check_fifo(what: str, push: np.ndarray, pop: np.ndarray) -> None:
@@ -226,40 +190,60 @@ def _check_fifo(what: str, push: np.ndarray, pop: np.ndarray) -> None:
 
 
 def build_queue_plan(program: Program, trace) -> QueuePlan:
-    """Compute stream routing and FIFO matching for an annotated program.
+    """Compute FIFO matching for an annotated program.
 
     Every column is a gather of a per-pc decode flag over the trace's pc
     column (:func:`repro.sim.decode.flag_table`); the k-th pop of a queue
-    matches the k-th push.
+    matches the k-th push.  Dispatch finds *k* by counting each endpoint
+    kind in its own dispatch order, which is trace order only when one
+    core dispatches them all; so the plan is refused when an executed
+    endpoint kind sits on both streams, or when one instruction both
+    pushes and pops the same queue.
     """
     trace = Trace.of(trace)
     decoded = decode_program(program.text)
     pcs = trace.pcs()
-    route = np.array([_ROUTES.get(d.stream, -1) for d in decoded],
-                     dtype=np.int64)[pcs]
-    missing = np.flatnonzero(route < 0)
+    executed = np.zeros(len(decoded), dtype=bool)
+    executed[pcs] = True
+    on_ap = np.array([d.stream is Stream.AS for d in decoded], dtype=bool)
+    on_cp = np.array([d.stream is Stream.CS for d in decoded], dtype=bool)
+    missing = np.flatnonzero(~(on_ap | on_cp)[pcs])
     if missing.size:
         i = int(missing[0])
         raise SimulationError(
             f"trace position {i} (pc {trace.pc[i]}) lacks a stream annotation"
         )
 
-    # LDQ: an instruction pushes, or pops once per "$LDQ" operand.
+    # LDQ: an instruction pushes, or pops once per "$LDQ" operand.  SDQ:
+    # pushes, and SDQ-consuming stores as pops.
     ldq_push = flag_table(decoded, "ldq_push")
-    pops_per_pc = np.where(ldq_push, 0, flag_table(decoded, "ldq_pops"))
-    ldq_push_pos = trace.positions(decoded, "ldq_push")
-    popping = np.flatnonzero(pops_per_pc[pcs])
-    ldq_pop_pos = np.repeat(popping, pops_per_pc[pcs[popping]])
-    _check_fifo("LDQ pop", ldq_push_pos, ldq_pop_pos)
-
-    # SDQ: pushes, and SDQ-consuming stores as pops.
+    ldq_pops = flag_table(decoded, "ldq_pops")
     sdq_push = flag_table(decoded, "sdq_push")
-    sdq_push_pos = trace.positions(decoded, "sdq_push")
-    sdq_pop_pos = np.flatnonzero((flag_table(decoded, "sdq_pop")
-                                  & ~sdq_push)[pcs])
+    sdq_pop = flag_table(decoded, "sdq_pop")
+    for queue, push, pop in (("LDQ", ldq_push, ldq_pops > 0),
+                             ("SDQ", sdq_push, sdq_pop)):
+        both = np.flatnonzero(executed & push & pop)
+        if both.size:
+            raise SimulationError(
+                f"pc {int(both[0])} both pushes and pops the {queue}")
+    for what, kind in (("LDQ pushes", ldq_push), ("LDQ pops", ldq_pops > 0),
+                       ("SDQ pushes", sdq_push),
+                       ("SDQ-consuming stores", sdq_pop)):
+        ap_pcs = np.flatnonzero(executed & kind & on_ap)
+        cp_pcs = np.flatnonzero(executed & kind & on_cp)
+        if ap_pcs.size and cp_pcs.size:
+            raise SimulationError(
+                f"{what} execute on both streams (AS pc {int(ap_pcs[0])}, "
+                f"CS pc {int(cp_pcs[0])})")
+
+    ldq_push_pos = np.flatnonzero(ldq_push[pcs])
+    popping = np.flatnonzero(ldq_pops[pcs])
+    ldq_pop_pos = np.repeat(popping, ldq_pops[pcs[popping]])
+    _check_fifo("LDQ pop", ldq_push_pos, ldq_pop_pos)
+    sdq_push_pos = np.flatnonzero(sdq_push[pcs])
+    sdq_pop_pos = np.flatnonzero(sdq_pop[pcs])
     _check_fifo("SDQ-consuming store", sdq_push_pos, sdq_pop_pos)
-    return QueuePlan(route=route.tolist(),
-                     ldq_push_pos=ldq_push_pos.tolist(),
+    return QueuePlan(ldq_push_pos=ldq_push_pos.tolist(),
                      ldq_pop_pos=ldq_pop_pos.tolist(),
                      sdq_push_pos=sdq_push_pos.tolist(),
                      sdq_pop_pos=sdq_pop_pos.tolist())
@@ -284,26 +268,15 @@ class CmasPlan:
     miss_pos: list[int] = field(default_factory=list)
     lo: list[int] = field(default_factory=list)
     hi: list[int] = field(default_factory=list)
-    #: derived views, built on first use and never pickled (plans are
-    #: built once and reused across many Machine constructions — windowed
-    #: sampling builds one machine per interval).
-    _firing_order: range | list[int] | None = field(
-        default=None, repr=False, compare=False)
-    _total_prefetch: int | None = field(default=None, repr=False,
-                                        compare=False)
-    _max_distance: int | None = field(default=None, repr=False,
-                                      compare=False)
-
-    def __getstate__(self):
-        return (self.cmas_positions, self.trigger_pos, self.miss_pos,
-                self.lo, self.hi)
-
-    def __setstate__(self, state) -> None:
-        (self.cmas_positions, self.trigger_pos, self.miss_pos,
-         self.lo, self.hi) = state
-        self._firing_order = None
-        self._total_prefetch = None
-        self._max_distance = None
+    #: thread indices in the order the separator forks them: by
+    #: ``trigger_pos``, threads sharing a trigger in index order
+    #: (``range(num_threads)`` when the triggers ascend already).
+    firing_order: range | list[int] = range(0)
+    #: instructions over every thread's slice.
+    total_prefetch_instructions: int = 0
+    #: the largest ``miss_pos - trigger_pos``: how far ahead of its miss
+    #: a trigger can fire.
+    max_distance: int = 0
 
     @property
     def num_threads(self) -> int:
@@ -313,42 +286,17 @@ class CmasPlan:
         """Trace positions thread *index* replays (ascending)."""
         return self.cmas_positions[self.lo[index]:self.hi[index]]
 
-    @property
-    def total_prefetch_instructions(self) -> int:
-        if self._total_prefetch is None:
-            self._total_prefetch = sum(self.hi) - sum(self.lo)
-        return self._total_prefetch
-
-    @property
-    def firing_order(self) -> range | list[int]:
-        """Thread indices in the order the separator forks them: by
-        ``trigger_pos``, threads sharing a trigger in index order.  When
-        the triggers ascend already this is ``range(num_threads)``."""
-        if self._firing_order is None:
-            trigger_pos = np.asarray(self.trigger_pos, dtype=np.int64)
-            if np.all(trigger_pos[:-1] <= trigger_pos[1:]):
-                self._firing_order = range(len(trigger_pos))
-            else:
-                self._firing_order = np.argsort(trigger_pos,
-                                                kind="stable").tolist()
-        return self._firing_order
-
     def pending_at(self, pos: int) -> list[int]:
         """Thread indices triggered before *pos* whose covered miss is at
         or past it — the "in flight on the CMP" set a sampling window must
-        re-establish.  A trigger fires at most ``miss_pos - trigger_pos``
-        positions before its miss, so candidates have a miss in the band
-        ``[pos, pos + max_distance]``; ``miss_pos`` is ascending, so two
-        bisects find them without scanning every thread.
+        re-establish.  Candidates have a miss in the band ``[pos, pos +
+        max_distance]``; ``miss_pos`` is ascending, so two bisects find
+        them without scanning every thread.
         """
-        if self._max_distance is None:
-            self._max_distance = max(
-                (m - t for m, t in zip(self.miss_pos, self.trigger_pos)),
-                default=0)
         miss_pos = self.miss_pos
         trigger_pos = self.trigger_pos
         lo = bisect_left(miss_pos, pos)
-        hi = bisect_right(miss_pos, pos + self._max_distance)
+        hi = bisect_right(miss_pos, pos + self.max_distance)
         return [index for index in range(lo, hi) if trigger_pos[index] < pos]
 
 
@@ -374,9 +322,8 @@ def build_cmas_plan(
     decoded = decode_program(program.text)
     cmas = trace.positions(decoded, "cmas")
     misses = trace.positions(decoded, "probable_miss")
-    plan = CmasPlan(cmas_positions=cmas.tolist())
     if not misses.size:
-        return plan
+        return CmasPlan(cmas_positions=cmas.tolist())
 
     distance = np.full(len(decoded), trigger_distance, dtype=np.int64)
     for pc, d in (distance_for or {}).items():
@@ -386,6 +333,7 @@ def build_cmas_plan(
     # claimed-prefix de-duplication is a sequential scan over the misses.
     first = np.searchsorted(cmas, starts, side="left").tolist()
     last = np.searchsorted(cmas, misses, side="right").tolist()
+    trigger_pos, miss_pos, lo_col, hi_col = [], [], [], []
     next_unclaimed = 0
     for q, start, lo, hi in zip(misses.tolist(), starts.tolist(), first,
                                 last):
@@ -394,8 +342,19 @@ def build_cmas_plan(
             continue
         hi = min(hi, lo + max_slice)
         next_unclaimed = hi
-        plan.trigger_pos.append(start)
-        plan.miss_pos.append(q)
-        plan.lo.append(lo)
-        plan.hi.append(hi)
-    return plan
+        trigger_pos.append(start)
+        miss_pos.append(q)
+        lo_col.append(lo)
+        hi_col.append(hi)
+
+    triggers = np.asarray(trigger_pos, dtype=np.int64)
+    if np.all(triggers[:-1] <= triggers[1:]):
+        firing_order = range(len(trigger_pos))
+    else:
+        firing_order = np.argsort(triggers, kind="stable").tolist()
+    return CmasPlan(
+        cmas_positions=cmas.tolist(), trigger_pos=trigger_pos,
+        miss_pos=miss_pos, lo=lo_col, hi=hi_col, firing_order=firing_order,
+        total_prefetch_instructions=sum(hi_col) - sum(lo_col),
+        max_distance=max((m - t for m, t in zip(miss_pos, trigger_pos)),
+                         default=0))

@@ -1,12 +1,16 @@
 """Observability of the process-pool grid (repro.experiments.parallel):
 retry/backoff/fallback counters and span records, worker observations
-travelling back inside task results, and the suite-level counters the
-run ledger reports."""
+travelling back inside task results, the suite-level counters the run
+ledger reports, and how workers receive compilations under each start
+method."""
 
 from __future__ import annotations
 
 import contextlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +147,52 @@ class TestWorkerObservations:
                    and not hasattr(cw, "host_metrics") for cw in results)
         assert "peak_rss_bytes" not in metrics.snapshot()["gauges"], \
             "worker-side metrics only travel when tracing is on"
+
+
+#: Grid cells at jobs=1 and jobs=2 under a default start method that is
+#: not fork, left unset as Python 3.14 leaves it on Linux (forkserver).
+_FORKSERVER_DEFAULT = """\
+import multiprocessing
+import multiprocessing.context as context
+
+context._default_context._default_context = \\
+    context._concrete_contexts["forkserver"]
+
+from repro.config import MachineConfig
+from repro.experiments.parallel import run_cells
+from repro.experiments.runner import prepare
+from repro.workloads import get_workload
+
+
+def main():
+    print(multiprocessing.get_start_method(allow_none=True))
+    config = MachineConfig()
+    cw = prepare(get_workload("field", quick=True, seed=2003), config)
+    cells = [(cw, "superscalar"), (cw, "hidisc")]
+    for jobs in (1, 2):
+        print(*[r.cycles for r in run_cells(cells, config, jobs=jobs)])
+    print(multiprocessing.get_start_method(allow_none=True))
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+@pytest.mark.slow
+class TestStartMethod:
+    def test_forkserver_default_matches_inline(self, tmp_path):
+        script = tmp_path / "forkserver_grid.py"
+        script.write_text(_FORKSERVER_DEFAULT)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run([sys.executable, str(script)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        before, inline, pooled, after = done.stdout.splitlines()
+        assert (before, after) == ("None", "forkserver")
+        assert pooled == inline and len(inline.split()) == 2
 
 
 class TestCacheTraffic:

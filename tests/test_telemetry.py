@@ -152,11 +152,10 @@ def _entry(instr, deps=(0,), issued=False, pending=None):
     ``pending`` mirrors what dispatch-time wakeup registration would have
     computed: by default every dep is an outstanding producer (the blocked
     case); pass ``pending=0`` to model all producers having completed.
-    The stall class comes from the decode table, as dispatch copies it.
+    The stall class comes from the entry's decode record.
     """
-    entry = WindowEntry(gid=1, pos=1, instr=instr, addr=0,
-                        deps=list(deps), min_ready=0, is_prefetch=False)
-    entry.block_class = DecodedOp(instr).block_class
+    entry = WindowEntry(gid=1, pos=1, d=DecodedOp(instr), addr=0,
+                        deps=list(deps), min_ready=0)
     entry.issued = issued
     entry.pending = len(deps) if pending is None else pending
     return entry
