@@ -5,8 +5,8 @@ Installed as the ``hidisc`` console script::
 
     hidisc table1
     hidisc figure8 --quick
-    hidisc all --json results.json --jobs 4
-    hidisc suite --quick --jobs 2
+    hidisc all --json results.json         # grid on every usable CPU
+    hidisc suite --quick --jobs 1          # serial
     hidisc suite --quick --verify          # co-simulation oracle on
     hidisc suite --resume                  # replay only missing cells
     hidisc faults --quick --fault-seed 7   # seeded fault campaign
@@ -41,9 +41,9 @@ hard).  ``hidisc serve`` extends the same discipline to a daemon — see
 Experiment commands run compilations through a persistent on-disk cache
 (``--cache-dir``, default ``$HIDISC_CACHE_DIR`` or ``~/.cache/hidisc``;
 ``--no-cache`` disables it) and fan the simulation grid out over worker
-processes with ``--jobs N`` (0 = all CPUs).  Suite runs checkpoint every
-completed grid cell into the cache, so an interrupted run continues with
-``--resume``.
+processes: ``--jobs N``, by default 0 = every usable CPU, 1 = serial.
+Suite runs checkpoint every completed grid cell into the cache, so an
+interrupted run continues with ``--resume``.
 
 Every experiment run appends one record to the ledger
 (``<cache-dir>/ledger.jsonl``; see :mod:`repro.experiments.ledger`) —
@@ -100,6 +100,7 @@ from .ledger import (
     render_runs_list,
 )
 from .models import MODEL_ORDER, sampling_label
+from .parallel import resolve_jobs
 from .reporting import render_run_stats, write_json
 from .runner import run_model
 from .suite import ProgressFn, run_suite
@@ -765,9 +766,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "per-worker lanes) and write a "
                           "Perfetto-loadable trace_event JSON here")
     sweep = _flags(run, quick, verify)
-    sweep.add_argument("--jobs", type=_non_negative, default=1, metavar="N",
+    sweep.add_argument("--jobs", type=_non_negative, default=0, metavar="N",
                        help="worker processes for the experiment grid "
-                            "(default 1 = serial, 0 = all CPUs)")
+                            "(default 0 = every usable CPU, 1 = serial)")
     defaults = SamplingPlan()
     sampled = _flags()
     sampling = sampled.add_argument_group(
@@ -1059,7 +1060,7 @@ def _finalize(args, argv, config: MachineConfig, cache: RunCache | None,
         config=config,
         metrics_snapshot=snapshot,
         spans_summary=span_summary,
-        extra={"quick": args.quick, "jobs": args.jobs},
+        extra={"quick": args.quick, "jobs": resolve_jobs(args.jobs)},
     )
     RunLedger(ledger_path(cache.root)).append(record)
 

@@ -11,7 +11,8 @@ Compilation and traces are latency-independent, so each benchmark is
 prepared once and replayed at every latency point.  Every benchmark is
 prepared before the first cell runs, and every (benchmark, latency, model)
 cell runs through :func:`repro.experiments.parallel.run_cells`, inline at
-``jobs == 1`` and on a worker pool otherwise.
+``jobs == 1`` and on a worker pool otherwise (by default one worker per
+usable CPU).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from ..errors import SimulationError
 from ..utils import format_table
 from .cache import RunCache, compile_key
 from .models import MODEL_LABELS, MODEL_ORDER, PAPER
-from .parallel import prepare_many, run_cells
+from .parallel import prepare_many, resolve_jobs, run_cells
 from .runner import CompiledWorkload
 from .suite import ProgressFn
 
@@ -81,7 +82,7 @@ def figure10(
     modes: tuple[str, ...] = MODEL_ORDER,
     progress: ProgressFn | None = None,
     compiled: dict[str, CompiledWorkload] | None = None,
-    jobs: int = 1,
+    jobs: int = 0,
     cache: RunCache | None = None,
     verify: bool = False,
     sampling: SamplingPlan | None = None,
@@ -96,13 +97,16 @@ def figure10(
     distance, wrong workload size, ...).
 
     ``jobs > 1`` fans preparation and the (benchmark, latency, model)
-    cells out over worker processes; *cache* memoizes compilations.
+    cells out over worker processes, and the default ``jobs == 0`` takes
+    every usable CPU; ``jobs == 1`` runs them inline.  *cache* memoizes
+    compilations.
     *verify* referees every cell with the co-simulation oracle.
     *sampling* runs every sweep cell through the sampled-interval driver
     (``hidisc figure10 --sample`` — the sampled-vs-full recipe in
     EXPERIMENTS.md compares the two sweeps point by point).
     """
     base_config = config if config is not None else MachineConfig()
+    jobs = resolve_jobs(jobs)
     from ..workloads import get_workload
 
     workloads = [get_workload(name, quick=quick, seed=seed)

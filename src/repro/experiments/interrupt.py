@@ -121,3 +121,18 @@ def poll() -> None:
     """
     if _current is not None:
         _current.poll()
+
+
+def ignore_in_worker() -> None:
+    """In a pool worker process: leave the stop decision to the parent.
+
+    A forked worker inherits the parent's handlers, so a terminal's
+    Ctrl-C, which signals the whole process group, printed the notice
+    once per worker.  Workers ignore SIGINT (the parent finishes their
+    in-flight cells, and on a second signal terminates them) and take
+    SIGTERM's default action, so that terminating a worker kills it.
+    """
+    global _current
+    _current = None
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)

@@ -8,18 +8,22 @@ through this module, at any ``--jobs``:
 
 * :func:`run_tasks` — run picklable :class:`Task`\\ s and return their
   results **in task order** (deterministic grid assembly regardless of
-  completion order).  ``jobs <= 1`` runs them inline; otherwise they fan
-  out on a ``ProcessPoolExecutor`` with **bounded retry with exponential
-  backoff** for pool-infrastructure failures (a worker killed by the OS:
-  the pool is rebuilt and only the unfinished tasks resubmitted, up to
-  *retries* times), after which the remaining tasks run in the same
-  inline loop — so a flaky pool can slow a run down but never fail or
-  corrupt it.  Genuine simulation errors raised by
-  a task are *not* swallowed — they propagate immediately (deterministic
-  failures fail fast; only infrastructure failures retry).  An
-  *on_result* callback sees each ``(index, result)`` the moment it lands,
-  which is how the suite checkpoints every completed grid cell before the
-  next one runs.
+  completion order).  ``jobs == 0`` (the default of ``run_suite``,
+  ``figure10`` and the grid commands) means every usable CPU (see
+  :func:`resolve_jobs`); ``jobs == 1`` runs the tasks inline; otherwise
+  they fan out on a ``ProcessPoolExecutor`` with **bounded retry with
+  exponential backoff** for pool-infrastructure failures (a worker killed
+  by the OS: the pool is rebuilt and only the unfinished tasks
+  resubmitted, up to *retries* times), after which the remaining tasks
+  run in the same inline loop — so a flaky pool can slow a run down but
+  never fail or corrupt it.  Genuine simulation errors raised by a task
+  are *not* swallowed — they propagate immediately (deterministic
+  failures fail fast; only infrastructure failures retry), and so does a
+  task that cannot be pickled (:class:`~repro.errors.ConfigError`, before
+  any pool starts).  An *on_result* callback sees each ``(index,
+  result)`` the moment it lands, in completion order, which is how the
+  suite checkpoints every completed grid cell as soon as it finishes.
+  Every worker is joined before :func:`run_tasks` returns or raises.
 * :func:`prepare_many` — compile benchmarks through :func:`run_tasks`.
   The parent owns the run cache: it probes every entry before any task
   runs and stores each fresh compilation as it lands, so workers never
@@ -34,14 +38,16 @@ from __future__ import annotations
 
 import contextlib
 import os
+import pickle
+import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..config import MachineConfig, SamplingPlan
-from ..errors import ConfigError
+from ..errors import ConfigError, InterruptedRun
 from ..telemetry import metrics, spans
 from ..workloads import Workload
 from . import interrupt
@@ -54,7 +60,7 @@ _UNSET = object()
 #: Registry of compiled workloads that grid tasks name by key.  Shipping a
 #: ``CompiledWorkload`` (multi-megabyte traces) to a worker per grid cell
 #: would make the quick grid IPC-bound, so every pool hands each worker
-#: the registry once, through its initializer (:func:`_adopt_shared`):
+#: the registry once, through its initializer (:func:`_init_worker`):
 #: under ``fork`` the worker inherits it without pickling, under
 #: ``spawn`` or ``forkserver`` it is pickled once per worker.
 _SHARED_COMPILED: dict[str, object] = {}
@@ -71,9 +77,24 @@ def share_compiled(compiled) -> str:
     return key
 
 
-def _adopt_shared(registry: dict[str, object]) -> None:
-    """Pool initializer: install the parent's registry in this worker."""
+def _init_worker(registry: dict[str, object]) -> None:
+    """Pool initializer: install the parent's registry in this worker,
+    leave SIGINT to the parent (:func:`~repro.experiments.interrupt.
+    ignore_in_worker`) and exit when the parent dies.
+
+    A parent killed outright (SIGKILL, the OOM killer) cannot shut its
+    pool down, and an idle worker would wait on its call queue forever.
+    """
     _SHARED_COMPILED.update(registry)
+    interrupt.ignore_in_worker()
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(1)
 
 
 def clear_shared() -> None:
@@ -92,8 +113,15 @@ class Task:
 
 
 def resolve_jobs(jobs: int | None) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` means all CPUs."""
+    """Normalize a ``--jobs`` value: ``None``/``0`` means every usable CPU.
+
+    Usable CPUs are the process's affinity mask where the platform has
+    one, so ``taskset`` and cpusets are honoured, and ``os.cpu_count()``
+    otherwise.
+    """
     if jobs is None or jobs == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     if jobs < 0:
         raise ConfigError(f"jobs must be >= 0, got {jobs}")
@@ -191,63 +219,94 @@ def run_model_task(key: str, config: MachineConfig, mode: str, cpi: bool,
 
 # ----------------------------------------------------------------------
 
+def _check_picklable(task: Task) -> None:
+    """Raise :class:`ConfigError` naming *task* if it cannot reach a
+    worker process (a closure, a class defined in a function).
+
+    Inside the executor the pickling error left ``shutdown`` waiting
+    forever (CPython 3.11).  Task arguments are small (compilations
+    travel by registry key), so pickling them once more costs little.
+    """
+    try:
+        pickle.dumps((task.fn, task.args))
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        raise ConfigError(
+            f"task {task.label!r} cannot be sent to a worker process "
+            f"({exc}); define its function and arguments at module level, "
+            f"or run it with jobs=1"
+        ) from exc
+
+
 def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
                     jobs: int, progress: ProgressFn | None,
                     deliver: Callable[[int, object], None],
-                    submitted: dict[int, int] | None = None) -> bool:
+                    submitted: dict[int, int]) -> bool:
     """One process-pool attempt over the *pending* task indices.
 
-    Delivers every result that lands (including salvage of
-    already-finished futures after a failure).  Returns True if the pool
-    infrastructure broke (a worker died) and some tasks remain
-    undone; task-raised exceptions propagate unchanged.  *submitted*
-    (if given) records each index's submission wall-stamp for
-    queue-latency accounting.
+    Delivers every result as it lands, in completion order (including
+    salvage of already-finished futures after a failure), and polls the
+    interrupt flag after each landing.  On a graceful stop it cancels the
+    tasks that have not started, delivers the running ones as they
+    finish, then raises :class:`~repro.errors.InterruptedRun`.  Returns
+    True if the pool infrastructure broke (a worker died) and some tasks
+    remain undone; task-raised exceptions propagate unchanged.
+    *submitted* records each index's submission wall-stamp for
+    queue-latency accounting.  The workers are joined before this
+    returns or raises; on a hard abort (a second signal's
+    ``KeyboardInterrupt``) they are terminated first.
     """
     pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)),
-                               initializer=_adopt_shared,
+                               initializer=_init_worker,
                                initargs=(_SHARED_COMPILED,))
     traced = spans.current() is not None
     broken = False
+    stop: InterruptedRun | None = None
     try:
-        futures: dict[int, object] = {}
+        futures: dict[object, int] = {}
         for index in pending:
-            if submitted is not None:
-                submitted[index] = time.time_ns()
+            submitted[index] = time.time_ns()
             try:
-                futures[index] = pool.submit(_pool_task, traced,
-                                             tasks[index].fn,
-                                             tasks[index].args)
+                futures[pool.submit(_pool_task, traced, tasks[index].fn,
+                                    tasks[index].args)] = index
             except BrokenProcessPool:
                 # A worker died before every task was submitted: collect
                 # what was, and let the next round resubmit the rest.
                 broken = True
                 break
-        for index, future in futures.items():
-            # A graceful interrupt stops between results: everything
-            # delivered so far is checkpointed by on_result; undelivered
-            # futures are cancelled by the shutdown below.
-            interrupt.poll()
-            try:
-                result = future.result()
-            except (BrokenProcessPool, OSError) as exc:
-                broken = True
-                metrics.inc("pool_worker_failures")
-                spans.instant("worker_failure", cat="pool",
-                              task=tasks[index].label,
-                              error=type(exc).__name__)
+        waiting = set(futures)
+        while waiting and not broken:
+            landed, waiting = wait(waiting, return_when=FIRST_COMPLETED)
+            for future in sorted(landed, key=futures.get):
+                if future.cancelled():
+                    continue
+                index = futures[future]
+                try:
+                    result = future.result()
+                except (BrokenProcessPool, OSError) as exc:
+                    broken = True
+                    metrics.inc("pool_worker_failures")
+                    spans.instant("worker_failure", cat="pool",
+                                  task=tasks[index].label,
+                                  error=type(exc).__name__)
+                    if progress:
+                        progress(
+                            f"  {tasks[index].label}: worker failed "
+                            f"({type(exc).__name__})"
+                        )
+                    break
+                deliver(index, result)
                 if progress:
-                    progress(
-                        f"  {tasks[index].label}: worker failed "
-                        f"({type(exc).__name__})"
-                    )
-                break
-            deliver(index, result)
-            if progress:
-                progress(f"  {tasks[index].label}: done")
+                    progress(f"  {tasks[index].label}: done")
+            if stop is None:
+                try:
+                    interrupt.poll()
+                except InterruptedRun as exc:
+                    stop = exc
+                    for future in waiting:
+                        future.cancel()
         if broken:
             # Salvage whatever already finished; cancel the rest.
-            for index, future in futures.items():
+            for future, index in futures.items():
                 if future.done() and not future.cancelled():
                     try:
                         deliver(index, future.result())
@@ -255,8 +314,17 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
                         pass
                 else:
                     future.cancel()
+        if stop is not None:
+            raise stop
+    except BaseException as exc:
+        if not isinstance(exc, Exception):
+            # A hard abort does not wait for the running cells (Python
+            # 3.14 names this loop ProcessPoolExecutor.terminate_workers).
+            for process in list(pool._processes.values()):
+                process.terminate()
+        raise
     finally:
-        pool.shutdown(wait=not broken, cancel_futures=True)
+        pool.shutdown(wait=True, cancel_futures=True)
     return broken
 
 
@@ -266,8 +334,10 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
               on_result: Callable[[int, object], None] | None = None) -> list:
     """Run *tasks* and return their results in task order.
 
-    ``jobs <= 1`` (after :func:`resolve_jobs`) executes inline.  Otherwise
-    tasks are fanned out on a ``ProcessPoolExecutor``.
+    ``jobs == 1`` (after :func:`resolve_jobs`) executes inline.  Otherwise
+    tasks are fanned out on a ``ProcessPoolExecutor``; every task is
+    pickled first, and one that cannot be raises :class:`ConfigError`
+    naming its label.
 
     Pool-infrastructure failures (a worker crash) are **transient**:
     already-finished results are salvaged, the pool is rebuilt and only
@@ -285,6 +355,9 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
     if not tasks:
         return []
     jobs = min(resolve_jobs(jobs), len(tasks))
+    if jobs > 1:
+        for task in tasks:
+            _check_picklable(task)
     results: list = [_UNSET] * len(tasks)
     #: per-index submission wall-stamp, for queue_to_pool_seconds.
     submitted: dict[int, int] = {}
@@ -303,6 +376,7 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
                        if results[i] is _UNSET]
             if not pending:
                 break
+            interrupt.poll()
             with spans.span("pool_round", cat="pool",
                             pending=len(pending), attempt=attempt):
                 broken = _run_pool_round(tasks, pending, jobs, progress,

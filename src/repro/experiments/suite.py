@@ -9,9 +9,10 @@ workloads.
 The grid runs in batches, each prepared with
 :func:`~repro.experiments.parallel.prepare_many` and simulated with
 :func:`~repro.experiments.parallel.run_cells`: one benchmark per batch
-at ``jobs == 1``, the whole grid in one batch otherwise.  The same code
-resumes checkpointed cells, checkpoints fresh ones and counts both at
-every *jobs*.
+when the run is serial (``jobs == 1``, or the default ``jobs == 0`` on a
+host with one usable CPU), the whole grid in one batch otherwise.  The
+same code resumes checkpointed cells, checkpoints fresh ones and counts
+both at every *jobs*.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from ..workloads import Workload, all_workloads, quick_workloads
 from .cache import RunCache
 from .checkpoint import SuiteCheckpoint
 from .models import MODEL_ORDER
-from .parallel import prepare_many, run_cells
+from .parallel import prepare_many, resolve_jobs, run_cells
 from .runner import BenchmarkResults
 
 ProgressFn = Callable[[str], None]
@@ -103,7 +104,7 @@ def run_suite(
     modes: tuple[str, ...] = MODEL_ORDER,
     workloads: Iterable[Workload] | None = None,
     progress: ProgressFn | None = None,
-    jobs: int = 1,
+    jobs: int = 0,
     cache: RunCache | None = None,
     verify: bool = False,
     resume: bool = False,
@@ -113,10 +114,12 @@ def run_suite(
     """Prepare and simulate every benchmark on every model.
 
     Every preparation and cell runs through
-    :mod:`repro.experiments.parallel`: ``jobs > 1`` fans them out over
-    worker processes, ``jobs == 1`` runs them inline one benchmark at a
-    time.  Results are assembled in grid order, so the payload is the
-    same at every *jobs* modulo ``elapsed_seconds``.  Every cell collects
+    :mod:`repro.experiments.parallel`: the default ``jobs == 0`` takes
+    every usable CPU (:func:`~repro.experiments.parallel.resolve_jobs`,
+    resolved once here), ``jobs > 1`` fans them out over worker
+    processes, ``jobs == 1`` runs them inline one benchmark at a time.
+    Results are assembled in grid order, so the payload is the same at
+    every *jobs* modulo ``elapsed_seconds``.  Every cell collects
     its CPI stacks, so the suite JSON payload carries the cycle
     attribution of every run.  ``cache`` memoizes compilations on disk
     (see :mod:`repro.experiments.cache`).
@@ -151,6 +154,7 @@ def run_suite(
             "referee runs with the co-simulation oracle"
         )
     config = config if config is not None else MachineConfig()
+    jobs = resolve_jobs(jobs)
     if workloads is None:
         workloads = quick_workloads(seed) if quick else all_workloads(seed)
     workloads = list(workloads)

@@ -110,12 +110,17 @@ def execute_job(queue: JobQueue, record: JobRecord, worker: str,
             # cells fly by so drained jobs finish fast).
             time.sleep(cell_delay)
 
+    # One process per job: this process runs the LeaseKeeper thread, and
+    # forking a multi-threaded process can deadlock the child (a lock
+    # held by another thread at the fork stays held there forever).  A
+    # service scales with ``hidisc serve --workers``.
     suite = run_suite(
         config=config,
         quick=bool(spec.get("quick", True)),
         seed=int(spec.get("seed", 2003)),
         modes=tuple(spec.get("modes") or ()),
         workloads=_spec_workloads(spec),
+        jobs=1,
         cache=cache,
         resume=True,
         verify=bool(spec.get("verify", False)),

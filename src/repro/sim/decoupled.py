@@ -43,7 +43,7 @@ from itertools import groupby
 
 from ..asm.program import Program
 from ..config import MachineConfig
-from ..errors import CycleLimitError, SimulationError
+from ..errors import ConfigError, CycleLimitError, SimulationError
 from ..isa.instruction import Stream
 from ..resilience.watchdog import ProgressWatchdog
 from ..telemetry import Telemetry
@@ -187,6 +187,19 @@ class Machine:
         #: per-instruction property the scheduler needs, resolved once.
         self.decoded = (decode_program(program.text) if decoded is None
                         else decoded)
+        if self.separated:
+            # An instruction's LDQ pops must fit the queue together:
+            # otherwise push k + 1 waits for pop k, which waits for its
+            # instruction's pop k + 1, which waits for push k + 1.
+            pops = [d.ldq_pops for d in self.decoded]
+            most = max(pops)
+            if most > self.ldq_capacity:
+                raise ConfigError(
+                    f"{benchmark or '<unnamed>'}: the instruction at pc "
+                    f"{pops.index(most)} pops {most} LDQ entries, but the "
+                    f"LDQ holds {self.ldq_capacity} "
+                    f"(QueueConfig.ldq_entries) — give it at least {most}"
+                )
         if self._life is not None:
             self._life.bind(self)
 

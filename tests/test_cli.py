@@ -169,7 +169,9 @@ class TestParser:
         )
         assert args.jobs == 4 and args.no_cache
         assert args.cache_dir == "/tmp/c"
-        assert build_parser().parse_args(["suite"]).jobs == 1
+        # 0 = every usable CPU; the commands without --jobs run serially
+        assert build_parser().parse_args(["suite"]).jobs == 0
+        assert build_parser().parse_args(["stats"]).jobs == 1
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(SystemExit):
@@ -533,8 +535,10 @@ class TestExecution:
 
         monkeypatch.setattr(cli_mod, "figure10", tiny_figure10)
         monkeypatch.setattr(parallel, "run_model_task", spy)
+        # --jobs 1: the spy counts in this process, and a pool could not
+        # pickle it (it is a closure)
         assert main(["figure10", "--quick", "--verify", "--no-progress",
-                     "--no-cache"]) == 0
+                     "--no-cache", "--jobs", "1"]) == 0
         assert "Figure 10" in capsys.readouterr().out
         assert sorted(mode for mode, _ in cells) == sorted(MODEL_ORDER)
         assert all(verify for _, verify in cells), cells

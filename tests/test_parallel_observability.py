@@ -149,9 +149,12 @@ class TestWorkerObservations:
             "worker-side metrics only travel when tracing is on"
 
 
-#: Grid cells at jobs=1 and jobs=2 under a default start method that is
-#: not fork, left unset as Python 3.14 leaves it on Linux (forkserver).
+#: Grid cells at jobs=1 and jobs=2, then a suite at jobs=1 and at the
+#: default (its prepare pool and its cell pool), under a default start
+#: method that is not fork, left unset as Python 3.14 leaves it on Linux
+#: (forkserver).
 _FORKSERVER_DEFAULT = """\
+import json
 import multiprocessing
 import multiprocessing.context as context
 
@@ -159,6 +162,7 @@ context._default_context._default_context = \\
     context._concrete_contexts["forkserver"]
 
 from repro.config import MachineConfig
+from repro.experiments import run_suite
 from repro.experiments.parallel import run_cells
 from repro.experiments.runner import prepare
 from repro.workloads import get_workload
@@ -171,6 +175,14 @@ def main():
     cells = [(cw, "superscalar"), (cw, "hidisc")]
     for jobs in (1, 2):
         print(*[r.cycles for r in run_cells(cells, config, jobs=jobs)])
+    workloads = [get_workload(name, quick=True, seed=2003)
+                 for name in ("field", "pointer")]
+    for jobs in (1, 0):
+        payload = run_suite(config, workloads=workloads,
+                            modes=("superscalar", "hidisc"),
+                            jobs=jobs).to_payload()
+        payload.pop("elapsed_seconds")
+        print(json.dumps(payload, sort_keys=True))
     print(multiprocessing.get_start_method(allow_none=True))
 
 
@@ -190,9 +202,11 @@ class TestStartMethod:
         done = subprocess.run([sys.executable, str(script)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        before, inline, pooled, after = done.stdout.splitlines()
+        before, inline, pooled, serial, default, after = \
+            done.stdout.splitlines()
         assert (before, after) == ("None", "forkserver")
         assert pooled == inline and len(inline.split()) == 2
+        assert default == serial and "pointer" in serial
 
 
 class TestCacheTraffic:

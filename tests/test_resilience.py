@@ -318,7 +318,8 @@ class TestOracle:
                 calls[_name] = calls.get(_name, 0) + 1
                 return _run(self, *args, **kwargs)
             monkeypatch.setattr(cls, "run", counted)
-        run_suite(quick=True, verify=True, cache=None)
+        # jobs=1: the counter counts in this process only
+        run_suite(quick=True, verify=True, cache=None, jobs=1)
         assert calls == {"FunctionalSimulator": 9,
                          "DecoupledFunctionalSimulator": 9}
 

@@ -48,20 +48,14 @@ def payload_json(suite) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _count_run_models(monkeypatch):
-    """Patch runner.run_model, which every inline grid cell calls, with a
-    counting wrapper."""
-    import repro.experiments.runner as runner_mod
-
-    calls = []
-    real = runner_mod.run_model
-
-    def counting(cw, config, mode, **kwargs):
-        calls.append((cw.name, mode))
-        return real(cw, config, mode, **kwargs)
-
-    monkeypatch.setattr(runner_mod, "run_model", counting)
-    return calls
+def _computed(calls: list):
+    """An ``on_cell`` hook appending each cell the suite simulated rather
+    than resumed.  It fires in the parent at every ``jobs``; a spy on
+    ``run_model`` would count inside the pool's workers instead."""
+    def on_cell(benchmark: str, mode: str, resumed: bool) -> None:
+        if not resumed:
+            calls.append((benchmark, mode))
+    return on_cell
 
 
 # ----------------------------------------------------------------------
@@ -192,19 +186,18 @@ class TestSuiteResume:
                                          MODEL_ORDER)
         assert len(ckpt.cells()) == len(small_workloads()) * len(MODEL_ORDER)
 
-    def test_full_resume_simulates_nothing(self, config, tmp_path,
-                                           monkeypatch):
+    def test_full_resume_simulates_nothing(self, config, tmp_path):
         cache = RunCache(tmp_path)
         first = run_suite(config, quick=True, workloads=small_workloads(),
                           cache=cache)
-        calls = _count_run_models(monkeypatch)
+        calls = []
         resumed = run_suite(config, quick=True, workloads=small_workloads(),
-                            cache=RunCache(tmp_path), resume=True)
+                            cache=RunCache(tmp_path), resume=True,
+                            on_cell=_computed(calls))
         assert calls == [], "a complete checkpoint must replay every cell"
         assert payload_json(resumed) == payload_json(first)
 
-    def test_partial_resume_computes_only_missing(self, config, tmp_path,
-                                                  monkeypatch):
+    def test_partial_resume_computes_only_missing(self, config, tmp_path):
         cache = RunCache(tmp_path)
         first = run_suite(config, quick=True, workloads=small_workloads(),
                           cache=cache)
@@ -213,9 +206,10 @@ class TestSuiteResume:
                                          MODEL_ORDER)
         ckpt.cell_path("field", "hidisc").unlink()
         ckpt.cell_path("transitive", "cp_ap").unlink()
-        calls = _count_run_models(monkeypatch)
+        calls = []
         resumed = run_suite(config, quick=True, workloads=small_workloads(),
-                            cache=RunCache(tmp_path), resume=True)
+                            cache=RunCache(tmp_path), resume=True,
+                            on_cell=_computed(calls))
         assert sorted(calls) == [("field", "hidisc"),
                                  ("transitive", "cp_ap")]
         assert payload_json(resumed) == payload_json(first)
@@ -231,17 +225,17 @@ class TestSuiteResume:
                             cache=RunCache(tmp_path), resume=True)
         assert payload_json(resumed) == payload_json(first)
 
-    def test_changed_config_does_not_reuse_cells(self, config, tmp_path,
-                                                 monkeypatch):
+    def test_changed_config_does_not_reuse_cells(self, config, tmp_path):
         """A different machine configuration lands in a different suite
         directory, so --resume can never mix incompatible cells."""
         cache = RunCache(tmp_path)
         run_suite(config, quick=True, workloads=small_workloads(),
                   cache=cache)
         other = config.with_latency(4, 40)
-        calls = _count_run_models(monkeypatch)
+        calls = []
         run_suite(other, quick=True, workloads=small_workloads(),
-                  cache=RunCache(tmp_path), resume=True)
+                  cache=RunCache(tmp_path), resume=True,
+                  on_cell=_computed(calls))
         assert len(calls) == len(small_workloads()) * len(MODEL_ORDER)
 
     def test_code_change_misses_cache_and_resume(self, config, tmp_path,
@@ -255,10 +249,11 @@ class TestSuiteResume:
         first = run_suite(config, quick=True, workloads=small_workloads(),
                           cache=RunCache(tmp_path))
         monkeypatch.setattr(cache_mod, "_code_digest", "0" * 64)
-        calls = _count_run_models(monkeypatch)
+        calls = []
         cache = RunCache(tmp_path)
         resumed = run_suite(config, quick=True, workloads=small_workloads(),
-                            cache=cache, resume=True)
+                            cache=cache, resume=True,
+                            on_cell=_computed(calls))
         assert cache.hits == 0 and cache.misses == len(small_workloads())
         assert len(calls) == len(small_workloads()) * len(MODEL_ORDER)
         assert payload_json(resumed) == payload_json(first)

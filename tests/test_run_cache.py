@@ -9,6 +9,10 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -31,7 +35,8 @@ from repro.experiments import (
     run_tasks,
 )
 from repro.experiments.cache import workload_fingerprint
-from repro.telemetry import Telemetry
+from repro.experiments.parallel import resolve_jobs
+from repro.telemetry import Telemetry, spans
 from repro.workloads import FieldWorkload, get_workload
 
 
@@ -213,6 +218,33 @@ def _raise_simulation_error():
     raise SimulationError("boom from worker")
 
 
+def _sleep_then(seconds: float, value):
+    time.sleep(seconds)
+    return value
+
+
+#: A pool run of a task whose function is defined inside another one.
+_UNPICKLABLE_TASK = """\
+from repro.errors import ConfigError
+from repro.experiments import Task, run_tasks
+
+
+def main():
+    def local(value):
+        return value
+
+    try:
+        run_tasks([Task("local-a", local, (1,)), Task("local-b", local, (2,))],
+                  jobs=2)
+    except ConfigError as exc:
+        print(exc)
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
 class TestRunTasks:
     def test_results_in_task_order(self):
         tasks = [Task(label=str(i), fn=_identity_task, args=(i,))
@@ -245,6 +277,49 @@ class TestRunTasks:
         tasks = [Task(label="bad", fn=_raise_simulation_error, args=())]
         with pytest.raises(SimulationError, match="boom"):
             run_tasks(tasks, jobs=1)
+
+    def test_results_delivered_as_they_land(self):
+        """A task that finishes first reaches on_result first, so its cell
+        is checkpointed at once; the returned list stays in task order."""
+        tasks = [Task(label="slow", fn=_sleep_then, args=(1.0, "slow")),
+                 Task(label="fast", fn=_sleep_then, args=(0.0, "fast"))]
+        landed = []
+        assert run_tasks(tasks, jobs=2,
+                         on_result=lambda i, r: landed.append(i)) == \
+            ["slow", "fast"]
+        assert landed == [1, 0]
+
+    def test_unpicklable_task_raises_instead_of_hanging(self, tmp_path):
+        """Runs in a child process with a deadline, so a pool that hangs
+        on the task fails this test instead of hanging the suite."""
+        script = tmp_path / "unpicklable.py"
+        script.write_text(_UNPICKLABLE_TASK)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (str(Path(__file__).resolve().parents[1] / "src")
+                             + os.pathsep + env.get("PYTHONPATH", ""))
+        proc = subprocess.Popen([sys.executable, str(script)], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:  # hung: stop it and its workers
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+        assert proc.returncode == 0, err
+        assert out.startswith("task 'local-a' cannot be sent to a worker "
+                              "process"), out
+
+    def test_default_jobs_count_usable_cpus(self, monkeypatch):
+        """0 means the CPUs this process may run on (taskset and cpusets
+        are honoured), and the CPU count where there is no mask."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                            raising=False)
+        assert resolve_jobs(0) == resolve_jobs(None) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert resolve_jobs(0) == 6 and resolve_jobs(3) == 3
 
 
 def payload_json(suite) -> str:
@@ -287,10 +362,10 @@ def reference_sweep():
         for mode in SWEEP_MODES}}
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, 2, 0])
 class TestOnePathParity:
     """``run_suite`` and ``figure10`` reproduce the cell-by-cell results
-    at every ``jobs``."""
+    at every ``jobs``, the default ``0`` (every usable CPU) included."""
 
     def test_fresh_payload(self, config, jobs, reference_grid):
         suite = run_suite(config, quick=True, workloads=grid_workloads(),
@@ -356,3 +431,12 @@ class TestParallelSuite:
                          jobs=2, cache=warm_cache)
         assert warm_cache.hits == len(small_workloads())
         assert set(warm.names) == {w.name for w in small_workloads()}
+
+    def test_no_worker_outlives_a_default_run(self, config):
+        with spans.tracing() as tracer:
+            run_suite(config, quick=True, workloads=grid_workloads())
+        workers = {r.pid for r in tracer.records} - {os.getpid()}
+        assert bool(workers) == (resolve_jobs(0) > 1)
+        for pid in workers:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)

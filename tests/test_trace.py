@@ -6,8 +6,8 @@ import pytest
 
 from repro.asm.builder import ProgramBuilder
 from repro.config import MachineConfig, QueueConfig
-from repro.errors import SimulationError
-from repro.experiments.runner import prepare
+from repro.errors import ConfigError, SimulationError
+from repro.experiments.runner import prepare, run_model
 from repro.isa.instruction import Annotations, Instruction, Stream
 from repro.isa.opcodes import Op
 from repro.isa.registers import NAME_TO_REG
@@ -232,6 +232,18 @@ class TestDispatchQueueEdges:
         assert recorded and min(recorded) == start
         assert plan.ldq_pop_pos[k] in recorded
         assert recorded == {pos: expected[pos] for pos in recorded}
+
+    @pytest.mark.parametrize("mode", ["cp_ap", "hidisc"])
+    def test_ldq_smaller_than_one_instructions_pops_is_refused(
+            self, separated, mode):
+        """Such a machine would deadlock at run time; building it names
+        the instruction and both counts instead."""
+        config = dataclasses.replace(
+            MachineConfig(), queues=QueueConfig(ldq_entries=1,
+                                                sdq_entries=1))
+        with pytest.raises(ConfigError, match=r"spmv: the instruction at "
+                           r"pc \d+ pops 2 LDQ entries, but the LDQ holds 1"):
+            run_model(separated["spmv"], config, mode)
 
 
 def test_cp_ap_commits_each_stream_on_its_core(config):
