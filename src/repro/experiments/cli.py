@@ -528,7 +528,8 @@ def _run_runs(args, config, progress, cache, payload) -> int:
     if baseline is not None:
         print(render_regressions(entry, baseline))
     else:
-        print("no earlier run of the same command to compare against")
+        print("no earlier run of the same command and worker count to "
+              "compare against")
     payload["runs"] = [entry]
     payload["baseline"] = baseline
     return 0

@@ -132,8 +132,10 @@ class RunLedger:
         return None
 
     def baseline_for(self, record: dict) -> dict | None:
-        """The most recent *earlier* record of the same command — the
-        natural comparison point for regression reports."""
+        """The most recent *earlier* record of the same command run on
+        the same number of workers (``jobs``; a record without one
+        matches only another without one) — the natural comparison
+        point for regression reports."""
         candidates = self.entries()
         try:
             position = next(
@@ -143,7 +145,8 @@ class RunLedger:
         except StopIteration:
             position = len(candidates)
         for other in reversed(candidates[:position]):
-            if other.get("command") == record.get("command"):
+            if other.get("command") == record.get("command") and \
+                    other.get("jobs") == record.get("jobs"):
                 return other
         return None
 
@@ -166,7 +169,7 @@ def render_runs_list(records: list[dict]) -> str:
         return "ledger is empty — run any experiment command to record one"
     header = (f"{'run id':14s} {'when (UTC)':20s} {'command':10s} "
               f"{'outcome':14s} {'elapsed':>9s} {'cells':>6s} "
-              f"{'cache':>6s}")
+              f"{'jobs':>4s} {'cache':>6s}")
     lines = [header, "-" * len(header)]
     for record in records:
         rate = _hit_rate(record)
@@ -177,6 +180,7 @@ def render_runs_list(records: list[dict]) -> str:
             f"{str(record.get('outcome', '?'))[:14]:14s} "
             f"{record.get('elapsed_seconds', 0.0):8.1f}s "
             f"{record.get('cells', 0):6d} "
+            f"{record.get('jobs', '-')!s:>4s} "
             + (f"{rate * 100:5.0f}%" if rate is not None else "     -")
         )
     return "\n".join(lines)
@@ -236,7 +240,8 @@ def render_run_report(record: dict) -> str:
 
 
 def render_regressions(record: dict, baseline: dict) -> str:
-    """Compare *record* against a prior ledger entry of the same command."""
+    """Compare *record* against a prior ledger entry of the same command
+    and worker count (:meth:`RunLedger.baseline_for`)."""
 
     def delta(cur: float, base: float) -> str:
         if base == 0:
@@ -246,7 +251,9 @@ def render_regressions(record: dict, baseline: dict) -> str:
 
     lines = [
         f"vs run {str(baseline.get('run_id'))[:14]} "
-        f"at {str(baseline.get('time'))[:19]}:"
+        f"at {str(baseline.get('time'))[:19]}:",
+        f"  jobs           {record.get('jobs', '-')!s:>8s}  vs "
+        f"{baseline.get('jobs', '-')!s:>8s}",
     ]
     cur_elapsed = record.get("elapsed_seconds", 0.0)
     base_elapsed = baseline.get("elapsed_seconds", 0.0)

@@ -65,6 +65,15 @@ _UNSET = object()
 #: ``spawn`` or ``forkserver`` it is pickled once per worker.
 _SHARED_COMPILED: dict[str, object] = {}
 
+#: Held across each pool's submit loop, where every fork the pool makes
+#: happens: with the ``fork`` start method the executor launches all its
+#: workers at the first ``submit``.  A thread that runs beside a pool
+#: works only while holding this lock, so at every fork it is parked
+#: holding nothing a child could need (a ``threading`` lock, a metrics
+#: lock, an inherited ``flock``).  The service worker's lease keeper is
+#: the one such thread.  Never hold it while waiting for results.
+FORK_LOCK = threading.Lock()
+
 
 def share_compiled(compiled) -> str:
     """Register *compiled* and return the key a task names it by.
@@ -263,16 +272,18 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
     stop: InterruptedRun | None = None
     try:
         futures: dict[object, int] = {}
-        for index in pending:
-            submitted[index] = time.time_ns()
-            try:
-                futures[pool.submit(_pool_task, traced, tasks[index].fn,
-                                    tasks[index].args)] = index
-            except BrokenProcessPool:
-                # A worker died before every task was submitted: collect
-                # what was, and let the next round resubmit the rest.
-                broken = True
-                break
+        with FORK_LOCK:
+            for index in pending:
+                submitted[index] = time.time_ns()
+                try:
+                    futures[pool.submit(_pool_task, traced, tasks[index].fn,
+                                        tasks[index].args)] = index
+                except BrokenProcessPool:
+                    # A worker died before every task was submitted:
+                    # collect what was, and let the next round resubmit
+                    # the rest.
+                    broken = True
+                    break
         waiting = set(futures)
         while waiting and not broken:
             landed, waiting = wait(waiting, return_when=FIRST_COMPLETED)

@@ -17,7 +17,8 @@ A compilation holds its two traces as columnar
 columns slicing one shared position list, so it pickles — into the run
 cache, suite checkpoints and pool transport — as a few flat int lists.
 Every derivation here (warm-up positions, queue and CMAS plans) gathers
-per-pc decode flags over the pc column.  ``CompiledWorkload(...)`` accepts
+per-pc flags over the pc column, and ``prepare`` decodes each annotated
+program once for its plans.  ``CompiledWorkload(...)`` accepts
 ``list[DynInstr]`` traces too and converts them once through
 :meth:`~repro.sim.trace.Trace.of`.  Its ``fingerprint`` is the
 :func:`~repro.experiments.cache.compile_key`, which includes a digest of
@@ -97,7 +98,7 @@ def _warmup_positions(workload: Workload, program, dprogram,
         return 0, 0
 
     def mem_positions(text, tr):
-        return Trace.of(tr).positions(decode_program(text), "is_mem")
+        return Trace.of(tr).positions(text, "is_mem")
 
     mems = mem_positions(program.text, trace)
     dmems = mem_positions(dprogram.text, dtrace)
@@ -143,18 +144,21 @@ def _prepare(workload: Workload, config: MachineConfig) -> CompiledWorkload:
     warm_orig, warm_dec = _warmup_positions(
         workload, comp.original, comp.decoupled, trace, dtrace
     )
+    # One decode table per annotated program, shared by its plans.
+    decoded = decode_program(comp.original.text)
+    ddecoded = decode_program(comp.decoupled.text)
+    distance = config.cmas.trigger_distance
     return CompiledWorkload(
         workload=workload,
         compilation=comp,
         trace=trace,
         decoupled_trace=dtrace,
-        queue_plan=build_queue_plan(comp.decoupled, dtrace),
-        cmas_plan_original=build_cmas_plan(
-            comp.original, trace, config.cmas.trigger_distance
-        ),
-        cmas_plan_decoupled=build_cmas_plan(
-            comp.decoupled, dtrace, config.cmas.trigger_distance
-        ),
+        queue_plan=build_queue_plan(comp.decoupled, dtrace,
+                                    decoded=ddecoded),
+        cmas_plan_original=build_cmas_plan(comp.original, trace, distance,
+                                           decoded=decoded),
+        cmas_plan_decoupled=build_cmas_plan(comp.decoupled, dtrace,
+                                            distance, decoded=ddecoded),
         warmup_pos_original=warm_orig,
         warmup_pos_decoupled=warm_dec,
         prepare_seconds=time.perf_counter() - start,

@@ -27,7 +27,6 @@ a silent divergence cannot survive it.
 from __future__ import annotations
 
 from ..errors import VerificationError
-from ..sim.decode import decode_program
 from ..sim.trace import Trace
 
 
@@ -60,7 +59,7 @@ def diff_registers(seq_regs, cp_regs, ap_regs) -> list[str]:
 
 def store_order(program, trace: Trace) -> list[int]:
     """Effective addresses of the trace's stores, in dynamic order."""
-    stores = trace.positions(decode_program(program.text), "is_store")
+    stores = trace.positions(program.text, "is_store")
     return [trace.addr[i] for i in stores.tolist()]
 
 

@@ -15,6 +15,9 @@ how to survive interruptions:
   emits a job event, polls the cancellation marker and aborts if the
   heartbeat thread reports the lease lost.  Graceful drain needs no hook:
   ``run_suite`` polls the process interrupt flag between cells itself.
+  At ``jobs > 1`` the hook runs here, in the worker process, as each
+  pooled cell lands; what it raises propagates once the pool has joined
+  its running cells.
 
 The job's spans are whatever the suite records on the worker's job
 tracer (:meth:`repro.service.worker.Worker.run_one`): each grid cell is
@@ -71,8 +74,13 @@ def write_result(queue: JobQueue, job_id: str, payload: dict) -> str:
 
 
 def execute_job(queue: JobQueue, record: JobRecord, worker: str,
-                *, cache: RunCache | None = None, lease_lost=None) -> str:
+                *, cache: RunCache | None = None, lease_lost=None,
+                jobs: int = 0) -> str:
     """Run *record*'s suite and persist its payload; returns the path.
+
+    The grid fans out over *jobs* pool workers (0 = every usable CPU;
+    the service worker passes its share), which leaves the payload
+    unchanged.
 
     Raises :class:`JobCancelled` when the job's cancel marker appears,
     :class:`~repro.errors.InterruptedRun` on graceful drain (via the
@@ -92,9 +100,11 @@ def execute_job(queue: JobQueue, record: JobRecord, worker: str,
         if lease_lost is not None and lease_lost.is_set():
             raise LeaseLost(f"lease on {record.job_id} lost mid-run")
         # job_cell_seconds is the wall time between consecutive cell
-        # landings (the first from the job's start): a serial suite
+        # landings (the first from the job's start).  A serial suite
         # prepares one benchmark at a time, so each benchmark's first
-        # cell also carries its prepare.
+        # cell also carries its prepare; a pool prepares the whole grid
+        # first, so the first landing carries that round, and the rest
+        # measure deliveries, not computations.
         now = time.monotonic()
         metrics.inc("job_cells_completed")
         metrics.observe("job_cell_seconds", now - last_landing[0])
@@ -105,22 +115,18 @@ def execute_job(queue: JobQueue, record: JobRecord, worker: str,
         if queue.cancel_marker(record.job_id).exists():
             raise JobCancelled(f"job {record.job_id} cancelled")
         if cell_delay > 0 and not resumed:
-            # Test hook: slow the grid down so kill-timing is
-            # deterministic (only for freshly computed cells — resumed
-            # cells fly by so drained jobs finish fast).
+            # Test hook: slow the delivery of fresh cells so kill-timing
+            # is deterministic (resumed cells fly by so drained jobs
+            # finish fast).  A pool keeps computing meanwhile.
             time.sleep(cell_delay)
 
-    # One process per job: this process runs the LeaseKeeper thread, and
-    # forking a multi-threaded process can deadlock the child (a lock
-    # held by another thread at the fork stays held there forever).  A
-    # service scales with ``hidisc serve --workers``.
     suite = run_suite(
         config=config,
         quick=bool(spec.get("quick", True)),
         seed=int(spec.get("seed", 2003)),
         modes=tuple(spec.get("modes") or ()),
         workloads=_spec_workloads(spec),
-        jobs=1,
+        jobs=jobs,
         cache=cache,
         resume=True,
         verify=bool(spec.get("verify", False)),

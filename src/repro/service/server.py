@@ -14,7 +14,9 @@ One ``ServiceServer`` owns three things over a shared :class:`JobQueue`:
 
 * N worker subprocesses (``python -m repro.service.worker``), supervised:
   a worker that dies is respawned, and whatever job it held is recovered
-  by lease expiry, not by the supervisor guessing;
+  by lease expiry, not by the supervisor guessing.  Each worker runs its
+  jobs' grids on ``max(1, usable CPUs // N)`` pool workers, so
+  ``--workers`` divides the host's CPUs;
 
 * a reaper thread calling :meth:`JobQueue.expire_leases` every ttl/3 —
   the only component that turns a SIGKILL'd worker's job back into a
@@ -43,6 +45,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
 from ..errors import BackpressureError, ConfigError, ServiceError
+from ..experiments.parallel import resolve_jobs
 from ..telemetry import metrics
 from ..telemetry.metrics import render_prometheus
 from .observability import fleet_metrics, read_worker_statuses
@@ -253,8 +256,8 @@ class ServiceServer:
     # ------------------------------------------------------------------
     # Workers.
 
-    def _spawn_worker(self, name: str) -> None:
-        argv = [sys.executable, "-m", "repro.service.worker",
+    def _worker_argv(self, name: str) -> list[str]:
+        return [sys.executable, "-m", "repro.service.worker",
                 "--root", str(self.queue.root), "--id", name,
                 "--lease-ttl", str(self.queue.lease_ttl),
                 "--max-attempts", str(self.queue.max_attempts),
@@ -262,8 +265,12 @@ class ServiceServer:
                 # The spool lives at <cache>/service, so the cache root
                 # is its parent — pinning it keeps worker results and
                 # ledger entries in the same store the server accounts.
-                "--cache-dir", str(self.queue.root.parent)]
-        self._procs[name] = subprocess.Popen(argv)
+                "--cache-dir", str(self.queue.root.parent),
+                # Each worker's share of the usable CPUs.
+                "--jobs", str(max(1, resolve_jobs(0) // self.workers))]
+
+    def _spawn_worker(self, name: str) -> None:
+        self._procs[name] = subprocess.Popen(self._worker_argv(name))
         self.log(f"worker {name} up (pid {self._procs[name].pid})")
 
     def _supervise(self) -> None:

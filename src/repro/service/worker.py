@@ -23,9 +23,14 @@ SIGKILL                       nothing runs; the reaper's lease
 
 Graceful drain rides :class:`repro.experiments.interrupt.GracefulInterrupt`:
 the first SIGTERM sets the flag, ``run_suite``'s per-cell polls raise
-:class:`~repro.errors.InterruptedRun` at the next cell boundary (every
-finished cell already checkpointed), the worker releases the job and
-exits 0.  A second signal aborts hard.
+:class:`~repro.errors.InterruptedRun` at the next cell landing (every
+finished cell already checkpointed, and on a pool the running cells
+delivered first), the worker releases the job and exits 0.  A second
+signal aborts hard.
+
+``execute_job`` fans the job's grid out over this worker's share of the
+CPUs (``--jobs``, from the supervisor), forking pool workers while the
+lease keeper runs; :class:`LeaseKeeper` says why that fork is safe.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ from ..errors import InterruptedRun, JobCancelled
 from ..experiments.cache import RunCache
 from ..experiments.interrupt import GracefulInterrupt
 from ..experiments.ledger import RunLedger, build_record, ledger_path
+from ..experiments.parallel import FORK_LOCK, resolve_jobs
 from ..telemetry import metrics, spans
 from ..telemetry.spans import SpanTracer
 from .executor import LeaseLost, execute_job
@@ -58,6 +64,11 @@ class LeaseKeeper(threading.Thread):
     *on_renew* (optional) fires after each successful renewal; the
     worker uses it to republish its status file mid-job so liveness
     holds through arbitrarily long cells.
+
+    Each renewal and republish runs under
+    :data:`~repro.experiments.parallel.FORK_LOCK` (taken before the
+    spool's ``flock``), so when the job's pool forks, this thread is
+    parked in ``Event.wait`` holding nothing a child could inherit.
     """
 
     def __init__(self, queue: JobQueue, job_id: str, worker: str,
@@ -73,18 +84,19 @@ class LeaseKeeper(threading.Thread):
 
     def run(self) -> None:
         while not self._done.wait(self.interval):
-            try:
-                renewed = self.queue.renew(self.job_id, self.worker)
-            except Exception:
-                renewed = None
-            if renewed is None:
-                self.lost.set()
-                return
-            if self.on_renew is not None:
+            with FORK_LOCK:
                 try:
-                    self.on_renew()
-                except Exception:  # pragma: no cover - status is advisory
-                    pass
+                    renewed = self.queue.renew(self.job_id, self.worker)
+                except Exception:
+                    renewed = None
+                if renewed is None:
+                    self.lost.set()
+                    return
+                if self.on_renew is not None:
+                    try:
+                        self.on_renew()
+                    except Exception:  # pragma: no cover - advisory
+                        pass
 
     def stop(self) -> None:
         self._done.set()
@@ -92,13 +104,19 @@ class LeaseKeeper(threading.Thread):
 
 
 class Worker:
-    """The claim/execute loop for one worker process."""
+    """The claim/execute loop for one worker process.
+
+    *jobs* is the number of pool workers each job's grid fans out over
+    (0 = every usable CPU, resolved once here).
+    """
 
     def __init__(self, queue: JobQueue, worker_id: str | None = None,
-                 *, cache: RunCache | None = None, stream=None) -> None:
+                 *, cache: RunCache | None = None, stream=None,
+                 jobs: int = 0) -> None:
         self.queue = queue
         self.worker_id = worker_id or f"worker-{os.getpid():x}"
         self.cache = cache if cache is not None else RunCache()
+        self.jobs = resolve_jobs(jobs)
         self.stream = stream if stream is not None else sys.stderr
         self.jobs_run = 0
         self._status_at = 0.0
@@ -129,7 +147,7 @@ class Worker:
         try:
             result_path = execute_job(
                 self.queue, record, self.worker_id, cache=self.cache,
-                lease_lost=keeper.lost)
+                lease_lost=keeper.lost, jobs=self.jobs)
         except JobCancelled:
             self.queue.cancel_job(record, worker=self.worker_id)
             self._log(f"job {record.job_id}: cancelled")
@@ -226,6 +244,7 @@ class Worker:
                 spans_summary=spans.summarize(tracer.records),
                 extra={"job_id": record.job_id,
                        "worker": self.worker_id,
+                       "jobs": self.jobs,
                        "attempts": max(final.attempts, record.attempts + 1),
                        "cells_done": final.cells_done})
             RunLedger(ledger_path(self.cache.root)).append(entry)
@@ -238,7 +257,7 @@ class Worker:
         exit code (0 for a clean drain).
         """
         self._log(f"worker up (pid {os.getpid()}, "
-                  f"lease_ttl {self.queue.lease_ttl}s)")
+                  f"lease_ttl {self.queue.lease_ttl}s, jobs {self.jobs})")
         self.publish_status("idle")
         with GracefulInterrupt(stream=self.stream) as gi:
             while True:
@@ -274,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--lease-ttl", type=float, default=30.0)
     parser.add_argument("--max-attempts", type=int, default=3)
     parser.add_argument("--retry-backoff", type=float, default=0.5)
+    parser.add_argument("--jobs", type=int, default=0,
+                        help="pool workers per job (default 0 = every "
+                             "usable CPU; the supervisor passes its share)")
     parser.add_argument("--cache-dir", default=None,
                         help="run-cache root (defaults to the env-derived "
                              "cache; the supervisor passes its own so "
@@ -285,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
                      retry_backoff=args.retry_backoff)
     queue.ensure_layout()
     cache = RunCache(args.cache_dir) if args.cache_dir else RunCache()
-    return Worker(queue, args.worker_id, cache=cache).run_forever()
+    return Worker(queue, args.worker_id, cache=cache,
+                  jobs=args.jobs).run_forever()
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entrypoint

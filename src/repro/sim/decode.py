@@ -13,12 +13,14 @@ This is purely a performance structure: every field is defined by exactly
 the expression the scheduler used to evaluate inline, so consuming the
 table cannot change timing.
 
-The same records drive the whole-trace derivations (warm-up positions,
-queue and CMAS plans, the warming probe, the cache profiler, the oracle's
-store order): :func:`flag_table` turns one field into a numpy array
-indexed by pc, so a position stream is one gather over a trace's pc
-column (:meth:`repro.sim.trace.Trace.positions`) instead of a Python loop
-over the trace.
+The same records drive the whole-trace derivations (queue and CMAS
+plans, the warming probe): :func:`flag_table` turns one field into a
+numpy array indexed by pc, so a position stream is one gather over a
+trace's pc column (:meth:`repro.sim.trace.Trace.positions`) instead of a
+Python loop over the trace.  A flag the opcode alone fixes (``is_mem``,
+``is_store``) gathers the same way over the program text, so warm-up
+positions, the cache profiler and the oracle's store order decode
+nothing.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from ..asm.program import Program
 from ..config import MachineConfig
 from .cache import Cache
-from .decode import decode_program
 from .trace import Trace
 
 
@@ -79,17 +78,18 @@ def profile_cache(
 
     Only loads are candidates for CMAS selection, but stores also touch the
     caches during profiling (they shape the contents, and write misses are
-    counted per PC too).
+    counted per PC too).  The opcodes say which instructions access
+    memory, so profiling needs no decode table.
     """
     trace = Trace.of(trace)
-    decoded = decode_program(program.text)
-    is_store = [d.is_store for d in decoded]
+    text = program.text
+    is_store = [instr.is_store for instr in text]
     pcs, addrs = trace.pc, trace.addr
     l1 = Cache(config.l1)
     l2 = Cache(config.l2)
     profile = CacheProfile()
     per_pc = profile.per_pc
-    for i in trace.positions(decoded, "is_mem").tolist():
+    for i in trace.positions(text, "is_mem").tolist():
         addr = addrs[i]
         pc = pcs[i]
         prof = per_pc.get(pc)

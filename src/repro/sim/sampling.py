@@ -313,6 +313,8 @@ def run_sampled(
     # and error-free — degrade to it instead.
     interval_length = plan.interval_length
     refinements = 0
+    samplers = telemetry.samplers if telemetry is not None else []
+    first_sampler = len(samplers)
     while True:
         hierarchy = MemoryHierarchy.from_config(config)
         predictor = BranchPredictor(config.branch)
@@ -347,6 +349,9 @@ def run_sampled(
         if cycles_ci <= plan.error_budget:
             break
         refinements += 1
+        # The next round (or the exact run) replaces these windows, and
+        # so their occupancy samples.
+        del samplers[first_sampler:]
         # The CI shrinks like 1/sqrt(windows), so meeting the budget takes
         # about k*(ci/budget)^2 windows.  Jump to (at most) the predicted
         # interval instead of halving blindly — a hopelessly high-variance
@@ -363,6 +368,13 @@ def run_sampled(
         schedule = build_schedule(
             len(trace), warmup_pos,
             dataclasses.replace(plan, interval_length=interval_length))
+
+    # Each window machine ran one sampler (if any), and its clock started
+    # at 0: tag its samples with the window and where the window starts.
+    for index, (sampler, (w_start, _, _)) in enumerate(
+            zip(samplers[first_sampler:], schedule)):
+        for sample in sampler.samples:
+            sample.window, sample.start_pos = index, w_start
 
     sampled_positions = sum(positions)
     scale = region / sampled_positions

@@ -122,10 +122,13 @@ class Trace:
             self._pcs = np.array(self.pc, dtype=np.intp)
         return self._pcs
 
-    def positions(self, decoded: list, flag: str) -> np.ndarray:
-        """Ascending positions whose instruction has decode field *flag*
-        set (*decoded* is the program's decode table)."""
-        return np.flatnonzero(flag_table(decoded, flag)[self.pcs()])
+    def positions(self, records: list, flag: str) -> np.ndarray:
+        """Ascending positions whose instruction has field *flag* set.
+
+        *records* is indexed by pc: the program's decode table, or its
+        text for a flag the opcode alone fixes (``is_mem``, ``is_store``).
+        """
+        return np.flatnonzero(flag_table(records, flag)[self.pcs()])
 
     def records(self) -> list[DynInstr]:
         """The trace as ``DynInstr`` records (for list-holding callers)."""
@@ -189,7 +192,8 @@ def _check_fifo(what: str, push: np.ndarray, pop: np.ndarray) -> None:
             f"{what} #{seq} at position {int(pop[seq])} precedes its push")
 
 
-def build_queue_plan(program: Program, trace) -> QueuePlan:
+def build_queue_plan(program: Program, trace, *,
+                     decoded: list | None = None) -> QueuePlan:
     """Compute FIFO matching for an annotated program.
 
     Every column is a gather of a per-pc decode flag over the trace's pc
@@ -198,10 +202,12 @@ def build_queue_plan(program: Program, trace) -> QueuePlan:
     kind in its own dispatch order, which is trace order only when one
     core dispatches them all; so the plan is refused when an executed
     endpoint kind sits on both streams, or when one instruction both
-    pushes and pops the same queue.
+    pushes and pops the same queue.  *decoded* is *program*'s decode
+    table, if the caller has one.
     """
     trace = Trace.of(trace)
-    decoded = decode_program(program.text)
+    if decoded is None:
+        decoded = decode_program(program.text)
     pcs = trace.pcs()
     executed = np.zeros(len(decoded), dtype=bool)
     executed[pcs] = True
@@ -306,6 +312,7 @@ def build_cmas_plan(
     trigger_distance: int,
     max_slice: int = 2048,
     distance_for: dict[int, int] | None = None,
+    decoded: list | None = None,
 ) -> CmasPlan:
     """Compute trigger points and de-duplicated dynamic CMAS slices.
 
@@ -316,10 +323,12 @@ def build_cmas_plan(
 
     *distance_for* optionally overrides the trigger distance per static
     probable-miss pc — the hook for the paper's §6 "runtime control of the
-    prefetching distance" (see :mod:`repro.slicer.adaptive`).
+    prefetching distance" (see :mod:`repro.slicer.adaptive`).  *decoded*
+    is *program*'s decode table, if the caller has one.
     """
     trace = Trace.of(trace)
-    decoded = decode_program(program.text)
+    if decoded is None:
+        decoded = decode_program(program.text)
     cmas = trace.positions(decoded, "cmas")
     misses = trace.positions(decoded, "probable_miss")
     if not misses.size:

@@ -41,7 +41,7 @@ class Telemetry:
         #: live progress line for long runs (opt-in; writes to stderr).
         self.heartbeat = heartbeat
         #: Samplers of every run observed through this telemetry object,
-        #: in run order (usually one).
+        #: in run order (one per run, or per window of a sampled run).
         self.samplers: list[Sampler] = []
 
     @property
@@ -58,8 +58,11 @@ class Telemetry:
 
     @property
     def samples(self):
-        """Samples of the most recent run (empty list when sampling off)."""
-        return self.samplers[-1].samples if self.samplers else []
+        """Every sampler's samples, in run order (empty when sampling is
+        off).  A sampled run has one sampler per detailed window, and
+        each window's clock restarts at 0, so the driver tags those
+        samples with their window (:attr:`Sample.window`)."""
+        return [s for sampler in self.samplers for s in sampler.samples]
 
     def close(self) -> None:
         """Flush the sink and lifecycle stream (writes traces to disk),

@@ -31,15 +31,24 @@ class Sample:
     #: queue name -> occupancy (LDQ/SDQ/SAQ)
     queues: dict[str, int] = field(default_factory=dict)
     outstanding_misses: int = 0
+    #: in a sampled run, the detailed window this sample belongs to and
+    #: that window's first trace position (its ``cycle`` counts from the
+    #: window's start); ``None`` in a full-detail run.
+    window: int | None = None
+    start_pos: int | None = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "cycle": self.cycle,
             "cores": {name: {"window": w, "instr_queue": q}
                       for name, (w, q) in self.cores.items()},
             "queues": dict(self.queues),
             "outstanding_misses": self.outstanding_misses,
         }
+        if self.window is not None:
+            out["window"] = self.window
+            out["start_pos"] = self.start_pos
+        return out
 
 
 def take_sample(machine, now: int) -> Sample:

@@ -6,6 +6,7 @@ reproduction's acceptance tests.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -57,6 +58,29 @@ class TestRunner:
         workload = FieldWorkload(n=500)
         cw = prepare(workload, config)
         assert cw.fingerprint == compile_key(workload, config)
+
+    @pytest.mark.parametrize("bench", ["dm", "raytrace"])
+    def test_prepare_decodes_each_program_once(self, config, monkeypatch,
+                                               bench):
+        """One decode table per annotated program (the original and the
+        decoupled one), shared by every plan that reads one."""
+        from repro.sim import decode
+
+        real = decode.decode_program
+        decoded_lengths = []
+
+        def counting(text):
+            decoded_lengths.append(len(text))
+            return real(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and \
+                    getattr(module, "decode_program", None) is real:
+                monkeypatch.setattr(module, "decode_program", counting)
+        cw = prepare(get_workload(bench, seed=2003), config)
+        comp = cw.compilation
+        assert sorted(decoded_lengths) == sorted(
+            [len(comp.original.text), len(comp.decoupled.text)])
 
     def test_missing_baseline_raises_clearly(self, config):
         """Regression: modes without 'superscalar' used to surface as a

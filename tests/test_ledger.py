@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ def _clean_observability():
 
 
 def _record(run_id=None, command="suite", elapsed=2.0, outcome="ok",
-            counters=None):
+            counters=None, jobs=None):
     reg = metrics.MetricsRegistry()
     for name, value in (counters or {}).items():
         reg.inc(name, value)
@@ -48,6 +49,7 @@ def _record(run_id=None, command="suite", elapsed=2.0, outcome="ok",
         argv=[command, "--quick"], outcome=outcome, exit_code=0,
         elapsed_seconds=elapsed, config=MachineConfig(),
         metrics_snapshot=reg.snapshot(),
+        extra={"jobs": jobs} if jobs is not None else None,
     )
 
 
@@ -109,6 +111,25 @@ class TestRunLedger:
             ledger.append(record)
         assert ledger.baseline_for(new_suite)["run_id"] == "r1"
         assert ledger.baseline_for(old_suite) is None
+
+    def test_baseline_runs_on_the_same_number_of_workers(self, tmp_path):
+        """A serial run is never scored against a pooled one; a record
+        without ``jobs`` matches only another without it."""
+        ledger = RunLedger(ledger_path(tmp_path))
+        pooled = _record(run_id="r1", jobs=2)
+        serial = _record(run_id="r2", jobs=1)
+        bare = _record(run_id="r3")
+        pooled_again = _record(run_id="r4", jobs=2)
+        serial_again = _record(run_id="r5", jobs=1)
+        bare_again = _record(run_id="r6")
+        for record in (pooled, serial, bare, pooled_again, serial_again,
+                       bare_again):
+            ledger.append(record)
+        assert ledger.baseline_for(pooled_again)["run_id"] == "r1"
+        assert ledger.baseline_for(serial_again)["run_id"] == "r2"
+        assert ledger.baseline_for(bare_again)["run_id"] == "r3"
+        assert ledger.baseline_for(serial) is None
+        assert ledger.baseline_for(bare) is None
 
     def test_entries_limit_keeps_newest(self, tmp_path):
         ledger = RunLedger(ledger_path(tmp_path))
@@ -191,6 +212,21 @@ class TestRenders:
         text = render_regressions(slow, baseline)
         assert "REGRESSIONS" in text
         assert "over baseline" in text and "pool_retries increased" in text
+
+    def test_regression_render_prints_both_worker_counts(self):
+        text = render_regressions(_record(run_id="cur", jobs=2),
+                                  _record(run_id="base", jobs=2))
+        assert re.search(r"^  jobs\s+2\s+vs\s+2$", text, re.M), text
+        text = render_regressions(_record(run_id="cur"),
+                                  _record(run_id="base"))
+        assert re.search(r"^  jobs\s+-\s+vs\s+-$", text, re.M), text
+
+    def test_list_render_shows_worker_counts(self):
+        text = render_runs_list([_record(run_id="pooled", jobs=2),
+                                 _record(run_id="bare")])
+        header, _, pooled, bare = text.splitlines()
+        column = header.index("jobs") + len("jobs")
+        assert pooled[column - 1] == "2" and bare[column - 1] == "-"
 
     def test_regression_render_clean(self):
         baseline = _record(run_id="base", elapsed=2.0)

@@ -7,11 +7,13 @@ the full quick suite is exercised by test_experiments and the CI smoke run.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -35,7 +37,7 @@ from repro.experiments import (
     run_tasks,
 )
 from repro.experiments.cache import workload_fingerprint
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import FORK_LOCK, resolve_jobs
 from repro.telemetry import Telemetry, spans
 from repro.workloads import FieldWorkload, get_workload
 
@@ -320,6 +322,46 @@ class TestRunTasks:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 6)
         assert resolve_jobs(0) == 6 and resolve_jobs(3) == 3
+
+    def test_no_fork_inside_a_fork_lock_holders_work(self, monkeypatch):
+        """A thread beside a pool that works only under ``FORK_LOCK``,
+        like the service's lease keeper (here with a tiny interval), is
+        never inside its work when a pool forks."""
+        inside = threading.Event()
+        forks: list[bool] = []
+        real_fork = os.fork
+
+        def recording_fork():
+            forks.append(inside.is_set())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        stop = threading.Event()
+        sections = []
+
+        def keeper():
+            while not stop.wait(0.0005):
+                with FORK_LOCK:
+                    inside.set()
+                    time.sleep(0.001)
+                    sections.append(1)
+                    inside.clear()
+
+        thread = threading.Thread(target=keeper, daemon=True)
+        thread.start()
+        tasks = [Task(label=str(i), fn=_identity_task, args=(i,))
+                 for i in range(4)]
+        try:
+            for _ in range(5):
+                assert run_tasks(tasks, jobs=2) == list(range(4))
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert sections, "the keeper never ran"
+        if multiprocessing.get_start_method() == "fork":
+            assert len(forks) == 10
+        assert not any(forks), f"forks inside the keeper's work: {forks}"
 
 
 def payload_json(suite) -> str:

@@ -31,12 +31,13 @@ from repro.experiments import (
 )
 from repro.sim import generate_trace
 from repro.sim.sampling import build_schedule
-from repro.telemetry import spans
+from repro.telemetry import Telemetry, spans
 from repro.workloads import all_workloads, get_workload, quick_workloads
 from repro.workloads.large import LARGE_WORKLOADS, large_workload
 
 from tests.record_sched_fixtures import (
     GRID_PLAN,
+    REFINE_PLAN,
     SAMPLED_CELLS,
     SAMPLED_FIXTURE_PATH,
     SEED,
@@ -205,6 +206,45 @@ class TestSampledRun:
             assert len(records) == count, name
             assert all(r.cat == "simulate" and r.parent == run.sid
                        for r in records), name
+
+    def test_stats_payload_keeps_every_windows_samples(self,
+                                                        paper_raytrace):
+        """Each window machine runs its own occupancy sampler, its clock
+        starting at 0: the stats payload carries every window's samples,
+        in window order, each tagged with its window and start."""
+        from repro.experiments.cli import _stats_payload
+
+        telemetry = Telemetry(cpi=True, sample_interval=128)
+        result = run_model(paper_raytrace, MachineConfig(), "hidisc",
+                           telemetry=telemetry, sampling=GRID_PLAN)
+        assert result.sampling["intervals"] == 15
+        counts = [len(sampler.samples) for sampler in telemetry.samplers]
+        assert len(counts) == 15 and all(counts)
+        samples = _stats_payload(result, telemetry)["samples"]
+        assert len(samples) == sum(counts)
+        assert [s["window"] for s in samples] == \
+            [window for window, n in enumerate(counts) for _ in range(n)]
+        starts = [w_start for w_start, _, _ in result.sampling["schedule"]]
+        assert all(s["start_pos"] == starts[s["window"]] for s in samples)
+
+    @pytest.mark.parametrize("name, mode, plan", [
+        ("spmv", "superscalar", REFINE_PLAN),   # refines once
+        ("update", "hidisc", GRID_PLAN),        # degrades to exact
+    ])
+    def test_refinement_drops_the_replaced_windows_samples(self, name, mode,
+                                                           plan):
+        cw = prepare(get_workload(name, seed=SEED), MachineConfig())
+        telemetry = Telemetry(cpi=True, sample_interval=128)
+        result = run_model(cw, MachineConfig(), mode, telemetry=telemetry,
+                           sampling=plan)
+        assert result.sampling["refinements"] == 1
+        assert len(telemetry.samplers) == result.sampling["intervals"]
+        windows = [s.window for s in telemetry.samples]
+        if result.sampling["exact"]:
+            assert set(windows) == {None}
+        else:
+            assert windows == sorted(windows)
+            assert set(windows) == set(range(result.sampling["intervals"]))
 
     def test_metadata_carries_plan_and_schedule(self, paper_raytrace):
         result = run_model(paper_raytrace, MachineConfig(), "hidisc",

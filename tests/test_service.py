@@ -42,6 +42,8 @@ from repro.errors import (
     ServiceError,
 )
 from repro.experiments import MODEL_ORDER, RunCache, interrupt, run_suite
+from repro.experiments.ledger import RunLedger, ledger_path
+from repro.experiments.parallel import resolve_jobs
 from repro.service import (
     JobQueue,
     ServiceClient,
@@ -51,7 +53,8 @@ from repro.service import (
     job_dedup_key,
     normalize_spec,
 )
-from repro.telemetry import diff_payloads
+from repro.service.executor import LeaseLost
+from repro.telemetry import diff_payloads, spans
 from repro.workloads import get_workload
 
 from .conftest import read_perfetto_trace
@@ -60,6 +63,8 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 POINTER_SPEC = {"kind": "suite", "benchmarks": ["pointer"],
                 "modes": ["superscalar", "hidisc"], "quick": True}
+POINTER_ALL_MODES_SPEC = {"kind": "suite", "benchmarks": ["pointer"],
+                          "quick": True}
 
 
 def make_queue(tmp_path, **kwargs):
@@ -375,7 +380,8 @@ class TestExecutor:
     def test_drain_resume_round_trip(self, tmp_path):
         """A SIGTERM mid-job (the GracefulInterrupt flag) -> release ->
         re-claim resumes from the checkpoint and the final payload matches
-        an undisturbed run."""
+        an undisturbed run.  Serial (``jobs=1``): exactly one cell lands
+        before the drain."""
         cache = RunCache(tmp_path / "cache")
         queue = make_queue(tmp_path)
         record, _ = queue.submit(POINTER_SPEC)
@@ -396,7 +402,7 @@ class TestExecutor:
         with interrupt.GracefulInterrupt(stream=io.StringIO()) as gi:
             assert interrupt.current() is gi, "SIGTERM needs the handler"
             with pytest.raises(InterruptedRun):
-                execute_job(queue, claimed, "w0", cache=cache)
+                execute_job(queue, claimed, "w0", cache=cache, jobs=1)
         queue.release(claimed, worker="w0")
         assert cells == [("pointer", "superscalar", False)]
         mid = queue.get(record.job_id)
@@ -404,7 +410,7 @@ class TestExecutor:
         assert mid.cells_done == 1
 
         reclaimed = queue.claim("w1")
-        path = execute_job(queue, reclaimed, "w1", cache=cache)
+        path = execute_job(queue, reclaimed, "w1", cache=cache, jobs=1)
         assert queue.complete(reclaimed, path, worker="w1")
         assert cells[1] == ("pointer", "superscalar", True), \
             "the finished cell must resume, not recompute"
@@ -417,6 +423,76 @@ class TestExecutor:
             workloads=[get_workload("pointer", quick=True, seed=2003)],
             cache=RunCache(tmp_path / "cache-ref"))
         assert diff_payloads(payload, reference.to_payload())["identical"]
+
+    def test_pooled_drain_delivers_running_cells_and_resumes(self, tmp_path):
+        """At ``jobs=2`` a SIGTERM at the first landing still delivers
+        (checkpoints) the cells that were running; the release charges no
+        attempt, and the re-claim resumes every delivered cell and
+        computes only the rest."""
+        cache = RunCache(tmp_path / "cache")
+        queue = make_queue(tmp_path)
+        record, _ = queue.submit(POINTER_ALL_MODES_SPEC)
+        claimed = queue.claim("w0")
+
+        cells = []
+        real_append = queue.append_event
+
+        def tracking_append(job_id, kind, **fields):
+            if kind == "cell":
+                cells.append((fields["mode"], fields["resumed"]))
+            real_append(job_id, kind, **fields)
+
+        def drain_at_first_landing(job_id, kind, **fields):
+            tracking_append(job_id, kind, **fields)
+            if len(cells) == 1:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        queue.append_event = drain_at_first_landing
+        with interrupt.GracefulInterrupt(stream=io.StringIO()):
+            with pytest.raises(InterruptedRun):
+                execute_job(queue, claimed, "w0", cache=cache, jobs=2)
+        queue.release(claimed, worker="w0")
+        delivered = {mode for mode, _ in cells}
+        assert len(delivered) >= 2, \
+            f"the cell running beside the first landing was lost: {cells}"
+        mid = queue.get(record.job_id)
+        assert mid.state == "pending" and mid.attempts == 0
+        assert mid.cells_done == len(delivered)
+
+        cells.clear()
+        queue.append_event = tracking_append
+        reclaimed = queue.claim("w1")
+        path = execute_job(queue, reclaimed, "w1", cache=cache, jobs=2)
+        assert queue.complete(reclaimed, path, worker="w1")
+        assert {mode for mode, resumed in cells if resumed} == delivered
+        assert {mode for mode, resumed in cells if not resumed} == \
+            set(MODEL_ORDER) - delivered
+        payload = queue.load_result(queue.get(record.job_id))
+        assert diff_payloads(
+            payload, reference_pointer_payload(tmp_path))["identical"]
+
+    @pytest.mark.parametrize("raised", [JobCancelled, LeaseLost])
+    def test_pooled_hook_errors_propagate_after_the_pool_joins(
+            self, tmp_path, raised):
+        """``JobCancelled`` and ``LeaseLost`` raised by the cell hook at
+        ``jobs=2`` reach the caller, and no pool worker outlives it."""
+        queue = make_queue(tmp_path)
+        record, _ = queue.submit(POINTER_ALL_MODES_SPEC)
+        claimed = queue.claim("w0")
+        lease_lost = threading.Event()
+        if raised is JobCancelled:
+            queue.request_cancel(record.job_id)
+        else:
+            lease_lost.set()
+        with spans.tracing() as tracer:
+            with pytest.raises(raised):
+                execute_job(queue, claimed, "w0",
+                            cache=RunCache(tmp_path / "cache"),
+                            lease_lost=lease_lost, jobs=2)
+        workers = {r.pid for r in tracer.records} - {os.getpid()}
+        assert workers, "the cells must have run on a pool"
+        for pid in workers:
+            assert not pid_alive(pid), f"pool worker {pid} outlived the job"
 
     def test_cancellation_observed_at_cell_boundary(self, tmp_path):
         queue = make_queue(tmp_path)
@@ -443,6 +519,29 @@ class TestExecutor:
         assert final.state == "quarantined"
         assert "nosuchbench" in final.error
         assert "Traceback" in final.traceback
+
+
+class TestWorkerShare:
+    @pytest.mark.parametrize("workers, share", [(1, 4), (2, 2), (8, 1)])
+    def test_supervisor_divides_the_usable_cpus(self, tmp_path,
+                                                monkeypatch, workers, share):
+        """Each worker fans its jobs out over its share of the usable
+        CPUs, handed over on the worker's argv (``hidisc serve`` has no
+        flag for it)."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        server = ServiceServer(tmp_path / "svc", port=0, workers=workers,
+                               stream=io.StringIO())
+        argv = server._worker_argv("w0")
+        assert argv[argv.index("--jobs") + 1] == str(share)
+
+    def test_worker_resolves_its_share_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        queue = make_queue(tmp_path)
+        cache = RunCache(tmp_path / "cache")
+        assert Worker(queue, "w0", cache=cache).jobs == 3
+        assert Worker(queue, "w1", cache=cache, jobs=2).jobs == 2
 
 
 # ----------------------------------------------------------------------
@@ -592,10 +691,12 @@ def pid_alive(pid: int) -> bool:
 
 def reference_pointer_payload(tmp_path, modes=("superscalar", "cp_ap",
                                                "cp_cmp", "hidisc")):
+    """A serial, in-process run: what every job payload must equal,
+    whatever pool the job's worker ran it on."""
     suite = run_suite(
         MachineConfig(), quick=True, seed=2003, modes=tuple(modes),
         workloads=[get_workload("pointer", quick=True, seed=2003)],
-        cache=RunCache(tmp_path / "reference-cache"))
+        cache=RunCache(tmp_path / "reference-cache"), jobs=1)
     return suite.to_payload()
 
 
@@ -709,6 +810,34 @@ class TestEndToEnd:
             assert second.stop() == 0
         finally:
             second.kill()
+
+    def test_pooled_job_records_its_share_and_matches_serial(self,
+                                                             tmp_path):
+        """A ``--workers 1`` daemon runs each job's grid on every usable
+        CPU: the job's ledger record carries that count, and its payload
+        equals a serial in-process run."""
+        cache_root = Path(os.environ["HIDISC_CACHE_DIR"])
+        daemon = ServeDaemon("--workers", "1", "--lease-ttl", "10")
+        try:
+            client = daemon.client()
+            job_id = client.submit({"benchmarks": ["pointer"],
+                                    "quick": True})["job_id"]
+            final = client.wait(job_id, timeout=120)
+            assert final["state"] == "done", final
+            payload = client.result(job_id)
+
+            def job_record():
+                return next((r for r in
+                             RunLedger(ledger_path(cache_root)).entries()
+                             if r.get("job_id") == job_id), None)
+
+            record = wait_for(job_record, 30, "the job's ledger record")
+            assert record["jobs"] == resolve_jobs(0)
+            assert daemon.stop() == 0
+        finally:
+            daemon.kill()
+        assert diff_payloads(
+            payload, reference_pointer_payload(tmp_path))["identical"]
 
     def test_cli_clients_round_trip(self, tmp_path, capsys):
         """hidisc submit --wait / jobs / cancel against a live daemon, the
