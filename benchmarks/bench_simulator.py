@@ -221,8 +221,8 @@ def test_large_workload_sampled(benchmark, large_compiled):
 def test_large_cache_roundtrip(benchmark, large_compiled, tmp_path):
     """``RunCache.store`` plus ``load`` of the large raytrace compilation:
     the cost of the run-cache entry format, which a warm large-tier suite
-    pays once per benchmark (columnar traces and plans keep it to flat
-    int lists)."""
+    pays once per benchmark (columnar traces and plans of compact
+    ``array`` columns keep it to a few byte strings)."""
     from repro.experiments import RunCache
 
     cache = RunCache(tmp_path / "cache")

@@ -20,10 +20,12 @@ Design:
   digest.
 * **Entry format.**  An entry is a pickled
   :class:`~repro.experiments.runner.CompiledWorkload`, whose traces and
-  CMAS plans are columnar (:class:`~repro.sim.trace.Trace`,
-  :class:`~repro.sim.trace.CmasPlan`) and so pickle as a few flat int
-  lists; loading one costs milliseconds, not a rebuild of per-instruction
-  objects.  The digest covers the classes that define the format, so an
+  plans are columns of compact ``array.array`` typecodes
+  (:class:`~repro.sim.trace.Trace`, :class:`~repro.sim.trace.QueuePlan`,
+  :class:`~repro.sim.trace.CmasPlan`) and so pickle as a few byte
+  strings; loading one costs milliseconds (large raytrace unpickles in
+  ~2 ms), not a rebuild of per-instruction objects or a million boxed
+  ints.  The digest covers the classes that define the format, so an
   entry written in an older layout is never unpickled by newer code.
 * **Atomic writes, tolerant loads** (:mod:`repro.store`).  Concurrent
   runs sharing one cache directory and interrupted runs can never

@@ -12,17 +12,21 @@ any memory-latency point with :func:`run_model`, which is what the
 Figure 10 sweep exploits.
 
 A compilation holds its two traces as columnar
-:class:`~repro.sim.trace.Trace` objects (``pc``/``addr`` int lists, with
+:class:`~repro.sim.trace.Trace` objects (``pc``/``addr`` columns, with
 ``next_pc`` derived from the following pc) and its CMAS plans as thread
-columns slicing one shared position list, so it pickles — into the run
-cache, suite checkpoints and pool transport — as a few flat int lists.
-Every derivation here (warm-up positions, queue and CMAS plans) gathers
-per-pc flags over the pc column, and ``prepare`` decodes each annotated
-program once for its plans.  ``CompiledWorkload(...)`` accepts
-``list[DynInstr]`` traces too and converts them once through
-:meth:`~repro.sim.trace.Trace.of`.  Its ``fingerprint`` is the
-:func:`~repro.experiments.cache.compile_key`, which includes a digest of
-the simulation source, so a compilation is never reused by other code.
+columns slicing one shared position list.  Every column is a compact
+``array.array`` (typecodes in :mod:`repro.sim.trace`), built where the
+column is built — the functional recorder, the plan builders — not
+converted afterwards, so a compilation is a few MB live and pickles —
+into the run cache, suite checkpoints and pool transport — as a few
+byte strings.  Every derivation here (warm-up positions, queue and CMAS
+plans) gathers per-pc flags over a numpy view of the pc column, and
+``prepare`` decodes each annotated program once for its plans.
+``CompiledWorkload(...)`` accepts ``list[DynInstr]`` traces too and
+converts them once through :meth:`~repro.sim.trace.Trace.of`.  Its
+``fingerprint`` is the :func:`~repro.experiments.cache.compile_key`,
+which includes a digest of the simulation source, so a compilation is
+never reused by other code.
 """
 
 from __future__ import annotations

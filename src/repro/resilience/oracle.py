@@ -59,8 +59,7 @@ def diff_registers(seq_regs, cp_regs, ap_regs) -> list[str]:
 
 def store_order(program, trace: Trace) -> list[int]:
     """Effective addresses of the trace's stores, in dynamic order."""
-    stores = trace.positions(program.text, "is_store")
-    return [trace.addr[i] for i in stores.tolist()]
+    return trace.addrs()[trace.positions(program.text, "is_store")].tolist()
 
 
 def diff_store_order(program, trace: Trace, dprogram,

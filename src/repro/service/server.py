@@ -12,7 +12,7 @@ One ``ServiceServer`` owns three things over a shared :class:`JobQueue`:
       DELETE /jobs/<id>          request cancellation
       GET    /healthz            queue depths + worker liveness
 
-* N worker subprocesses (``python -m repro.service.worker``), supervised:
+* N worker subprocesses (:func:`repro.service.worker.main`), supervised:
   a worker that dies is respawned, and whatever job it held is recovered
   by lease expiry, not by the supervisor guessing.  Each worker runs its
   jobs' grids on ``max(1, usable CPUs // N)`` pool workers, so
@@ -53,6 +53,10 @@ from .queue import POLL_SECONDS, JobQueue
 
 #: Default TCP port ("HI" = 0x4849 is taken; pick something memorable).
 DEFAULT_PORT = 8203
+
+#: The ``-c`` program each worker subprocess runs; its flags follow it.
+_WORKER_MAIN = ("import sys; from repro.service.worker import main; "
+                "sys.exit(main())")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -257,7 +261,10 @@ class ServiceServer:
     # Workers.
 
     def _worker_argv(self, name: str) -> list[str]:
-        return [sys.executable, "-m", "repro.service.worker",
+        # Not ``-m repro.service.worker``: importing the package imports
+        # that module, so runpy would execute it a second time as
+        # ``__main__`` (with a RuntimeWarning in every serve log).
+        return [sys.executable, "-c", _WORKER_MAIN,
                 "--root", str(self.queue.root), "--id", name,
                 "--lease-ttl", str(self.queue.lease_ttl),
                 "--max-attempts", str(self.queue.max_attempts),

@@ -1,7 +1,7 @@
 """Leased worker process: claim, heartbeat, execute, transition.
 
-One worker is one OS process (``python -m repro.service.worker`` — the
-``hidisc serve`` supervisor spawns N of them).  The loop is::
+One worker is one OS process running :func:`main` (the ``hidisc serve``
+supervisor spawns N of them).  The loop is::
 
     claim -> [lease-keeper thread renews every ttl/3] -> execute_job
           -> complete | fail | cancel | release | abandon
@@ -282,7 +282,7 @@ class Worker:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """``python -m repro.service.worker`` — spawned by ``hidisc serve``."""
+    """One worker process's entry point — spawned by ``hidisc serve``."""
     parser = argparse.ArgumentParser(
         prog="repro.service.worker",
         description="one leased simulation worker (spawned by hidisc serve)")

@@ -79,23 +79,31 @@ class DynInstr:
     next_pc: int
 
 
-def _recorder(trace):
+def _recorder(trace, top: int):
     """``(record, pc_append, addr_append, finish)`` for one run.
 
-    A :class:`~repro.sim.trace.Trace` records in place, column by column.
-    A list receives ``DynInstr`` records built from the columns once the
-    run stops (normally or not), with ``next_pc`` derived from the next
-    record's pc.  ``None`` records nothing.
+    The run appends to two lists (a ``list.append`` costs half an
+    ``array.append`` or less), and ``finish``, called however the run
+    stops, converts them once.  A :class:`~repro.sim.trace.Trace` takes
+    them as compact columns, its pc typecode sized by *top*, the
+    program's largest static index
+    (:meth:`~repro.sim.trace.Trace.append_run`).  A list receives
+    ``DynInstr`` records, with ``next_pc`` derived from the next record's
+    pc.  ``None`` records nothing.
     """
     if trace is None:
         return False, None, None, lambda: None
-    if not isinstance(trace, list):
-        return True, trace.pc.append, trace.addr.append, lambda: None
-    from .trace import Trace
+    pcs: list[int] = []
+    addrs: list[int] = []
+    if isinstance(trace, list):
+        from .trace import Trace
 
-    columns = Trace()
-    return (True, columns.pc.append, columns.addr.append,
-            lambda: trace.extend(columns.records()))
+        def finish() -> None:
+            trace.extend(Trace(pcs, addrs).records())
+    else:
+        def finish() -> None:
+            trace.append_run(pcs, addrs, top)
+    return True, pcs.append, addrs.append, finish
 
 
 class _Halt(Exception):
@@ -115,7 +123,7 @@ def _run(table: list, pc: int, max_steps: int, trace, limit: str,
     instruction, or the next one to execute.
     """
     n = len(table)
-    record, pc_append, addr_append, finish = _recorder(trace)
+    record, pc_append, addr_append, finish = _recorder(trace, n - 1)
     try:
         for steps in range(max_steps):
             if not 0 <= pc < n:

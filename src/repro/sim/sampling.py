@@ -111,14 +111,16 @@ class WarmupProbe:
         kind = cls[pcs]
         mem = np.flatnonzero((kind == 1) | (kind == 2))
         self.mem_positions = mem
-        self.mem_addr = np.fromiter(map(trace.addr.__getitem__, mem.tolist()),
-                                    dtype=np.int64, count=len(mem))
+        self.mem_addr = trace.addrs()[mem]
         self.mem_write = kind[mem] == 2
         branches = np.flatnonzero(kind >= 3)
         self.br_positions = branches
         # The next pc is the following position's (the final HALT's own).
-        self.br_pc = pcs[branches]
-        self.br_next = pcs[np.minimum(branches + 1, len(pcs) - 1)]
+        # Widened from the pc column's typecode, so ``br_pc + 1`` cannot
+        # wrap.
+        self.br_pc = pcs[branches].astype(np.intp)
+        self.br_next = pcs[np.minimum(branches + 1, len(pcs) - 1)].astype(
+            np.intp)
         br_cls = kind[branches]
         self.br_taken = (br_cls == 4) | (self.br_next != self.br_pc + 1)
         self.br_kind = _BRANCH_KINDS[br_cls - 3]

@@ -6,8 +6,8 @@ pipeline models then replay it.  This module computes, once per
 (program, trace) pair, everything the machines need:
 
 * :class:`Trace` — the columnar trace, the contract between the
-  functional front end and the timing back end.  Two parallel ``int``
-  lists: ``pc`` (static instruction index per dynamic instance) and
+  functional front end and the timing back end.  Two parallel integer
+  columns: ``pc`` (static instruction index per dynamic instance) and
   ``addr`` (effective byte address, -1 for non-memory instructions).
   ``next_pc`` is not stored: it is the following position's pc, and the
   final HALT's ``next_pc`` is its own pc — an invariant of every trace
@@ -35,14 +35,45 @@ pipeline models then replay it.  This module computes, once per
   row per thread, whose slice is ``cmas_positions[lo:hi]`` of a single
   shared ascending position list.
 
+Compact columns.  Every integer column of a trace or plan is an
+``array.array``, not a list of boxed ints: a compilation is 5–7x smaller
+in memory (large raytrace: 76.8 MB as lists, 11.0 MB as arrays), a
+forked pool worker shares it instead of copying every page whose
+refcounts it touches, and it pickles as a few byte strings.  Storage is
+``array``, not numpy, because the timing cores index the columns per
+instruction, where numpy indexing is slower still and its scalars would
+leak into the cores' dependence lists; whole-column work takes zero-copy
+numpy views (:meth:`Trace.pcs`, :meth:`Trace.addrs`).  The typecodes
+follow from the data, through :func:`compact`:
+
+* ``pc`` takes the narrowest unsigned typecode (``B``, ``H`` or ``I``)
+  that holds the program's largest static index (the recorder knows the
+  program; a column built from values uses its largest value);
+* trace positions and thread indices take the narrowest that holds the
+  column's largest value (a list pickle stores an int below 65,536 in
+  2–3 bytes, so one 4-byte width would make small compilations pickle
+  larger than lists did);
+* ``addr`` is ``i``: signed for the -1 sentinel, and 4 bytes hold every
+  address below ``MEMORY_BYTES``.
+
+Every constructor (``Trace(...)``, :meth:`Trace.of`, ``QueuePlan(...)``,
+``CmasPlan(...)``) coerces list or numpy columns the same way, so a plan
+built by hand equals a built one; an ``array`` column is kept as given.
+Compare columns as arrays or through ``.tolist()``: an ``array`` never
+equals a list, while arrays of different typecodes compare by value.  A
+numpy view locks its array (``append`` raises ``BufferError`` while the
+view lives), so views are made fresh per call and never cached; the
+functional recorder replaces a trace's columns when a run stops instead
+of growing them in place.
+
 Both plans are plain dataclasses whose every field is computed when they
-are built, so traces and plans pickle as a handful of flat ``int`` lists
-and nothing is rebuilt on load: that keeps run-cache entries, checkpoints
-and pool transport cheap.
+are built, so nothing is rebuilt on load: that keeps run-cache entries,
+checkpoints and pool transport cheap.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
@@ -55,25 +86,49 @@ from .decode import decode_program, flag_table
 from .functional import ArchState, DynInstr, FunctionalSimulator
 
 
+#: Typecode of the ``addr`` column (see the module docstring).
+ADDR_TYPECODE = "i"
+
+
+def typecode_for(top: int) -> str:
+    """The narrowest unsigned ``array`` typecode that holds 0..*top*
+    (``I``, 4 bytes, at most: a larger value overflows when stored)."""
+    return "B" if top <= 0xFF else "H" if top <= 0xFFFF else "I"
+
+
+def compact(values, top: int | None = None) -> array:
+    """*values* (non-negative ints: a sequence or a numpy array) as an
+    ``array`` of :func:`typecode_for` *top*, by default their largest
+    value.  An ``array`` is returned as is."""
+    if isinstance(values, array):
+        return values
+    if isinstance(values, np.ndarray):
+        if top is None:
+            top = int(values.max()) if values.size else 0
+        code = typecode_for(top)
+        return array(code, values.astype(code).tobytes())
+    if top is None:
+        top = max(values, default=0)
+    return array(typecode_for(top), values)
+
+
 class Trace:
     """A dynamic trace as parallel ``pc`` / ``addr`` columns.
 
-    See the module docstring for the contract.  ``pcs()`` caches the pc
-    column as a numpy array for vector gathers; the cache is rebuilt
-    after unpickling and never stored.
+    See the module docstring for the contract and the column typecodes.
     """
 
-    __slots__ = ("pc", "addr", "_pcs")
+    __slots__ = ("pc", "addr")
 
-    def __init__(self, pc: list[int] | None = None,
-                 addr: list[int] | None = None):
-        self.pc: list[int] = [] if pc is None else pc
-        self.addr: list[int] = [] if addr is None else addr
+    def __init__(self, pc=None, addr=None):
+        if not isinstance(addr, array):
+            addr = array(ADDR_TYPECODE, () if addr is None else addr)
+        self.pc: array = compact(() if pc is None else pc)
+        self.addr: array = addr
         if len(self.pc) != len(self.addr):
             raise SimulationError(
                 f"trace columns differ in length: {len(self.pc)} pcs, "
                 f"{len(self.addr)} addresses")
-        self._pcs: np.ndarray | None = None
 
     @classmethod
     def of(cls, trace) -> "Trace":
@@ -109,7 +164,16 @@ class Trace:
 
     def __setstate__(self, state) -> None:
         self.pc, self.addr = state
-        self._pcs = None
+
+    def append_run(self, pc: list[int], addr: list[int], top: int) -> None:
+        """Append one functional run's recorded columns; *top* is the
+        program's largest static index.  The columns are replaced, not
+        grown, so a live numpy view of the old ones cannot block it."""
+        if len(self):
+            pc = self.pc.tolist() + pc
+            addr = self.addr.tolist() + addr
+        self.pc = compact(pc, top)
+        self.addr = array(ADDR_TYPECODE, addr)
 
     def next_pc(self, i: int) -> int:
         """The pc executed after position *i* (derived, see module doc)."""
@@ -117,10 +181,12 @@ class Trace:
         return pc[i + 1] if i + 1 < len(pc) else pc[i]
 
     def pcs(self) -> np.ndarray:
-        """The pc column as an integer array (cached)."""
-        if self._pcs is None or len(self._pcs) != len(self.pc):
-            self._pcs = np.array(self.pc, dtype=np.intp)
-        return self._pcs
+        """A zero-copy numpy view of the pc column (fresh per call)."""
+        return np.frombuffer(self.pc, dtype=self.pc.typecode)
+
+    def addrs(self) -> np.ndarray:
+        """A zero-copy numpy view of the addr column (fresh per call)."""
+        return np.frombuffer(self.addr, dtype=self.addr.typecode)
 
     def positions(self, records: list, flag: str) -> np.ndarray:
         """Ascending positions whose instruction has field *flag* set.
@@ -165,16 +231,23 @@ class QueuePlan:
 
     Endpoint *k* of a kind pairs with endpoint *k* of its partner kind;
     dispatch counts each kind in order and indexes these columns with the
-    count (see :meth:`repro.sim.core.TimingCore.dispatch`).
+    count (see :meth:`repro.sim.core.TimingCore.dispatch`).  Columns
+    given as lists or numpy arrays are made :func:`compact`.
     """
 
     #: trace position of the k-th LDQ push / pop (an instruction with both
     #: operands "$LDQ"-flagged pops twice, so appears twice in a row).
-    ldq_push_pos: list[int] = field(default_factory=list)
-    ldq_pop_pos: list[int] = field(default_factory=list)
+    ldq_push_pos: array = field(default_factory=list)
+    ldq_pop_pos: array = field(default_factory=list)
     #: same for the SDQ; "pops" are the SDQ-consuming stores.
-    sdq_push_pos: list[int] = field(default_factory=list)
-    sdq_pop_pos: list[int] = field(default_factory=list)
+    sdq_push_pos: array = field(default_factory=list)
+    sdq_pop_pos: array = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        self.ldq_push_pos = compact(self.ldq_push_pos)
+        self.ldq_pop_pos = compact(self.ldq_pop_pos)
+        self.sdq_push_pos = compact(self.sdq_push_pos)
+        self.sdq_pop_pos = compact(self.sdq_pop_pos)
 
     @property
     def balanced(self) -> bool:
@@ -249,10 +322,8 @@ def build_queue_plan(program: Program, trace, *,
     sdq_push_pos = np.flatnonzero(sdq_push[pcs])
     sdq_pop_pos = np.flatnonzero(sdq_pop[pcs])
     _check_fifo("SDQ-consuming store", sdq_push_pos, sdq_pop_pos)
-    return QueuePlan(ldq_push_pos=ldq_push_pos.tolist(),
-                     ldq_pop_pos=ldq_pop_pos.tolist(),
-                     sdq_push_pos=sdq_push_pos.tolist(),
-                     sdq_pop_pos=sdq_pop_pos.tolist())
+    return QueuePlan(ldq_push_pos=ldq_push_pos, ldq_pop_pos=ldq_pop_pos,
+                     sdq_push_pos=sdq_push_pos, sdq_pop_pos=sdq_pop_pos)
 
 
 @dataclass
@@ -265,30 +336,40 @@ class CmasPlan:
     ordered by (strictly ascending) ``miss_pos``; their slices are
     disjoint, ascending runs of ``cmas_positions``.  Under one trigger
     distance ``trigger_pos`` ascends too; per-pc distances
-    (``distance_for``) can make a later miss trigger earlier.
+    (``distance_for``) can make a later miss trigger earlier.  Columns
+    given as lists or numpy arrays are made :func:`compact`.
     """
 
     #: ascending trace positions of every CMAS-annotated instance.
-    cmas_positions: list[int] = field(default_factory=list)
-    trigger_pos: list[int] = field(default_factory=list)
-    miss_pos: list[int] = field(default_factory=list)
-    lo: list[int] = field(default_factory=list)
-    hi: list[int] = field(default_factory=list)
+    cmas_positions: array = field(default_factory=list)
+    trigger_pos: array = field(default_factory=list)
+    miss_pos: array = field(default_factory=list)
+    lo: array = field(default_factory=list)
+    hi: array = field(default_factory=list)
     #: thread indices in the order the separator forks them: by
     #: ``trigger_pos``, threads sharing a trigger in index order
     #: (``range(num_threads)`` when the triggers ascend already).
-    firing_order: range | list[int] = range(0)
+    firing_order: range | array = range(0)
     #: instructions over every thread's slice.
     total_prefetch_instructions: int = 0
     #: the largest ``miss_pos - trigger_pos``: how far ahead of its miss
     #: a trigger can fire.
     max_distance: int = 0
 
+    def __post_init__(self) -> None:
+        self.cmas_positions = compact(self.cmas_positions)
+        self.trigger_pos = compact(self.trigger_pos)
+        self.miss_pos = compact(self.miss_pos)
+        self.lo = compact(self.lo)
+        self.hi = compact(self.hi)
+        if not isinstance(self.firing_order, range):
+            self.firing_order = compact(self.firing_order)
+
     @property
     def num_threads(self) -> int:
         return len(self.trigger_pos)
 
-    def positions(self, index: int) -> list[int]:
+    def positions(self, index: int) -> array:
         """Trace positions thread *index* replays (ascending)."""
         return self.cmas_positions[self.lo[index]:self.hi[index]]
 
@@ -332,7 +413,7 @@ def build_cmas_plan(
     cmas = trace.positions(decoded, "cmas")
     misses = trace.positions(decoded, "probable_miss")
     if not misses.size:
-        return CmasPlan(cmas_positions=cmas.tolist())
+        return CmasPlan(cmas_positions=cmas)
 
     distance = np.full(len(decoded), trigger_distance, dtype=np.int64)
     for pc, d in (distance_for or {}).items():
@@ -360,9 +441,9 @@ def build_cmas_plan(
     if np.all(triggers[:-1] <= triggers[1:]):
         firing_order = range(len(trigger_pos))
     else:
-        firing_order = np.argsort(triggers, kind="stable").tolist()
+        firing_order = np.argsort(triggers, kind="stable")
     return CmasPlan(
-        cmas_positions=cmas.tolist(), trigger_pos=trigger_pos,
+        cmas_positions=cmas, trigger_pos=trigger_pos,
         miss_pos=miss_pos, lo=lo_col, hi=hi_col, firing_order=firing_order,
         total_prefetch_instructions=sum(hi_col) - sum(lo_col),
         max_distance=max((m - t for m, t in zip(miss_pos, trigger_pos)),

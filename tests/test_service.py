@@ -535,6 +535,22 @@ class TestWorkerShare:
         argv = server._worker_argv("w0")
         assert argv[argv.index("--jobs") + 1] == str(share)
 
+    def test_worker_argv_runs_the_worker_module_once(self, tmp_path):
+        """The supervisor's worker command executes ``service/worker.py``
+        once: under ``-m``, runpy would run it again as ``__main__``
+        (importing ``repro.service`` imports it) and warn."""
+        server = ServiceServer(tmp_path / "svc", port=0, workers=1,
+                               stream=io.StringIO())
+        argv = server._worker_argv("w0")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [argv[0], "-W", "error::RuntimeWarning", *argv[1:], "--help"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "--lease-ttl" in done.stdout
+
     def test_worker_resolves_its_share_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)

@@ -102,7 +102,7 @@ def test_list_adapter_matches_columns(compiled):
 
 def test_trace_of_rejects_non_contiguous_records():
     ok = [DynInstr(0, -1, 1), DynInstr(1, 64, 2), DynInstr(2, -1, 2)]
-    assert Trace.of(ok).pc == [0, 1, 2]
+    assert Trace.of(ok).pc.tolist() == [0, 1, 2]
     with pytest.raises(SimulationError, match="position 0"):
         Trace.of([DynInstr(0, -1, 5), DynInstr(1, 64, 2),
                   DynInstr(2, -1, 2)])
@@ -146,10 +146,11 @@ def test_cmas_plan_matches_reference(compiled, config, which):
         assert plan == getattr(cw, f"cmas_plan_{which}"), name
         threads = _reference_threads(program, trace, distance)
         assert plan.num_threads == len(threads), name
-        assert [plan.positions(i) for i in range(plan.num_threads)] == \
+        assert [plan.positions(i).tolist()
+                for i in range(plan.num_threads)] == \
             [positions for _, positions, _ in threads], name
-        assert plan.trigger_pos == [t for t, _, _ in threads], name
-        assert plan.miss_pos == [q for _, _, q in threads], name
+        assert plan.trigger_pos.tolist() == [t for t, _, _ in threads], name
+        assert plan.miss_pos.tolist() == [q for _, _, q in threads], name
         assert plan.total_prefetch_instructions == \
             sum(len(p) for _, p, _ in threads), name
         by_trigger: dict[int, list[int]] = {}
