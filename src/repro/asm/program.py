@@ -77,9 +77,3 @@ class Program:
             entry=self.entry,
             name=self.name,
         )
-
-    def listing(self, with_annotations: bool = False) -> str:
-        """Disassembled listing of the text segment."""
-        from ..isa.disasm import disassemble
-
-        return disassemble(self.text, with_annotations=with_annotations)

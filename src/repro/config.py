@@ -82,14 +82,11 @@ class CoreConfig:
 class BranchConfig:
     """Branch predictor parameters (bimodal, Table 1)."""
 
-    kind: str = "bimodal"
     table_size: int = 2048
     btb_size: int = 512
     mispredict_penalty: int = 3
 
     def __post_init__(self) -> None:
-        if self.kind not in ("bimodal", "gshare", "taken", "nottaken", "perfect"):
-            raise ConfigError(f"unknown branch predictor kind {self.kind!r}")
         if not is_power_of_two(self.table_size):
             raise ConfigError("branch table size must be a power of two")
         if not is_power_of_two(self.btb_size):
@@ -190,8 +187,7 @@ class MachineConfig:
     l2: CacheConfig = DEFAULT_L2
     memory_latency: int = 120
     #: cycle budget for one timing run; exceeding it raises
-    #: :class:`~repro.errors.CycleLimitError` (override per run with
-    #: ``Machine.run(max_cycles=...)`` or globally with ``--max-cycles``).
+    #: :class:`~repro.errors.CycleLimitError` (``--max-cycles`` sets it).
     max_cycles: int = 2_000_000_000
     #: no-progress window (cycles) after which the
     #: :class:`~repro.resilience.ProgressWatchdog` declares a livelock.
@@ -243,7 +239,7 @@ class MachineConfig:
     def describe(self) -> list[tuple[str, str]]:
         """Human-readable (parameter, value) rows — regenerates Table 1."""
         return [
-            ("Branch predict mode", self.branch.kind),
+            ("Branch predict mode", "bimodal"),
             ("Branch table size", str(self.branch.table_size)),
             ("Issue/commit width", str(self.superscalar.issue_width)),
             (

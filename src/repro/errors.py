@@ -25,10 +25,6 @@ class AssemblyError(ReproError):
         super().__init__(message)
 
 
-class EncodingError(ReproError):
-    """Raised when an instruction cannot be encoded/decoded."""
-
-
 class SimulationError(ReproError):
     """Raised for illegal operations during simulation (bad address, ...)."""
 

@@ -385,8 +385,7 @@ def _run_faults(args, config, progress, cache, payload) -> int:
         compiled = prepare_cached(workload, config, cache)
         for mode in MODEL_ORDER:
             interrupt_mod.poll()
-            outcome = run_fault_campaign(compiled, config, mode, plan,
-                                         max_cycles=args.max_cycles)
+            outcome = run_fault_campaign(compiled, config, mode, plan)
             print(outcome.summary())
             outcomes.append(outcome)
     graceful = all(outcome.graceful for outcome in outcomes)

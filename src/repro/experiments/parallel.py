@@ -14,7 +14,7 @@ through this module, at any ``--jobs``:
   they fan out on a ``ProcessPoolExecutor`` with **bounded retry with
   exponential backoff** for pool-infrastructure failures (a worker killed
   by the OS: the pool is rebuilt and only the unfinished tasks
-  resubmitted, up to *retries* times), after which the remaining tasks
+  resubmitted, up to :data:`RETRIES` times), after which the remaining tasks
   run in the same inline loop — so a flaky pool can slow a run down but
   never fail or corrupt it.  Genuine simulation errors raised by a task
   are *not* swallowed — they propagate immediately (deterministic
@@ -56,6 +56,11 @@ ProgressFn = Callable[[str], None]
 
 #: Slot marker for "not computed yet" (``None`` is a legal task result).
 _UNSET = object()
+
+#: Pool rebuilds after a worker dies, and the first rebuild's delay in
+#: seconds (doubling per attempt), before the unfinished tasks run inline.
+RETRIES = 1
+BACKOFF = 0.25
 
 #: Registry of compiled workloads that grid tasks name by key.  Shipping a
 #: ``CompiledWorkload`` (multi-megabyte traces) to a worker per grid cell
@@ -140,50 +145,40 @@ def resolve_jobs(jobs: int | None) -> int:
 # ----------------------------------------------------------------------
 # Worker entry points (module-level so they pickle).
 
-def _pool_task(traced: bool, fn: Callable, args: tuple):
-    """Run one task in a pool worker.
+def _pool_task(traced: bool, fn: Callable, args: tuple) -> tuple:
+    """Run one task in a pool worker; return ``(result, metrics, spans)``.
 
-    When the parent traces (*traced*), the task runs under its own
-    :func:`~repro.telemetry.spans.tracing` block and metrics scope, and
-    both ship back to the parent as ``host_spans`` / ``host_metrics``
-    attributes on the result, to re-merge onto the orchestrator's
-    timeline (see :func:`_absorb_observations`).
+    The task runs in its own metrics scope, whose snapshot (this worker's
+    peak RSS included) always ships back to the parent.  When the parent
+    traces (*traced*), the task also runs under its own
+    :func:`~repro.telemetry.spans.tracing` block and its span records
+    ship back too, to re-merge onto the orchestrator's timeline (see
+    :func:`_absorb_observations`); untraced, ``spans`` is ``None``.
     """
-    if not traced:
-        return fn(*args)
     scope = metrics.push_scope()
-    with spans.tracing() as tracer:
+    with (spans.tracing() if traced else contextlib.nullcontext()) as tracer:
         try:
-            with tracer.span(fn.__name__, cat="pool"):
+            if tracer is None:
                 result = fn(*args)
+            else:
+                with tracer.span(fn.__name__, cat="pool"):
+                    result = fn(*args)
         finally:
             metrics.record_peak_rss()
             snap = metrics.pop_scope(scope)
-    try:
-        result.host_spans = [r.as_dict() for r in tracer.records]
-        result.host_metrics = snap
-    except AttributeError:
-        pass
-    return result
+    shipped = None if tracer is None else [r.as_dict() for r in tracer.records]
+    return result, snap, shipped
 
 
-def _absorb_observations(result, submitted_ns: int | None = None) -> None:
-    """Merge a worker result's shipped spans/metrics into this process.
+def _absorb_observations(snap: dict, shipped: list[dict] | None,
+                         submitted_ns: int | None = None) -> None:
+    """Merge a pool task's shipped metrics and spans into this process.
 
-    Strips the transport attributes afterwards, so checkpointed cells
-    pickle clean and a resumed suite can never double-count a task's
-    observations.  *submitted_ns* (the parent-side ``time.time_ns`` at
-    submission) turns the gap to the worker's first span into the
-    ``queue_to_pool_seconds`` histogram.
+    *submitted_ns* (the parent-side ``time.time_ns`` at submission) turns
+    the gap to the worker's first span into the ``queue_to_pool_seconds``
+    histogram.
     """
-    snap = getattr(result, "host_metrics", None)
-    if snap is not None:
-        metrics.merge(snap)
-        try:
-            del result.host_metrics
-        except AttributeError:
-            pass
-    shipped = getattr(result, "host_spans", None)
+    metrics.merge(snap)
     if shipped is None:
         return
     records = [spans.SpanRecord(**d) for d in shipped]
@@ -194,10 +189,6 @@ def _absorb_observations(result, submitted_ns: int | None = None) -> None:
         wait = (min(r.t0_ns for r in records) - submitted_ns) / 1e9
         if wait >= 0:
             metrics.observe("queue_to_pool_seconds", wait)
-    try:
-        del result.host_spans
-    except AttributeError:
-        pass
 
 
 def prepare_task(workload: Workload, config: MachineConfig):
@@ -248,7 +239,7 @@ def _check_picklable(task: Task) -> None:
 
 def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
                     jobs: int, progress: ProgressFn | None,
-                    deliver: Callable[[int, object], None],
+                    deliver: Callable[..., None],
                     submitted: dict[int, int]) -> bool:
     """One process-pool attempt over the *pending* task indices.
 
@@ -292,7 +283,7 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
                     continue
                 index = futures[future]
                 try:
-                    result = future.result()
+                    returned = future.result()
                 except (BrokenProcessPool, OSError) as exc:
                     broken = True
                     metrics.inc("pool_worker_failures")
@@ -305,7 +296,7 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
                             f"({type(exc).__name__})"
                         )
                     break
-                deliver(index, result)
+                deliver(index, *returned)
                 if progress:
                     progress(f"  {tasks[index].label}: done")
             if stop is None:
@@ -320,7 +311,7 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
             for future, index in futures.items():
                 if future.done() and not future.cancelled():
                     try:
-                        deliver(index, future.result())
+                        deliver(index, *future.result())
                     except (BrokenProcessPool, OSError):
                         pass
                 else:
@@ -341,7 +332,6 @@ def _run_pool_round(tasks: Sequence[Task], pending: Sequence[int],
 
 def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
               progress: ProgressFn | None = None,
-              retries: int = 1, backoff: float = 0.25,
               on_result: Callable[[int, object], None] | None = None) -> list:
     """Run *tasks* and return their results in task order.
 
@@ -352,11 +342,13 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
 
     Pool-infrastructure failures (a worker crash) are **transient**:
     already-finished results are salvaged, the pool is rebuilt and only
-    the unfinished tasks are resubmitted, up to *retries* times with
-    exponential backoff (``backoff * 2**attempt`` seconds); when retries
+    the unfinished tasks are resubmitted, up to :data:`RETRIES` times with
+    exponential backoff (``BACKOFF * 2**attempt`` seconds); when retries
     are exhausted the remaining tasks run inline.  Exceptions raised *by
     a task itself* are **deterministic** and propagate immediately — a
-    failing simulation is never retried.
+    failing simulation is never retried.  Each pooled task's metrics, and
+    its spans when this process traces, merge into this process as its
+    result lands.
 
     *on_result* (if given) is called with ``(task_index, result)`` as each
     result lands — delivery order is completion order, exactly once per
@@ -373,9 +365,11 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
     #: per-index submission wall-stamp, for queue_to_pool_seconds.
     submitted: dict[int, int] = {}
 
-    def deliver(index: int, value) -> None:
+    def deliver(index: int, value, snap: dict | None = None,
+                shipped: list[dict] | None = None) -> None:
         if results[index] is _UNSET:
-            _absorb_observations(value, submitted.get(index))
+            if snap is not None:
+                _absorb_observations(snap, shipped, submitted.get(index))
             if on_result is not None:
                 on_result(index, value)
         results[index] = value
@@ -392,16 +386,16 @@ def run_tasks(tasks: Sequence[Task] | Iterable[Task], jobs: int = 1,
                             pending=len(pending), attempt=attempt):
                 broken = _run_pool_round(tasks, pending, jobs, progress,
                                          deliver, submitted)
-            if not broken or attempt >= retries:
+            if not broken or attempt >= RETRIES:
                 break
-            delay = backoff * (2 ** attempt)
+            delay = BACKOFF * (2 ** attempt)
             attempt += 1
             metrics.inc("pool_retries")
             remaining = sum(1 for r in results if r is _UNSET)
             if progress:
                 progress(
                     f"  rebuilding worker pool for {remaining} unfinished "
-                    f"tasks (retry {attempt}/{retries}, backoff {delay:.2f}s)"
+                    f"tasks (retry {attempt}/{RETRIES}, backoff {delay:.2f}s)"
                 )
             with spans.span("backoff", cat="pool", attempt=attempt,
                             delay_s=delay):

@@ -14,15 +14,14 @@ from ..telemetry.cpi import render_cpi_stacks  # noqa: F401  (re-export)
 from ..utils import format_table
 
 
-def render_bars(series: Mapping[str, Mapping[str, float]],
-                value_format: str = "{:5.3f}",
-                width: int = 40,
-                baseline: float = 1.0) -> str:
-    """Grouped horizontal bar chart.
+def render_bars(series: Mapping[str, Mapping[str, float]]) -> str:
+    """Grouped horizontal bar chart, 40 characters wide.
 
     *series* maps group label (benchmark) -> {bar label (model): value}.
-    Bars are scaled to the global maximum; a ``|`` marks the baseline.
+    Bars are scaled to the global maximum; a ``|`` marks the baseline
+    ratio 1.0.
     """
+    width, baseline = 40, 1.0
     all_values = [v for bars in series.values() for v in bars.values()]
     if not all_values:
         return "(no data)"
@@ -41,7 +40,7 @@ def render_bars(series: Mapping[str, Mapping[str, float]],
                     bar += "|"
                 else:
                     bar += " "
-            lines.append(f"  {label:<12s} {value_format.format(value)} {bar}")
+            lines.append(f"  {label:<12s} {value:5.3f} {bar}")
     return "\n".join(lines)
 
 

@@ -212,20 +212,18 @@ def build_machine(cw: CompiledWorkload, config: MachineConfig, mode: str,
 
 def run_model(cw: CompiledWorkload, config: MachineConfig, mode: str,
               telemetry: Telemetry | None = None,
-              verify: bool = False, faults=None,
-              max_cycles: int | None = None,
+              verify: bool = False,
               sampling: SamplingPlan | None = None) -> RunResult:
     """Replay one compiled benchmark through one machine model.
 
     ``verify=True`` runs under the co-simulation oracle
     (:func:`repro.resilience.verified_run`), which checks the run's commit
     stream (:func:`prepare` already refereed *cw* functionally), raising
-    :class:`~repro.errors.VerificationError` on any divergence.  *faults*
-    attaches a :class:`~repro.resilience.FaultInjector`; *max_cycles*
-    overrides ``config.max_cycles`` for this run only.  *sampling* runs the
-    cell through :func:`repro.sim.sampling.run_sampled` (extrapolated
-    result, ``sampled=True``); it is mutually exclusive with *verify* and
-    *faults*, which both need every cycle simulated in detail.
+    :class:`~repro.errors.VerificationError` on any divergence.
+    *sampling* runs the cell through :func:`repro.sim.sampling.run_sampled`
+    (extrapolated result, ``sampled=True``); it is mutually exclusive with
+    *verify*, which needs every cycle simulated in detail.  Faulted runs
+    go through :func:`repro.resilience.run_fault_campaign`.
     """
     with spans.span("run_model", cat="simulate", benchmark=cw.name,
                     mode=mode, verify=verify, sampled=sampling is not None):
@@ -235,22 +233,13 @@ def run_model(cw: CompiledWorkload, config: MachineConfig, mode: str,
                     f"{cw.name}/{mode}: the co-simulation oracle needs the "
                     f"full commit stream — run --verify without --sample"
                 )
-            if faults is not None:
-                raise SamplingError(
-                    f"{cw.name}/{mode}: fault injection keys off absolute "
-                    f"event ordinals, which sampling skips — fault runs "
-                    f"force full-detail mode"
-                )
             return run_sampled(config, sampling, mode=mode,
                                work_instructions=cw.work, benchmark=cw.name,
-                               telemetry=telemetry, max_cycles=max_cycles,
+                               telemetry=telemetry,
                                **model_pieces(cw, mode))
         if verify:
-            return verified_run(cw, config, mode, telemetry=telemetry,
-                                faults=faults, max_cycles=max_cycles)
-        machine = build_machine(cw, config, mode, telemetry=telemetry,
-                                faults=faults)
-        return machine.run(max_cycles=max_cycles)
+            return verified_run(cw, config, mode, telemetry=telemetry)
+        return build_machine(cw, config, mode, telemetry=telemetry).run()
 
 
 @dataclass

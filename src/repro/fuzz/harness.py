@@ -109,7 +109,7 @@ def _state_digest(sim) -> dict:
     then AP's when decoupled), memory and queue stats."""
     if isinstance(sim, DecoupledFunctionalSimulator):
         states = (sim.cp_state, sim.ap_state)
-        queues = (sim.queues.ldq, sim.queues.sdq, sim.queues.saq)
+        queues = (sim.queues.ldq, sim.queues.sdq)
     else:
         states, queues = (sim.state,), ()
     pages = states[-1].memory.snapshot().items()

@@ -6,7 +6,6 @@ Public surface:
 * :class:`repro.isa.Op` / :class:`repro.isa.OpInfo` — opcodes and metadata.
 * :class:`repro.isa.Instruction` — the static instruction record, carrying
   the HiDISC annotation field (:class:`repro.isa.Annotations`).
-* :mod:`repro.isa.encoding` — 64-bit binary encode/decode.
 * :mod:`repro.isa.disasm` — disassembly for listings and diagnostics.
 """
 

@@ -47,7 +47,7 @@ def disassemble_instruction(instr: Instruction) -> str:
 
 
 def annotation_tag(instr: Instruction) -> str:
-    """Short tag describing the HiDISC annotations, e.g. ``[AS,cmas,trig]``."""
+    """Short tag describing the HiDISC annotations, e.g. ``[AS,cmas,miss]``."""
     parts: list[str] = []
     if instr.ann.stream is not Stream.NONE:
         parts.append(instr.ann.stream.value)
@@ -55,8 +55,6 @@ def annotation_tag(instr: Instruction) -> str:
         parts.append("cmas")
     if instr.ann.probable_miss:
         parts.append("miss")
-    if instr.ann.trigger:
-        parts.append("trig")
     if instr.ann.sdq_data:
         parts.append("sdq")
     return f"[{','.join(parts)}]" if parts else ""

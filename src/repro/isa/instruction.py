@@ -2,7 +2,7 @@
 
 An instruction is a plain mutable dataclass: the assembler creates it, the
 HiDISC compiler (:mod:`repro.slicer`) *annotates* it in place (stream,
-CMAS/trigger marks, SDQ store flag), and the simulators read it.
+CMAS and probable-miss marks, SDQ store flag), and the simulators read it.
 
 Branch/jump targets are **instruction indices** into the program's text
 segment, not byte addresses — the reproduction keeps the PC in units of
@@ -34,7 +34,6 @@ class Annotations:
     stream: Stream = Stream.NONE
     cmas: bool = False        # instruction belongs to a Cache Miss Access Slice
     probable_miss: bool = False  # profile says this load likely misses
-    trigger: bool = False     # separator forks a CMAS context here
     sdq_data: bool = False    # store data comes from the SDQ, not rs2
     to_ldq: bool = False      # load also deposits its result in the LDQ
     #                           (the paper's "$LDQ" destination, Figure 6)
@@ -144,11 +143,6 @@ class Instruction:
     def is_branch(self) -> bool:
         """Conditional branch (outcome unknown until execute)."""
         return self.op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BEQZ, Op.BNEZ)
-
-    @property
-    def is_comm(self) -> bool:
-        info = self.op.info
-        return info.reads_ldq or info.writes_ldq or info.writes_sdq
 
     # ------------------------------------------------------------------
     def validate(self) -> None:

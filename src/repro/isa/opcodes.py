@@ -169,10 +169,6 @@ class Op(enum.Enum):
 #: mnemonic -> opcode, for the assembler.
 MNEMONIC_TO_OP: dict[str, Op] = {op.info.mnemonic: op for op in Op}
 
-#: Stable numbering used by the binary encoder (order of declaration).
-OP_TO_CODE: dict[Op, int] = {op: i for i, op in enumerate(Op)}
-CODE_TO_OP: dict[int, Op] = {i: op for op, i in OP_TO_CODE.items()}
-
 #: Opcodes whose result register is an FP register.
 FP_DEST_OPS = frozenset(
     op for op in Op

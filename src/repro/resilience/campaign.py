@@ -83,13 +83,13 @@ class CampaignOutcome:
                 f"seed {self.plan_seed}: {self.outcome} ({detail}){fired}{qf}")
 
 
-def run_fault_campaign(cw, config, mode: str, plan: FaultPlan,
-                       max_cycles: int | None = None) -> CampaignOutcome:
+def run_fault_campaign(cw, config, mode: str,
+                       plan: FaultPlan) -> CampaignOutcome:
     """Execute one faulted run of *cw* on *mode*; never returns silently
     wrong numbers — see the module docstring for the contract."""
     with spans.span("fault_campaign_cell", cat="faults", benchmark=cw.name,
                     mode=mode, seed=plan.seed) as sp:
-        outcome = _run_fault_campaign(cw, config, mode, plan, max_cycles)
+        outcome = _run_fault_campaign(cw, config, mode, plan)
         sp.set(outcome=outcome.outcome)
         metrics.inc("campaign_cells")
         if outcome.outcome == "raised":
@@ -97,8 +97,8 @@ def run_fault_campaign(cw, config, mode: str, plan: FaultPlan,
         return outcome
 
 
-def _run_fault_campaign(cw, config, mode: str, plan: FaultPlan,
-                        max_cycles: int | None) -> CampaignOutcome:
+def _run_fault_campaign(cw, config, mode: str,
+                        plan: FaultPlan) -> CampaignOutcome:
     outcome = CampaignOutcome(benchmark=cw.name, mode=mode,
                               plan_seed=plan.seed)
 
@@ -134,8 +134,7 @@ def _run_fault_campaign(cw, config, mode: str, plan: FaultPlan,
     # Phase 2: timing faults under the co-simulation oracle.
     injector = FaultInjector(plan)
     try:
-        result = verified_run(cw, config, mode, faults=injector,
-                              max_cycles=max_cycles)
+        result = verified_run(cw, config, mode, faults=injector)
     except ReproError as exc:
         outcome.outcome = "raised"
         outcome.error_type = type(exc).__name__

@@ -71,6 +71,12 @@ class FaultSite:
             raise ConfigError("fault arg must be >= 0")
 
 
+#: :meth:`FaultPlan.random` draws event ordinals below this, and delays
+#: of up to ``_MAX_DELAY`` cycles.
+_HORIZON = 2000
+_MAX_DELAY = 200
+
+
 @dataclass(frozen=True)
 class FaultPlan:
     """A seeded, deterministic fault-injection schedule."""
@@ -80,22 +86,20 @@ class FaultPlan:
 
     @classmethod
     def random(cls, seed: int, count: int = 8,
-               kinds: tuple[str, ...] = FAULT_KINDS,
-               horizon: int = 2000, max_delay: int = 200) -> "FaultPlan":
-        """Draw *count* sites uniformly over *kinds* and ``[0, horizon)``.
+               kinds: tuple[str, ...] = FAULT_KINDS) -> "FaultPlan":
+        """Draw *count* sites uniformly over *kinds* and event ordinals
+        ``[0, _HORIZON)``, each delaying by ``1.._MAX_DELAY`` cycles.
 
-        The same ``(seed, count, kinds, horizon, max_delay)`` always yields
-        the same plan.  Ordinals past the end of a run simply never fire;
+        The same ``(seed, count, kinds)`` always yields the same plan.
+        Ordinals past the end of a run simply never fire;
         :meth:`FaultInjector.counts` reports what actually landed.
         """
         if count < 0:
             raise ConfigError("fault count must be >= 0")
-        if horizon < 1:
-            raise ConfigError("fault horizon must be >= 1")
         rng = random.Random(seed)
         sites = tuple(
-            FaultSite(kind=rng.choice(kinds), at=rng.randrange(horizon),
-                      arg=rng.randrange(1, max_delay + 1))
+            FaultSite(kind=rng.choice(kinds), at=rng.randrange(_HORIZON),
+                      arg=rng.randrange(1, _MAX_DELAY + 1))
             for _ in range(count)
         )
         return cls(seed=seed, sites=sites)

@@ -167,8 +167,7 @@ def check_commit_stream(machine) -> list[str]:
 # The --verify entry point.
 # ----------------------------------------------------------------------
 
-def verified_run(cw, config, mode, telemetry=None, faults=None,
-                 max_cycles: int | None = None):
+def verified_run(cw, config, mode, telemetry=None, faults=None):
     """Run one timing model and check its commit stream; raise on any
     divergence.
 
@@ -183,7 +182,7 @@ def verified_run(cw, config, mode, telemetry=None, faults=None,
 
     machine = build_machine(cw, config, mode, telemetry=telemetry,
                             faults=faults, record_commits=True)
-    result = machine.run(max_cycles=max_cycles)
+    result = machine.run()
     mismatches = check_commit_stream(machine)
     if mismatches:
         raise VerificationError(

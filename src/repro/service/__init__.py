@@ -29,7 +29,6 @@ from .records import (
     STATES,
     JobRecord,
     job_dedup_key,
-    known_benchmarks,
     new_job_id,
     normalize_spec,
     normalize_trace,
@@ -52,7 +51,6 @@ __all__ = [
     "execute_job",
     "fleet_metrics",
     "job_dedup_key",
-    "known_benchmarks",
     "new_job_id",
     "normalize_spec",
     "normalize_trace",

@@ -83,13 +83,10 @@ def publish_worker_status(queue: JobQueue, worker: str, state: str,
         pass
 
 
-def read_worker_statuses(queue: JobQueue,
-                         window: float | None = None) -> list[dict]:
+def read_worker_statuses(queue: JobQueue) -> list[dict]:
     """Every published worker status, annotated with ``age`` and
-    ``alive`` (status fresher than *window*, default
-    ``max(lease_ttl, 5s)``)."""
-    if window is None:
-        window = max(queue.lease_ttl, _MIN_LIVENESS)
+    ``alive`` (status fresher than ``max(lease_ttl, 5s)``)."""
+    window = max(queue.lease_ttl, _MIN_LIVENESS)
     directory = queue.workers_dir()
     if not directory.is_dir():
         return []

@@ -243,7 +243,7 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Claiming and leases.
 
-    def claim(self, worker: str, pid: int | None = None) -> JobRecord | None:
+    def claim(self, worker: str) -> JobRecord | None:
         """Claim the oldest eligible pending job for *worker*, or None.
 
         The claim itself is a single atomic rename — exactly one of any
@@ -266,7 +266,7 @@ class JobQueue:
             except OSError:
                 continue  # lost the race; try the next job
             record.lease = {"worker": worker,
-                            "pid": pid if pid is not None else os.getpid(),
+                            "pid": os.getpid(),
                             "deadline": now + self.lease_ttl,
                             "since": now,
                             "renewals": 0}

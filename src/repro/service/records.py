@@ -33,7 +33,6 @@ from ..config import MachineConfig
 from ..errors import ConfigError
 from ..experiments.cache import code_digest, config_fingerprint
 from ..experiments.models import MODEL_ORDER
-from ..workloads import WORKLOADS_BY_NAME
 
 #: Spool states a job moves through (one subdirectory per state).
 STATES = ("pending", "leased", "done", "failed", "quarantined")
@@ -156,11 +155,6 @@ def normalize_trace(trace) -> dict | None:
     if not isinstance(t_ns, int) or isinstance(t_ns, bool) or t_ns <= 0:
         return None
     return {"pid": pid, "span": span, "t_ns": t_ns}
-
-
-def known_benchmarks() -> list[str]:
-    """Registered benchmark names (for client-side hints, not gating)."""
-    return sorted(WORKLOADS_BY_NAME)
 
 
 @dataclass

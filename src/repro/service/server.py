@@ -267,7 +267,6 @@ class ServiceServer:
         return [sys.executable, "-c", _WORKER_MAIN,
                 "--root", str(self.queue.root), "--id", name,
                 "--lease-ttl", str(self.queue.lease_ttl),
-                "--max-attempts", str(self.queue.max_attempts),
                 "--retry-backoff", str(self.queue.retry_backoff),
                 # The spool lives at <cache>/service, so the cache root
                 # is its parent — pinning it keeps worker results and

@@ -291,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--id", dest="worker_id", default=None,
                         help="worker name used in leases and logs")
     parser.add_argument("--lease-ttl", type=float, default=30.0)
-    parser.add_argument("--max-attempts", type=int, default=3)
     parser.add_argument("--retry-backoff", type=float, default=0.5)
     parser.add_argument("--jobs", type=int, default=0,
                         help="pool workers per job (default 0 = every "
@@ -302,8 +301,9 @@ def main(argv: list[str] | None = None) -> int:
                              "worker and server always share one store)")
     args = parser.parse_args(argv)
 
+    # No --max-attempts: the server's queue stamps each record's retry
+    # budget at submit, and fail/expire_leases read it from the record.
     queue = JobQueue(args.root, lease_ttl=args.lease_ttl,
-                     max_attempts=args.max_attempts,
                      retry_backoff=args.retry_backoff)
     queue.ensure_layout()
     cache = RunCache(args.cache_dir) if args.cache_dir else RunCache()

@@ -1,4 +1,4 @@
-"""Branch predictors: bimodal (Table 1), gshare, and static baselines.
+"""The branch predictor: Table 1's bimodal 2-bit table plus a BTB.
 
 The predictor answers *taken or not-taken*; the branch-target buffer (BTB)
 supplies targets for taken predictions and for register-indirect jumps.
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import BranchConfig
-from ..errors import ConfigError
 
 
 @dataclass
@@ -49,7 +48,7 @@ class BranchTargetBuffer:
 
 
 class BranchPredictor:
-    """Direction predictor + BTB; the concrete scheme is configuration."""
+    """Bimodal direction predictor (2-bit counters indexed by pc) + BTB."""
 
     def __init__(self, config: BranchConfig):
         self.config = config
@@ -58,28 +57,11 @@ class BranchPredictor:
         self._mask = config.table_size - 1
         # 2-bit saturating counters, initialised weakly taken.
         self._table = [2] * config.table_size
-        self._history = 0
-        if config.kind not in ("bimodal", "gshare", "taken", "nottaken", "perfect"):
-            raise ConfigError(f"unknown predictor {config.kind!r}")
 
     # ------------------------------------------------------------------
-    def _index(self, pc: int) -> int:
-        if self.config.kind == "gshare":
-            return (pc ^ self._history) & self._mask
-        return pc & self._mask
-
     def predict_direction(self, pc: int) -> bool:
         """Predicted direction for a conditional branch at *pc*."""
-        kind = self.config.kind
-        if kind == "taken":
-            return True
-        if kind == "nottaken":
-            return False
-        if kind == "perfect":
-            # The caller must consult the oracle; returning taken here is
-            # irrelevant because `resolve` reports no mispredict.
-            return True
-        return self._table[self._index(pc)] >= 2
+        return self._table[pc & self._mask] >= 2
 
     # ------------------------------------------------------------------
     def resolve(self, pc: int, taken: bool, target: int,
@@ -96,8 +78,6 @@ class BranchPredictor:
         if kind == "direct":
             return False
         self.stats.lookups += 1
-        if self.config.kind == "perfect":
-            return False
 
         mispredict = False
         if kind == "cond":
@@ -107,14 +87,12 @@ class BranchPredictor:
             elif taken and self.btb.lookup(pc) != target:
                 mispredict = True
             # Update the direction table.
-            if self.config.kind in ("bimodal", "gshare"):
-                index = self._index(pc)
-                counter = self._table[index]
-                if taken:
-                    self._table[index] = min(3, counter + 1)
-                else:
-                    self._table[index] = max(0, counter - 1)
-            self._history = ((self._history << 1) | int(taken)) & self._mask
+            index = pc & self._mask
+            counter = self._table[index]
+            if taken:
+                self._table[index] = min(3, counter + 1)
+            else:
+                self._table[index] = max(0, counter - 1)
         else:
             # Indirect: direction is always taken; only the target can be
             # wrong (jr through a cold or aliased BTB entry).

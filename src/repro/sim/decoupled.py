@@ -441,9 +441,9 @@ class Machine:
     # ------------------------------------------------------------------
     # The simulation loop.
     # ------------------------------------------------------------------
-    def run(self, max_cycles: int | None = None) -> RunResult:
+    def run(self) -> RunResult:
         try:
-            return self._run_loop(max_cycles)
+            return self._run_loop()
         finally:
             # Terminate any in-progress heartbeat status line, on normal
             # completion and on exceptions alike, so results/tracebacks
@@ -472,9 +472,8 @@ class Machine:
         complete_at[first:self._next_cmas_gid] = (
             [None] * (self._next_cmas_gid - first))
 
-    def _run_loop(self, max_cycles: int | None) -> RunResult:
-        if max_cycles is None:
-            max_cycles = self.config.max_cycles
+    def _run_loop(self) -> RunResult:
+        max_cycles = self.config.max_cycles
         now = 0
         n = self._fetch_end
         cores = self.cores

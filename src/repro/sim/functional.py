@@ -183,11 +183,6 @@ class FunctionalSimulator:
         return state
 
 
-#: The functional model's queues are unbounded (their capacity is a
-#: timing-model parameter).
-_QUEUE_CAPACITY = 10**9
-
-
 class DecoupledFunctionalSimulator:
     """Execute an annotated program on split CP/AP register files.
 
@@ -203,8 +198,7 @@ class DecoupledFunctionalSimulator:
         # which it never accesses.
         self.cp_state = ArchState(self.ap_state.memory)
         self.cp_state.regs = list(self.ap_state.regs)
-        self.queues = QueueSet(_QUEUE_CAPACITY, _QUEUE_CAPACITY,
-                               _QUEUE_CAPACITY)
+        self.queues = QueueSet()
         self.instructions_executed = 0
 
     def run(self, max_steps: int = 50_000_000, trace=None,

@@ -1,9 +1,10 @@
-"""Architectural FIFO queues (LDQ, SDQ, SAQ, instruction queues).
+"""The functional model's architectural data queues (LDQ, SDQ).
 
 The queues are the heart of a decoupled machine: they carry data between
 the streams and *are* the slip-distance mechanism.  The functional
-executors use them through :meth:`ArchQueue.push` / :meth:`ArchQueue.pop`:
-capacity is not enforced, and popping an empty queue raises
+executors use them through :meth:`ArchQueue.push` / :meth:`ArchQueue.pop`.
+They are unbounded (queue depth is a timing-model parameter,
+:class:`~repro.config.QueueConfig`), and popping an empty queue raises
 :class:`~repro.errors.QueueProtocolError` because in a correctly
 separated program, program-order execution can never pop early.
 """
@@ -37,24 +38,12 @@ class QueueStats:
     #: transfers whose payload was corrupted by fault injection.
     corruptions: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "max_occupancy": self.max_occupancy,
-            "drops": self.drops,
-            "corruptions": self.corruptions,
-        }
-
 
 class ArchQueue:
-    """A bounded FIFO with statistics."""
+    """An unbounded FIFO with statistics."""
 
-    def __init__(self, name: str, capacity: int):
-        if capacity < 1:
-            raise ValueError("queue capacity must be >= 1")
+    def __init__(self, name: str):
         self.name = name
-        self.capacity = capacity
         self._items: deque = deque()
         self.stats = QueueStats()
         #: push ordinal (0-based) -> "drop" | "corrupt" (fault injection).
@@ -66,10 +55,6 @@ class ArchQueue:
     @property
     def empty(self) -> bool:
         return not self._items
-
-    @property
-    def full(self) -> bool:
-        return len(self._items) >= self.capacity
 
     # ------------------------------------------------------------------
     def schedule_faults(self, schedule: dict[int, str]) -> None:
@@ -83,16 +68,14 @@ class ArchQueue:
         """
         self._fault_schedule = dict(schedule) if schedule else None
 
-    def push(self, item, enforce_capacity: bool = False):
-        """Append *item*; optionally raise if the queue is full."""
-        if enforce_capacity and self.full:
-            raise QueueProtocolError(f"push on full queue {self.name}")
+    def push(self, item) -> None:
+        """Append *item* (unless an armed fault drops or corrupts it)."""
         if self._fault_schedule is not None:
             action = self._fault_schedule.get(self.stats.pushes)
             if action == "drop":
                 self.stats.pushes += 1
                 self.stats.drops += 1
-                return item
+                return
             if action == "corrupt":
                 item = _corrupt_value(item)
                 self.stats.corruptions += 1
@@ -100,7 +83,6 @@ class ArchQueue:
         self.stats.pushes += 1
         if len(self._items) > self.stats.max_occupancy:
             self.stats.max_occupancy = len(self._items)
-        return item
 
     def pop(self):
         """Remove and return the head; raises if empty."""
@@ -111,9 +93,8 @@ class ArchQueue:
 
 
 class QueueSet:
-    """The LDQ/SDQ/SAQ triple of one decoupled machine."""
+    """The LDQ/SDQ pair of one decoupled functional machine."""
 
-    def __init__(self, ldq_entries: int, sdq_entries: int, saq_entries: int):
-        self.ldq = ArchQueue("LDQ", ldq_entries)
-        self.sdq = ArchQueue("SDQ", sdq_entries)
-        self.saq = ArchQueue("SAQ", saq_entries)
+    def __init__(self):
+        self.ldq = ArchQueue("LDQ")
+        self.sdq = ArchQueue("SDQ")

@@ -243,7 +243,6 @@ def run_sampled(
     benchmark: str = "",
     warmup_pos: int = 0,
     telemetry: Telemetry | None = None,
-    max_cycles: int | None = None,
 ) -> RunResult:
     """Run one (workload, model) cell sampled; returns an extrapolated
     :class:`~repro.sim.machine.RunResult` with ``sampled=True``.
@@ -270,7 +269,7 @@ def run_sampled(
                           work_instructions=work_instructions,
                           benchmark=benchmark, warmup_pos=warmup_pos,
                           telemetry=telemetry)
-        result = machine.run(max_cycles)
+        result = machine.run()
         result.sampled = True
         result.sampling = {
             "plan": plan_meta,
@@ -338,7 +337,7 @@ def run_sampled(
                                   start_pos=w_start, end_pos=d_end,
                                   hierarchy=hierarchy, predictor=predictor,
                                   complete_at=complete_at, decoded=decoded)
-                intervals.append(machine.run(max_cycles))
+                intervals.append(machine.run())
             # Detach the stats objects the interval result now owns: the
             # next probe replay and interval mutate fresh ones instead.
             hierarchy.reset_stats()

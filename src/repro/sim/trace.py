@@ -203,25 +203,20 @@ class Trace:
                 for i in range(len(pc))]
 
 
-def generate_trace(
-    program: Program, max_steps: int = 50_000_000
-) -> tuple[Trace, ArchState]:
+def generate_trace(program: Program) -> tuple[Trace, ArchState]:
     """Execute *program* functionally; return (trace, final state)."""
     trace = Trace()
-    state = FunctionalSimulator(program).run(max_steps=max_steps, trace=trace)
+    state = FunctionalSimulator(program).run(trace=trace)
     return trace, state
 
 
-def generate_decoupled_trace(
-    program: Program, max_steps: int = 50_000_000
-) -> tuple[Trace, ArchState]:
+def generate_decoupled_trace(program: Program) -> tuple[Trace, ArchState]:
     """Execute an *annotated* (communication-bearing) program through the
     split-register-file executor; return (trace, final AP state)."""
     from .functional import DecoupledFunctionalSimulator
 
     trace = Trace()
-    state = DecoupledFunctionalSimulator(program).run(max_steps=max_steps,
-                                                      trace=trace)
+    state = DecoupledFunctionalSimulator(program).run(trace=trace)
     return trace, state
 
 

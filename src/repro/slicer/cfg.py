@@ -107,15 +107,3 @@ class ControlFlowGraph:
 
     def __len__(self) -> int:
         return len(self.blocks)
-
-    def to_networkx(self):
-        """Export as a ``networkx.DiGraph`` (visualisation, tests)."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        for block in self.blocks:
-            g.add_node(block.index, start=block.start, end=block.end)
-        for block in self.blocks:
-            for s in block.successors:
-                g.add_edge(block.index, s)
-        return g

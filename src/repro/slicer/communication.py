@@ -66,10 +66,6 @@ class DecoupledProgram:
     #: of those, how many producers deposit directly ($SDQ results).
     sdq_direct: int = 0
 
-    def map_pcs(self, pcs: set[int]) -> set[int]:
-        """Translate a set of original pcs to decoupled-program pcs."""
-        return {self.instr_map[pc] for pc in pcs}
-
 
 def _source_slots(instr: Instruction) -> list[tuple[str, int]]:
     """(slot name, register) pairs of the instruction's register sources."""

@@ -71,16 +71,3 @@ class ProgramFlowGraph:
             visited.add(pc)
             worklist.extend(self.parents(pc))
         return visited
-
-    def to_networkx(self):
-        """Export the def-use edges as a ``networkx.DiGraph``."""
-        import networkx as nx
-
-        g = nx.DiGraph()
-        g.add_nodes_from(range(len(self.program.text)))
-        for d, uses in self.def_use.uses_of_def.items():
-            if d == ENTRY_DEF:
-                continue
-            for use_pc, reg in uses:
-                g.add_edge(d, use_pc, reg=reg)
-        return g

@@ -93,11 +93,3 @@ class Sampler:
             sink.counter("memory", "outstanding_misses", now,
                          sample.outstanding_misses)
         return sample
-
-    # ------------------------------------------------------------------
-    def peak(self, queue: str) -> int:
-        """Highest sampled occupancy of *queue* (0 if never sampled)."""
-        return max((s.queues.get(queue, 0) for s in self.samples), default=0)
-
-    def as_payload(self) -> list[dict]:
-        return [s.as_dict() for s in self.samples]

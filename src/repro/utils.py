@@ -8,17 +8,10 @@ the wrapping that real hardware does implicitly.
 
 from __future__ import annotations
 
-import struct
 from collections.abc import Iterable, Sequence
 
 _MASK64 = (1 << 64) - 1
 _SIGN64 = 1 << 63
-_MASK32 = (1 << 32) - 1
-_SIGN32 = 1 << 31
-
-U64_MAX = _MASK64
-I64_MIN = -_SIGN64
-I64_MAX = _SIGN64 - 1
 
 
 def to_signed64(value: int) -> int:
@@ -32,33 +25,12 @@ def to_unsigned64(value: int) -> int:
     return value & _MASK64
 
 
-def to_signed32(value: int) -> int:
-    """Wrap *value* to the canonical signed 32-bit representative."""
-    value &= _MASK32
-    return value - (1 << 32) if value & _SIGN32 else value
-
-
 def sign_extend(value: int, bits: int) -> int:
     """Sign-extend the low *bits* bits of *value* to a Python int."""
     mask = (1 << bits) - 1
     value &= mask
     sign = 1 << (bits - 1)
     return value - (1 << bits) if value & sign else value
-
-
-def float_to_bits(value: float) -> int:
-    """Raw IEEE-754 binary64 bits of *value*, as a signed 64-bit int."""
-    return to_signed64(struct.unpack("<q", struct.pack("<d", value))[0])
-
-
-def bits_to_float(bits: int) -> float:
-    """Reinterpret signed 64-bit *bits* as an IEEE-754 binary64 float."""
-    return struct.unpack("<d", struct.pack("<q", to_signed64(bits)))[0]
-
-
-def align_down(value: int, alignment: int) -> int:
-    """Round *value* down to a multiple of *alignment* (a power of two)."""
-    return value & ~(alignment - 1)
 
 
 def align_up(value: int, alignment: int) -> int:
@@ -76,25 +48,6 @@ def ilog2(value: int) -> int:
     if not is_power_of_two(value):
         raise ValueError(f"{value} is not a positive power of two")
     return value.bit_length() - 1
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used for speedup aggregation)."""
-    if not values:
-        raise ValueError("geometric_mean of empty sequence")
-    product = 1.0
-    for v in values:
-        if v <= 0:
-            raise ValueError(f"geometric_mean requires positive values, got {v}")
-        product *= v
-    return product ** (1.0 / len(values))
-
-
-def arithmetic_mean(values: Sequence[float]) -> float:
-    """Plain average; the paper reports arithmetic means of speedups."""
-    if not values:
-        raise ValueError("arithmetic_mean of empty sequence")
-    return sum(values) / len(values)
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> str:

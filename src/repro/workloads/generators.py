@@ -50,9 +50,9 @@ def mixed_starts(rng: np.random.Generator, count: int, n: int, hot: int,
     return np.where(take_hot, hot_starts, cold_starts).astype(np.int64)
 
 
-def random_bytes(rng: np.random.Generator, n: int, alphabet: int = 256) -> np.ndarray:
+def random_bytes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Uniform random byte field (Field stressmark input)."""
-    return rng.integers(0, alphabet, size=n, dtype=np.uint8)
+    return rng.integers(0, 256, size=n, dtype=np.uint8)
 
 
 def random_image(rng: np.random.Generator, rows: int, cols: int,
@@ -62,16 +62,15 @@ def random_image(rng: np.random.Generator, rows: int, cols: int,
 
 
 def random_distance_matrix(rng: np.random.Generator, n: int,
-                           density: float = 0.25,
-                           inf: int = 1 << 20) -> np.ndarray:
+                           density: float = 0.25) -> np.ndarray:
     """Weighted adjacency matrix for Transitive Closure / shortest paths.
 
-    Missing edges get the large-but-addable sentinel *inf* (additions never
-    overflow 64 bits).  Diagonal is zero.
+    Missing edges get the large-but-addable sentinel ``1 << 20``
+    (additions never overflow 64 bits).  Diagonal is zero.
     """
     weights = rng.integers(1, 100, size=(n, n), dtype=np.int64)
     mask = rng.random((n, n)) < density
-    mat = np.where(mask, weights, np.int64(inf))
+    mat = np.where(mask, weights, np.int64(1 << 20))
     np.fill_diagonal(mat, 0)
     return mat
 
@@ -103,9 +102,10 @@ def build_hash_chains(keys: np.ndarray, buckets: int) -> tuple[np.ndarray, np.nd
     return head, nxt
 
 
-def random_spheres(rng: np.random.Generator, n: int,
-                   extent: float = 100.0) -> dict[str, np.ndarray]:
-    """Structure-of-arrays sphere set for the RayTrace benchmark."""
+def random_spheres(rng: np.random.Generator, n: int) -> dict[str, np.ndarray]:
+    """Structure-of-arrays sphere set for the RayTrace benchmark, centred
+    within 100 units of the axis and 50-200 units in front."""
+    extent = 100.0
     return {
         "cx": rng.uniform(-extent, extent, size=n),
         "cy": rng.uniform(-extent, extent, size=n),

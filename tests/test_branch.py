@@ -8,7 +8,7 @@ from repro.sim.branch import BranchPredictor, BranchTargetBuffer
 
 
 def bimodal(**kw):
-    return BranchPredictor(BranchConfig(kind="bimodal", **kw))
+    return BranchPredictor(BranchConfig(**kw))
 
 
 class TestBtb:
@@ -81,29 +81,8 @@ class TestKinds:
         assert p.resolve(10, True, 55, "indirect") is False  # learned
         assert p.resolve(10, True, 77, "indirect") is True   # target moved
 
-    def test_perfect_never_mispredicts(self):
-        p = BranchPredictor(BranchConfig(kind="perfect"))
-        for taken in (True, False, True):
-            assert p.resolve(1, taken, 9, "cond") is False
-
-    def test_static_taken(self):
-        p = BranchPredictor(BranchConfig(kind="taken"))
-        assert p.predict_direction(1) is True
-        p2 = BranchPredictor(BranchConfig(kind="nottaken"))
-        assert p2.predict_direction(1) is False
-
-    def test_gshare_runs(self):
-        p = BranchPredictor(BranchConfig(kind="gshare"))
-        for i in range(50):
-            p.resolve(3, i % 2 == 0, 7, "cond")
-        assert p.stats.lookups == 50
-
 
 class TestConfig:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            BranchConfig(kind="neural")
-
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
             BranchConfig(table_size=1000)

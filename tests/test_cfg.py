@@ -78,12 +78,6 @@ class TestBlocks:
         assert p.entry in cfg.entry_block()
         assert 2 in cfg.blocks[cfg.block_of[2]]
 
-    def test_networkx_export(self):
-        cfg = ControlFlowGraph(build_counting_loop())
-        g = cfg.to_networkx()
-        assert g.number_of_nodes() == len(cfg)
-        assert g.number_of_edges() == sum(len(b.successors) for b in cfg.blocks)
-
     def test_empty_program(self):
         from repro.asm.program import Program
 

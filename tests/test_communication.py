@@ -83,13 +83,6 @@ class TestStructure:
         for pc in range(n):
             assert dp.program.text[dp.instr_map[pc]].op is program.text[pc].op
 
-    def test_map_pcs(self):
-        program = build_load_compute_store()
-        dp = insert_communication(separate(program))
-        loads = {pc for pc, i in enumerate(program.text) if i.is_load}
-        mapped = dp.map_pcs(loads)
-        assert all(dp.program.text[pc].is_load for pc in mapped)
-
 
 class TestDynamicEquivalence:
     @pytest.mark.parametrize("builder", ALL_BUILDERS)

@@ -121,9 +121,3 @@ class TestPfg:
         b.halt()
         pfg = ProgramFlowGraph.build(b.build())
         assert pfg.backward_slice({3: (t("t2"),)}) == {0, 1, 2, 3}
-
-    def test_networkx_export(self):
-        pfg = ProgramFlowGraph.build(build_counting_loop())
-        g = pfg.to_networkx()
-        assert g.number_of_nodes() == len(pfg.program.text)
-        assert g.number_of_edges() > 0

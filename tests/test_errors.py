@@ -8,6 +8,8 @@ neither the offending object nor the fix is a regression.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.asm import ProgramBuilder, assemble
@@ -17,7 +19,6 @@ from repro.errors import (
     ConfigError,
     CycleLimitError,
     DeadlockError,
-    EncodingError,
     MemoryFault,
     QueueProtocolError,
     ReproError,
@@ -29,7 +30,6 @@ from repro.errors import (
 )
 from repro.experiments import prepare
 from repro.experiments.runner import build_machine
-from repro.isa.encoding import decode_instruction
 from repro.resilience import (
     FaultInjector,
     FaultPlan,
@@ -57,7 +57,7 @@ def field_cw():
 
 def test_hierarchy_every_subclass_is_a_repro_error():
     for cls in (AssemblyError, ConfigError, CycleLimitError, DeadlockError,
-                EncodingError, MemoryFault, QueueProtocolError,
+                MemoryFault, QueueProtocolError,
                 SimulationError, SlicingError, ValidationError,
                 VerificationError, WorkloadError):
         assert issubclass(cls, ReproError)
@@ -82,22 +82,16 @@ def test_assembly_error_carries_source_line():
     assert "line 2" in str(exc_info.value)
 
 
-def test_encoding_error_rejects_bad_words():
-    with pytest.raises(EncodingError, match="out of range"):
-        decode_instruction(-1)
-    with pytest.raises(EncodingError, match="out of range"):
-        decode_instruction(1 << 64)
-
-
 def test_simulation_error_names_unknown_model(field_cw, config):
     with pytest.raises(SimulationError, match="unknown model 'warp'"):
         build_machine(field_cw, config, "warp")
 
 
 def test_cycle_limit_error_names_benchmark_and_both_knobs(field_cw, config):
-    machine = build_machine(field_cw, config, "hidisc")
+    machine = build_machine(field_cw, replace(config, max_cycles=10),
+                            "hidisc")
     with pytest.raises(CycleLimitError) as exc_info:
-        machine.run(max_cycles=10)
+        machine.run()
     err = exc_info.value
     assert err.benchmark == "field"
     assert err.mode == "hidisc"
@@ -163,12 +157,9 @@ def test_memory_fault_out_of_range_and_misaligned():
 
 
 def test_queue_protocol_error_names_the_queue():
-    queue = ArchQueue("LDQ", capacity=1)
+    queue = ArchQueue("LDQ")
     with pytest.raises(QueueProtocolError, match="pop on empty queue LDQ"):
         queue.pop()
-    queue.push(1)
-    with pytest.raises(QueueProtocolError, match="push on full queue LDQ"):
-        queue.push(2, enforce_capacity=True)
 
 
 def test_slicing_error_rejects_non_load_miss_seed():

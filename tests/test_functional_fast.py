@@ -72,7 +72,7 @@ def assert_parity(program, decoupled: bool = False,
     assert _states(fsim)[-1].memory.differences(_states(rsim)[-1].memory) \
         == []
     if decoupled:
-        for name in ("ldq", "sdq", "saq"):
+        for name in ("ldq", "sdq"):
             assert (getattr(fsim.queues, name).stats
                     == getattr(rsim.queues, name).stats), name
     return fsim, ferror

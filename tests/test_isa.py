@@ -131,7 +131,6 @@ class TestInstructionDeps:
         i = Instruction(op=Op.POP_LDQ, rd=5)
         assert i.source_regs() == ()
         assert i.dest_reg() == 5
-        assert i.is_comm
 
 
 class TestValidate:

@@ -21,6 +21,7 @@ from repro.experiments import (
     run_suite,
     run_tasks,
 )
+from repro.experiments import parallel
 from repro.experiments.parallel import prepare_many, prepare_task
 from repro.telemetry import metrics, spans, write_perfetto
 from repro.workloads import FieldWorkload
@@ -37,6 +38,11 @@ def _clean_observability():
 
 def _identity_task(value):
     return value
+
+
+def _touch_64_mb():
+    """Write every page of a 64 MB buffer (a peak RSS of at least that)."""
+    return len(bytearray(b"\x01") * (64 << 20))
 
 
 def _crash_in_worker(parent_pid):
@@ -61,13 +67,17 @@ def _crash_until_marker(parent_pid, marker):
 
 
 class TestRetryAndFallbackCounters:
+    @pytest.fixture(autouse=True)
+    def _short_backoff(self, monkeypatch):
+        monkeypatch.setattr(parallel, "BACKOFF", 0.01)
+
     def test_retry_recovers_and_counts(self, tmp_path):
         parent = os.getpid()
         marker = str(tmp_path / "crashed")
         tasks = [Task(label=f"t{i}", fn=_crash_until_marker,
                       args=(parent, marker)) for i in range(4)]
         with spans.tracing() as tracer:
-            assert run_tasks(tasks, jobs=2, backoff=0.01) == ["ok"] * 4
+            assert run_tasks(tasks, jobs=2) == ["ok"] * 4
         counters = metrics.snapshot()["counters"]
         assert counters["pool_retries"] == 1
         assert counters["pool_worker_failures"] >= 1
@@ -84,8 +94,7 @@ class TestRetryAndFallbackCounters:
         tasks = [Task(label=f"t{i}", fn=_crash_in_worker, args=(parent,))
                  for i in range(3)]
         with spans.tracing() as tracer:
-            assert run_tasks(tasks, jobs=2, retries=1, backoff=0.01) == \
-                ["ok"] * 3
+            assert run_tasks(tasks, jobs=2) == ["ok"] * 3
         counters = metrics.snapshot()["counters"]
         assert counters["pool_retries"] == 1
         assert counters["pool_fallback_tasks"] == 3
@@ -99,7 +108,7 @@ class TestRetryAndFallbackCounters:
         parent = os.getpid()
         tasks = [Task(label=f"t{i}", fn=_crash_in_worker, args=(parent,))
                  for i in range(2)]
-        assert run_tasks(tasks, jobs=2, retries=0) == ["ok"] * 2
+        assert run_tasks(tasks, jobs=2) == ["ok"] * 2
         assert spans.current() is None
         counters = metrics.snapshot()["counters"]
         assert counters["pool_fallback_tasks"] == 2
@@ -124,8 +133,8 @@ class TestWorkerObservations:
             results = run_tasks(tasks, jobs=2)
 
         assert all(cw.work > 0 for cw in results)
-        # transport attributes are stripped after absorption, so the
-        # results (and any checkpoint pickle of them) stay clean
+        # observations travel beside the results, so the results (and
+        # any checkpoint pickle of them) carry no transport attributes
         assert all(not hasattr(cw, "host_spans")
                    and not hasattr(cw, "host_metrics") for cw in results)
         worker_pids = {r.pid for r in tracer.records} - {os.getpid()}
@@ -138,15 +147,13 @@ class TestWorkerObservations:
         queue_wait = snap["histograms"]["queue_to_pool_seconds"]
         assert queue_wait["count"] == 2 and queue_wait["min"] >= 0
 
-    def test_untraced_workers_ship_nothing(self, config):
-        workload = FieldWorkload(n=500)
-        tasks = [Task(label="a", fn=prepare_task, args=(workload, config)),
-                 Task(label="b", fn=prepare_task, args=(workload, config))]
-        results = run_tasks(tasks, jobs=2)
-        assert all(not hasattr(cw, "host_spans")
-                   and not hasattr(cw, "host_metrics") for cw in results)
-        assert "peak_rss_bytes" not in metrics.snapshot()["gauges"], \
-            "worker-side metrics only travel when tracing is on"
+    def test_untraced_workers_ship_their_peak_rss(self):
+        """The ledger's peak covers pool workers with tracing off too."""
+        tasks = [Task(label=str(i), fn=_touch_64_mb, args=())
+                 for i in range(2)]
+        assert run_tasks(tasks, jobs=2) == [64 << 20] * 2
+        assert spans.current() is None
+        assert metrics.snapshot()["gauges"]["peak_rss_bytes"] >= 64 << 20
 
 
 #: Grid cells at jobs=1 and jobs=2, then a suite at jobs=1 and at the

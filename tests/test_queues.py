@@ -10,33 +10,20 @@ from repro.sim.queues import ArchQueue, QueueSet
 
 class TestFifo:
     def test_order_preserved(self):
-        q = ArchQueue("q", 8)
+        q = ArchQueue("q")
         for v in (1, 2, 3):
             q.push(v)
         assert [q.pop() for _ in range(3)] == [1, 2, 3]
 
     def test_pop_empty_raises(self):
-        q = ArchQueue("q", 4)
+        q = ArchQueue("q")
         with pytest.raises(QueueProtocolError):
             q.pop()
-
-    def test_capacity_enforced_optionally(self):
-        q = ArchQueue("q", 2)
-        q.push(1)
-        q.push(2)
-        assert q.full
-        q.push(3)  # functional mode: allowed
-        with pytest.raises(QueueProtocolError):
-            q.push(4, enforce_capacity=True)
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            ArchQueue("q", 0)
 
 
 class TestStats:
     def test_counters(self):
-        q = ArchQueue("q", 4)
+        q = ArchQueue("q")
         q.push(1)
         q.push(2)
         q.pop()
@@ -47,10 +34,9 @@ class TestStats:
 
 class TestQueueSet:
     def test_construction(self):
-        qs = QueueSet(32, 16, 8)
-        assert qs.ldq.capacity == 32
-        assert qs.sdq.capacity == 16
-        assert qs.saq.capacity == 8
+        qs = QueueSet()
+        assert (qs.ldq.name, qs.sdq.name) == ("LDQ", "SDQ")
+        assert qs.ldq.empty and qs.sdq.empty
 
 
 @given(st.lists(st.one_of(st.integers(), st.none()), max_size=60))
@@ -59,7 +45,7 @@ def test_queue_matches_list_model(ops):
 
     Integers push the value; None pops (skipped when the model is empty).
     """
-    q = ArchQueue("model", 1 << 30)
+    q = ArchQueue("model")
     model: list[int] = []
     for op in ops:
         if op is None:

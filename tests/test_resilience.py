@@ -9,6 +9,8 @@ forbidden outcome.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.config import MachineConfig
@@ -128,13 +130,14 @@ class TestWatchdogRegression:
 
 
 # ----------------------------------------------------------------------
-# Cycle budget: configurable via MachineConfig and per-run override.
+# Cycle budget: MachineConfig.max_cycles (the CLI's --max-cycles).
 
 class TestCycleLimit:
     def test_run_override_raises_typed_error(self, field_cw, config):
-        machine = build_machine(field_cw, config, "hidisc")
+        machine = build_machine(field_cw, replace(config, max_cycles=50),
+                                "hidisc")
         with pytest.raises(CycleLimitError) as exc_info:
-            machine.run(max_cycles=50)
+            machine.run()
         message = str(exc_info.value)
         assert "field" in message and "hidisc" in message
         assert "--max-cycles" in message and "max_cycles" in message
@@ -250,7 +253,7 @@ class TestTimingFaults:
 
 # ----------------------------------------------------------------------
 # Functional-layer faults: corrupted/dropped payloads surface as typed
-# errors, and the counters land in QueueStats.as_dict().
+# errors, and the counters land in QueueStats.
 
 class TestFunctionalFaults:
     def test_queue_drop_starves_pop(self, field_cw):
@@ -272,14 +275,14 @@ class TestFunctionalFaults:
         assert sim.queues.ldq.stats.corruptions == 1
 
     def test_stats_dict_reports_fault_counters(self):
-        queue = ArchQueue("LDQ", capacity=4)
+        queue = ArchQueue("LDQ")
         queue.schedule_faults({0: "drop", 1: "corrupt"})
         queue.push(10)            # dropped
         queue.push(11)            # corrupted to 11 ^ 1 == 10
-        stats = queue.stats.as_dict()
-        assert stats["drops"] == 1
-        assert stats["corruptions"] == 1
-        assert stats["pushes"] == 2
+        stats = queue.stats
+        assert stats.drops == 1
+        assert stats.corruptions == 1
+        assert stats.pushes == 2
         assert len(queue) == 1
         assert queue.pop() == 10
 

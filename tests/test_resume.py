@@ -31,6 +31,7 @@ from repro.experiments import (
     run_tasks,
     suite_key,
 )
+from repro.experiments import parallel
 from repro.experiments.ledger import RunLedger, ledger_path
 from repro.workloads import FieldWorkload, get_workload
 
@@ -351,14 +352,18 @@ def _die_after_peer(parent_pid, peer_log, sentinel):
 
 
 class TestRetryBackoff:
+    @pytest.fixture(autouse=True)
+    def _short_backoff(self, monkeypatch):
+        monkeypatch.setattr(parallel, "BACKOFF", 0.01)
+
     def test_transient_failure_recovers_via_retry(self, tmp_path):
         parent = os.getpid()
         sentinel = str(tmp_path / "came-up")
         tasks = [Task(label=f"t{i}", fn=_flaky_in_worker,
                       args=(parent, sentinel)) for i in range(4)]
         messages = []
-        assert run_tasks(tasks, jobs=2, progress=messages.append,
-                         retries=2, backoff=0.01) == ["ok"] * 4
+        assert run_tasks(tasks, jobs=2,
+                         progress=messages.append) == ["ok"] * 4
         text = "\n".join(messages)
         assert "rebuilding worker pool" in text
         assert "serially in-process" not in text, \
@@ -371,8 +376,8 @@ class TestRetryBackoff:
                       args=(parent, "/nonexistent/sentinel"))
                  for i in range(3)]
         messages = []
-        assert run_tasks(tasks, jobs=2, progress=messages.append,
-                         retries=1, backoff=0.01) == ["ok"] * 3
+        assert run_tasks(tasks, jobs=2,
+                         progress=messages.append) == ["ok"] * 3
         assert "serially in-process" in "\n".join(messages)
 
     def test_deterministic_task_error_fails_fast(self, tmp_path):
@@ -380,7 +385,7 @@ class TestRetryBackoff:
         tasks = [Task(label="good", fn=_identity_task, args=(1,)),
                  Task(label="bad", fn=_record_then_raise, args=(str(log),))]
         with pytest.raises(SimulationError, match="deterministic failure"):
-            run_tasks(tasks, jobs=2, retries=3, backoff=0.01)
+            run_tasks(tasks, jobs=2)
         assert log.read_text().count("attempt") == 1, \
             "a task-raised error must not be retried"
 
@@ -398,8 +403,7 @@ class TestRetryBackoff:
                  Task(label="c", fn=_identity_task, args=("c",))]
         delivered = []
         messages = []
-        results = run_tasks(tasks, jobs=2, retries=2, backoff=0.01,
-                            progress=messages.append,
+        results = run_tasks(tasks, jobs=2, progress=messages.append,
                             on_result=lambda i, r: delivered.append(i))
         assert results == ["a", "ok", "c"]
         assert sorted(delivered) == [0, 1, 2]

@@ -293,9 +293,6 @@ class TestSampledRun:
         with pytest.raises(SamplingError):
             run_model(paper_raytrace, config, "hidisc", verify=True,
                       sampling=GRID_PLAN)
-        with pytest.raises(SamplingError):
-            run_model(paper_raytrace, config, "hidisc", faults=object(),
-                      sampling=GRID_PLAN)
 
 
 @pytest.mark.slow

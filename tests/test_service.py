@@ -535,6 +535,13 @@ class TestWorkerShare:
         argv = server._worker_argv("w0")
         assert argv[argv.index("--jobs") + 1] == str(share)
 
+    def test_worker_argv_passes_no_retry_budget(self, tmp_path):
+        """Each record carries the retry budget the server's queue stamped
+        at submit; a worker never submits, so none is passed to it."""
+        server = ServiceServer(tmp_path / "svc", port=0, workers=1,
+                               max_attempts=5, stream=io.StringIO())
+        assert "--max-attempts" not in server._worker_argv("w0")
+
     def test_worker_argv_runs_the_worker_module_once(self, tmp_path):
         """The supervisor's worker command executes ``service/worker.py``
         once: under ``-m``, runpy would run it again as ``__main__``

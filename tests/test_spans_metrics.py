@@ -115,7 +115,8 @@ class TestSpanTracer:
 
 class TestWorkerBracketing:
     """A pool task runs under its own tracer only when its parent
-    traces (:func:`repro.experiments.parallel._pool_task`)."""
+    traces, and always in its own metrics scope
+    (:func:`repro.experiments.parallel._pool_task`)."""
 
     def test_parent_process_traces_inline(self):
         with spans.tracing() as tracer:
@@ -126,19 +127,20 @@ class TestWorkerBracketing:
                                                     "run_tasks"]
 
     def test_off_means_none(self):
-        result = _pool_task(False, _spanning_task, ())
-        assert vars(result) == {}, "an untraced task ships nothing"
+        result, snap, shipped = _pool_task(False, _spanning_task, ())
+        assert vars(result) == {}
+        assert shipped is None, "an untraced task ships no spans"
+        assert "peak_rss_bytes" in snap["gauges"]
 
     def test_fork_inherited_tracer_is_replaced(self):
         with spans.tracing() as stale:
             # a fork-inherited copy of the parent's tracer: foreign pid
             stale.pid = os.getpid() + 1
-            result = _pool_task(True, _spanning_task, ())
+            _, snap, shipped = _pool_task(True, _spanning_task, ())
             assert spans.current() is stale
         assert stale.records == [], "the task never records on the copy"
-        assert [d["name"] for d in result.host_spans] == \
-            ["task-work", "_spanning_task"]
-        assert "peak_rss_bytes" in result.host_metrics["gauges"]
+        assert [d["name"] for d in shipped] == ["task-work", "_spanning_task"]
+        assert "peak_rss_bytes" in snap["gauges"]
 
 
 # ----------------------------------------------------------------------

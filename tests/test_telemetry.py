@@ -401,8 +401,7 @@ class TestEventStream:
         assert cycles == sorted(cycles)
         assert all({"LDQ", "SDQ", "SAQ"} <= set(s.queues) for s in samples)
         assert {"CP", "AP", "CMP"} <= set(samples[0].cores)
-        payload = tel.samplers[-1].as_payload()
-        assert payload[0]["queues"].keys() == {"LDQ", "SDQ", "SAQ"}
+        assert samples[0].as_dict()["queues"].keys() == {"LDQ", "SDQ", "SAQ"}
 
     def test_sampler_rejects_bad_interval(self):
         with pytest.raises(ValueError):

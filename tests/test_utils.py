@@ -5,17 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.utils import (
-    align_down,
     align_up,
-    arithmetic_mean,
-    bits_to_float,
-    float_to_bits,
     format_table,
-    geometric_mean,
     ilog2,
     is_power_of_two,
     sign_extend,
-    to_signed32,
     to_signed64,
     to_unsigned64,
 )
@@ -67,27 +61,9 @@ class TestSignExtend:
 
     def test_32bit(self):
         assert sign_extend(0xFFFFFFFF, 32) == -1
-        assert to_signed32(0x80000000) == -(2**31)
-
-
-class TestFloatBits:
-    def test_roundtrip_values(self):
-        for v in (0.0, 1.0, -1.5, 3.141592653589793, 1e300, -1e-300):
-            assert bits_to_float(float_to_bits(v)) == v
-
-    def test_known_pattern(self):
-        assert float_to_bits(1.0) == 0x3FF0000000000000
-
-    @given(st.floats(allow_nan=False, allow_infinity=True))
-    def test_roundtrip_hypothesis(self, v):
-        assert bits_to_float(float_to_bits(v)) == v
 
 
 class TestAlignment:
-    def test_align_down(self):
-        assert align_down(17, 8) == 16
-        assert align_down(16, 8) == 16
-
     def test_align_up(self):
         assert align_up(17, 8) == 24
         assert align_up(16, 8) == 16
@@ -104,22 +80,6 @@ class TestAlignment:
         assert ilog2(256) == 8
         with pytest.raises(ValueError):
             ilog2(3)
-
-
-class TestMeans:
-    def test_geometric(self):
-        assert geometric_mean([2.0, 8.0]) == pytest.approx(4.0)
-
-    def test_geometric_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            geometric_mean([1.0, 0.0])
-        with pytest.raises(ValueError):
-            geometric_mean([])
-
-    def test_arithmetic(self):
-        assert arithmetic_mean([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            arithmetic_mean([])
 
 
 class TestFormatTable:

@@ -12,7 +12,7 @@ import pytest
 from repro.config import MachineConfig
 from repro.errors import WorkloadError
 from repro.experiments.cache import compile_key
-from repro.isa.encoding import encode_program_text
+from repro.isa.disasm import disassemble_instruction
 from repro.sim import generate_trace, profile_cache
 from repro.sim.functional import FunctionalSimulator
 from repro.slicer import compile_hidisc
@@ -163,26 +163,26 @@ class TestRegistry:
             assert len(bytes(quick.program.data)) <= len(bytes(full.program.data))
 
 
-#: sha256 prefix of each large program image (encoded text + data).
+#: sha256 prefix of each large program image (disassembled text + data).
 LARGE_IMAGE_DIGESTS = {
-    ("dm", 2003): "9ca75906c5032c95",
-    ("raytrace", 2003): "ff7d807a58baa3dd",
-    ("pointer", 2003): "c5717e4f261d38ae",
-    ("update", 2003): "9ac86a89a45cb6e8",
-    ("field", 2003): "192a56115c0a65ee",
-    ("neighborhood", 2003): "2c7ec10e12e7d541",
-    ("transitive", 2003): "e022e049e177cc0f",
-    ("hashjoin", 2003): "3e6a52da67855def",
-    ("spmv", 2003): "d28fd6d041f27e39",
-    ("dm", 7): "7d782aad6478ec3a",
-    ("raytrace", 7): "cfa9f9ca7c72f37a",
-    ("pointer", 7): "c2cd0c5350229da5",
-    ("update", 7): "e059cce33727c8e3",
-    ("field", 7): "8eed58f1489add7a",
-    ("neighborhood", 7): "867a3c726166eb24",
-    ("transitive", 7): "4c97165fdd21a684",
-    ("hashjoin", 7): "8d6b17f15314a84f",
-    ("spmv", 7): "ad3e95c23b9766c1",
+    ("dm", 2003): "fad41aafc0ced51e",
+    ("raytrace", 2003): "546be1cdb7f7d1d7",
+    ("pointer", 2003): "807e68de4311fc9a",
+    ("update", 2003): "f1cdea0d3b86fbab",
+    ("field", 2003): "399e6d112aff4fc6",
+    ("neighborhood", 2003): "41b481d4c34244d7",
+    ("transitive", 2003): "e4d0200d7b4f4a9a",
+    ("hashjoin", 2003): "3a7bcc0ecc58b663",
+    ("spmv", 2003): "00870c4b597c5fc6",
+    ("dm", 7): "60b5f4c109d16de8",
+    ("raytrace", 7): "024383f03f3fb2de",
+    ("pointer", 7): "4be33bb2a7cc30af",
+    ("update", 7): "54a39875c4ffba8c",
+    ("field", 7): "26cb777f057c3b69",
+    ("neighborhood", 7): "9b85f52c83cac473",
+    ("transitive", 7): "7c2fcf91e6c491ba",
+    ("hashjoin", 7): "298cf1376a448059",
+    ("spmv", 7): "13e5e21f9130af60",
 }
 
 
@@ -190,7 +190,8 @@ class TestLargeTier:
     @pytest.mark.parametrize("name,seed", sorted(LARGE_IMAGE_DIGESTS))
     def test_program_image_pinned(self, name, seed):
         program = large_workload(name, seed=seed).program
-        image = encode_program_text(program.text) + bytes(program.data)
+        text = "\n".join(map(disassemble_instruction, program.text))
+        image = text.encode() + bytes(program.data)
         digest = hashlib.sha256(image).hexdigest()[:16]
         assert digest == LARGE_IMAGE_DIGESTS[name, seed]
 
